@@ -4,8 +4,8 @@ The graph type is the shared substrate for the game solvers, the family
 generators and the cliquewidth evaluator.  Vertices are identified by ids
 0..vertex_count-1 and carry unique non-empty names.  Self-loops are allowed;
 duplicate edges are rejected.  Successor lists are kept sorted, and each
-vertex additionally exposes its successor/predecessor sets as int bitmasks
-because the solvers spend nearly all their time in reachability queries.
+vertex additionally exposes its successor set as an int bitmask because the
+solvers spend nearly all their time in reachability queries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class GraphError(ValueError):
 class Graph:
     """A finite directed graph; immutable once constructed."""
 
-    __slots__ = ("names", "succs", "succ_masks", "pred_masks", "_ids")
+    __slots__ = ("names", "succs", "succ_masks", "_ids")
 
     def __init__(self, names: Iterable[str], edges: Iterable[tuple[int, int]]):
         names = tuple(names)
@@ -41,17 +41,14 @@ class Graph:
                 raise GraphError(f"duplicate edge ({u},{w})")
             succ_sets[u].add(w)
         succ_masks = []
-        pred_masks = [0] * n
         for u in range(n):
             m = 0
             for w in succ_sets[u]:
                 m |= 1 << w
-                pred_masks[w] |= 1 << u
             succ_masks.append(m)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "succs", tuple(tuple(sorted(s)) for s in succ_sets))
         object.__setattr__(self, "succ_masks", tuple(succ_masks))
-        object.__setattr__(self, "pred_masks", tuple(pred_masks))
         object.__setattr__(self, "_ids", ids)
 
     def __setattr__(self, name, value):
@@ -107,10 +104,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self.names)} vertices, {self.edge_count} edges)"
-
-
-# A VertexSet is a plain set/frozenset of vertex ids over a specific graph.
-VertexSet = frozenset
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -265,6 +258,11 @@ def serialize_graph(graph: Graph) -> bytes:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
+def _is_id(x) -> bool:
+    # JSON booleans decode to bool, a subclass of int, so true would pass as 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph(data: bytes | str) -> Graph:
     """Inverse of serialize_graph; rejects malformed input naming the offender."""
     if isinstance(data, bytes):
@@ -282,13 +280,13 @@ def parse_graph(data: bytes | str) -> Graph:
     for i, entry in enumerate(verts):
         if not isinstance(entry, dict) or "id" not in entry or "name" not in entry:
             raise GraphError(f"vertex entry {i} must have 'id' and 'name'")
-        if entry["id"] != i:
+        if not _is_id(entry["id"]) or entry["id"] != i:
             raise GraphError(f"vertex ids must be dense 0..n-1; entry {i} has id {entry['id']!r}")
         names.append(entry["name"])
     edges = []
     n = len(names)
     for e in doc["edges"]:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_id(x) for x in e)):
             raise GraphError(f"edge {e!r} must be a pair of vertex ids")
         u, w = e
         if not (0 <= u < n and 0 <= w < n):

@@ -6,13 +6,15 @@ it under either invisible-game semantics and reports whether it clears the
 graph and whether it ever recontaminates.  The entanglement side provides a
 feedback-vertex chase strategy (the one that witnesses ent <= 3 for the
 switch-all family) and an exhaustive verifier that plays every robber reply
-against a given cop strategy.
+against a given cop strategy; the visible-game strategy replay runs on the
+same depth-first search.  The sweep replay steps with the solvers' own
+contamination update and monotonicity rule from games.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..graphs import (
     Graph,
@@ -26,7 +28,7 @@ from ..graphs import (
     symmetric_closure,
 )
 from ..families import gen_switch_all
-from .games import Variant
+from .games import Variant, contaminate
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,11 @@ def simulate_sweep(
     semantics: Variant | str,
     require_monotone: bool = True,
 ) -> SweepReport:
-    """Replay an arbitrary placement sequence (no single-move restriction)."""
+    """Replay an arbitrary placement sequence (no single-move restriction).
+
+    Each step is the solvers' own contamination update; a step is monotone
+    iff it keeps the contaminated set a subset of the one before.
+    """
     if isinstance(semantics, str):
         semantics = Variant(semantics)
     if semantics not in (Variant.KW, Variant.DPW):
@@ -93,24 +99,16 @@ def simulate_sweep(
     inert = semantics is Variant.KW
     c = 0
     r = graph.full_mask
-    monotone = True
     first_bad: Optional[int] = None
     for step, placement in enumerate(placements):
         cp = 0
         for v in placement:
             graph._check(v)
             cp |= 1 << v
-        inter = c & cp
-        if inert:
-            flee = r & cp
-            rp = (r | reach_mask(graph, inter, flee)) & ~cp if flee else r & ~cp
-        else:
-            rp = reach_mask(graph, inter, r) & ~cp
-        if rp & ~(r | c):
-            monotone = False
-            if first_bad is None:
-                first_bad = step
-        c, r = cp, rp
+        [(c, r)], grew = contaminate(graph, inert, c, r, (cp,), strict=False)
+        if grew and first_bad is None:
+            first_bad = step
+    monotone = first_bad is None
     return SweepReport(
         cleared=(r == 0),
         monotone=monotone,
@@ -132,9 +130,6 @@ def verify_sweep(
     require_monotone is set; `step_of_first_violation` indexes into
     cert.placements (0-based).
     """
-    for step, placement in enumerate(cert.placements):
-        if len(placement) > cert.cops:
-            raise GraphError(f"placement {step} exceeds the certificate budget {cert.cops}")
     return simulate_sweep(graph, cert.placements, semantics, require_monotone)
 
 
@@ -182,9 +177,12 @@ def dpw_sweep_certificate_switch_all(n: int) -> SweepCertificate:
 
 @dataclass(frozen=True)
 class EntVerifyReport:
+    """Outcome of verify_ent_strategy.  failure_position is (cop vertices in
+    ascending order, robber vertex), the position the failure was found at."""
+
     ok: bool
     reason: str = ""
-    failure_position: Optional[tuple] = None
+    failure_position: Optional[tuple[tuple[int, ...], int]] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -247,6 +245,51 @@ def ent_strategy_switch_all(n: int) -> Callable[[frozenset[int], int], frozenset
     return feedback_chase_strategy(g, 3, anchors=(g.id_of("r"), g.id_of("s")))
 
 
+_REPEATS = "the robber can force an infinite play (position repeats)"
+
+
+def _replay_positional(
+    starts: Iterable[Hashable], replies: Callable[[Hashable], list | str]
+) -> Optional[tuple[str, Hashable]]:
+    """Play a positional cop strategy against every robber reply.
+
+    Depth-first from every start position.  A position is (placement, robber
+    vertex) with the cops to move; replies applies the cop move at a position
+    and returns the positions the robber can move to, or a string saying why
+    the cop move is illegal.  Returns None iff every play ends with the
+    robber out of moves, else (reason, position): an illegal move, or a
+    position a play can revisit (an infinite play exists).
+    """
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour: dict[Hashable, int] = {}
+    for start in starts:
+        if colour.get(start, WHITE) is not WHITE:
+            continue
+        stack = [(start, False)]
+        while stack:
+            pos, processed = stack.pop()
+            if processed:
+                colour[pos] = BLACK
+                continue
+            state = colour.get(pos, WHITE)
+            if state is BLACK:
+                continue
+            if state is GREY:
+                return _REPEATS, pos
+            colour[pos] = GREY
+            stack.append((pos, True))
+            children = replies(pos)
+            if isinstance(children, str):
+                return children, pos
+            for child in children:
+                st = colour.get(child, WHITE)
+                if st is GREY:
+                    return _REPEATS, child
+                if st is WHITE:
+                    stack.append((child, False))
+    return None
+
+
 def verify_ent_strategy(
     graph: Graph,
     strategy: Callable[[frozenset[int], int], frozenset[int]],
@@ -256,67 +299,29 @@ def verify_ent_strategy(
 
     True iff every play is finite and ends with the robber out of moves.  An
     illegal cop move or a position the play can revisit (an infinite play
-    exists) yields a failure report carrying the offending position.
+    exists) yields a failure report carrying the offending position.  The
+    strategy is asked once per reachable position.
     """
     succ = graph.succ_masks
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[tuple, int] = {}
-    # nodes: ("cop", C, v) robber stands at v, cops to announce;
-    #        ("rob", C, v) placement announced, robber to move.
-    stack: list[tuple] = []
-    for v in range(graph.vertex_count):
-        start = ("cop", frozenset(), v)
-        if colour.get(start, WHITE) is not WHITE:
-            continue
-        stack.append((start, False))
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                colour[node] = BLACK
-                continue
-            state = colour.get(node, WHITE)
-            if state is BLACK:
-                continue
-            if state is GREY:
-                return EntVerifyReport(
-                    ok=False,
-                    reason="the robber can force an infinite play (position repeats)",
-                    failure_position=node,
-                )
-            colour[node] = GREY
-            stack.append((node, True))
-            kind, c, v = node
-            if kind == "cop":
-                cp = frozenset(strategy(c, v))
-                added = cp - c
-                removed = c - cp
-                legal = (
-                    (not added and not removed)
-                    or (added == {v} and not removed and len(cp) <= k)
-                    or (added == {v} and len(removed) == 1 and len(cp) <= k)
-                )
-                if not legal:
-                    return EntVerifyReport(
-                        ok=False,
-                        reason=f"illegal cop move {sorted(c)} -> {sorted(cp)} against robber at {v}",
-                        failure_position=node,
-                    )
-                children = [("rob", cp, v)]
-            else:
-                cm = mask_of(c)
-                children = [("cop", c, w) for w in bits_of(succ[v] & ~cm)]
-                # no children: robber is stuck, cops win this branch
-            for child in children:
-                st = colour.get(child, WHITE)
-                if st is GREY:
-                    return EntVerifyReport(
-                        ok=False,
-                        reason="the robber can force an infinite play (position repeats)",
-                        failure_position=child,
-                    )
-                if st is WHITE:
-                    stack.append((child, False))
-    return EntVerifyReport(ok=True)
+
+    def replies(pos: tuple[frozenset[int], int]) -> list | str:
+        c, v = pos
+        cp = frozenset(strategy(c, v))
+        added = cp - c
+        legal = (not added and cp == c) or (
+            added == {v} and len(c - cp) <= 1 and len(cp) <= k
+        )
+        if not legal:
+            return f"illegal cop move {sorted(c)} -> {sorted(cp)} against robber at {v}"
+        return [(cp, w) for w in bits_of(succ[v] & ~mask_of(cp))]
+
+    failure = _replay_positional(
+        [(frozenset(), v) for v in range(graph.vertex_count)], replies
+    )
+    if failure is None:
+        return EntVerifyReport(ok=True)
+    reason, (c, v) = failure
+    return EntVerifyReport(ok=False, reason=reason, failure_position=(tuple(sorted(c)), v))
 
 
 def entanglement_is_one(graph: Graph) -> bool:
@@ -350,40 +355,16 @@ def replay_cop_strategy(
     revisiting a position.
     """
     g = symmetric_closure(graph) if variant is Variant.TW else graph
-    n = g.vertex_count
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[tuple, int] = {}
-    for v0 in range(n):
-        start = (0, v0)
-        if colour.get(start, WHITE) is not WHITE:
-            continue
-        stack = [(start, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                colour[node] = BLACK
-                continue
-            st = colour.get(node, WHITE)
-            if st is BLACK:
-                continue
-            if st is GREY:
-                return False
-            colour[node] = GREY
-            stack.append((node, True))
-            c, v = node
-            cp = strategy_moves.get((c, v))
-            if cp is None or cp.bit_count() > cops:
-                return False
-            if (c ^ cp).bit_count() > 1:  # normalized strategies move one cop at most
-                return False
-            space = reach_mask(g, c & cp, 1 << v)
-            if require_monotone and space & (c & ~cp):
-                return False
-            for w in bits_of(space & ~cp):
-                child = (cp, w)
-                cst = colour.get(child, WHITE)
-                if cst is GREY:
-                    return False
-                if cst is WHITE:
-                    stack.append((child, False))
-    return True
+
+    def replies(pos: tuple[int, int]) -> list | str:
+        c, v = pos
+        cp = strategy_moves.get(pos)
+        # normalized strategies move one cop at most
+        if cp is None or cp.bit_count() > cops or (c ^ cp).bit_count() > 1:
+            return "undefined or illegal cop move"
+        space = reach_mask(g, c & cp, 1 << v)
+        if require_monotone and space & (c & ~cp):
+            return "the robber reaches a vacated vertex"
+        return [(cp, w) for w in bits_of(space & ~cp)]
+
+    return _replay_positional([(0, v) for v in range(g.vertex_count)], replies) is None

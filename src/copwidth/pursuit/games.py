@@ -7,10 +7,20 @@ The visible-robber and entanglement games are solved by backward induction
 over the explicit position space (attractor computation with successor
 counters); the invisible-robber games are one-player searches over
 (placement, contaminated-set) states.  Positions are encoded as int bitmasks
-throughout.  Cop moves in the production solvers are normalized to
-{stay, add one cop, remove one cop}; `full_moves=True` switches to arbitrary
-next placements and exists as the reference semantics for cross-checking the
-normalization on small graphs.
+throughout.
+
+Each game rule has one home here:
+
+- `normalized_moves`: the cop moves {stay, add one cop, remove one cop} of
+  the visible and invisible solvers;
+- `contaminate`: the invisible games' contamination update and their one
+  monotonicity rule (R' must be a subset of R), used by solve_invisible and
+  by the sweep replay in certificates.py;
+- `solve`: the one dispatch from a variant to its solver.
+
+`solve_visible(full_moves=True)` switches to arbitrary next placements and
+exists as the reference semantics for cross-checking the move normalization
+on small graphs.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from ..graphs import (
     Graph,
@@ -69,12 +79,6 @@ class CopStrategy:
     """
 
     moves: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def next_placement(self, placement: Iterable[int], robber: int) -> frozenset[int]:
-        key = (mask_of(placement), robber)
-        if key not in self.moves:
-            raise GraphError(f"strategy undefined at placement {sorted(placement)}, robber {robber}")
-        return frozenset(bits_of(self.moves[key]))
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,57 @@ def _placement_candidates(n: int, k: int) -> list[int]:
     return sorted(out)
 
 
+def normalized_moves(c: int, k: int, full: int) -> list[int]:
+    """Normalized next placements from placement c with k cops on the
+    vertices of `full`: stay (first), add a cop on a free vertex while one
+    is spare, or remove one cop."""
+    out = [c]
+    free = ~c & full if c.bit_count() < k else 0
+    while free:
+        b = free & -free
+        out.append(c | b)
+        free ^= b
+    placed = c
+    while placed:
+        b = placed & -placed
+        out.append(c ^ b)
+        placed ^= b
+    return out
+
+
+def contaminate(
+    graph: Graph, inert: bool, c: int, r: int, placements: Iterable[int], strict: bool
+) -> tuple[list[tuple[int, int]], bool]:
+    """One contamination step of the invisible games from placement C with
+    contaminated set R, for each announced placement C':
+
+        inert (KW):     R' = (R | Reach_{G-(C&C')}(R & C')) \\ C'
+        restless (DPW): R' = Reach_{G-(C&C')}(R) \\ C'
+
+    A move is monotone iff R' is a subset of R.  Returns the pairs (C', R')
+    in placement order, ending early at the first R' that is empty (a search
+    is won there), and whether some move was not monotone.  With strict
+    those moves are left out of the pairs.
+    """
+    reach = reach_mask
+    out = []
+    grew = False
+    for cp in placements:
+        if inert:
+            flee = r & cp
+            rp = (r | reach(graph, c & cp, flee)) & ~cp if flee else r & ~cp
+        else:
+            rp = reach(graph, c & cp, r) & ~cp
+        if rp & ~r:
+            grew = True
+            if strict:
+                continue
+        out.append((cp, rp))
+        if not rp:
+            break
+    return out, grew
+
+
 def solve_visible(
     graph: Graph,
     config: GameConfig,
@@ -199,21 +254,14 @@ def solve_visible(
     mono = config.require_monotone
     if n == 0:
         return SolveOutcome(Winner.COPS, CopStrategy({}), 0)
-    succ = g.succ_masks
+    full = g.full_mask
     universe = _placement_candidates(n, k) if full_moves else None
 
     def cop_moves(key):
         c, v = key
-        if universe is not None:
-            cands = universe
-        else:
-            cands = [c]
-            if c.bit_count() < k:
-                free = ~c & ((1 << n) - 1)
-                cands.extend(c | b for b in _single_bits(free))
-            cands.extend(c ^ b for b in _single_bits(c))
         out = []
         vb = 1 << v
+        cands = universe if universe is not None else normalized_moves(c, k, full)
         for cp in cands:
             if mono:
                 vacated = c & ~cp
@@ -247,21 +295,15 @@ def solve_invisible(
     config: GameConfig,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
-    full_moves: bool = False,
 ) -> SolveOutcome:
     """Decide the invisible-robber game (variant KW or DPW) with config.cops cops.
 
     One-player search over states (placement C, contaminated set R) from
-    (empty, all vertices).  Per announced placement C' the contamination
-    updates to
-        KW  (inert robber):  R' = (R | Reach_{G-(C&C')}(R & C')) \\ C'
-        DPW (restless):      R' = Reach_{G-(C&C')}(R) \\ C'
-    and the cops win iff some placement sequence empties R.  Under
-    require_monotone the contaminated set must be non-increasing: any move
-    with R' not a subset of R is pruned.  (This is stricter than the sweep
-    verifier's recontamination flag, which tolerates a vacated guard falling
-    back into R; allowing that here would let cops shuffle guards and beat
-    the real width.)  The witness is the placement sequence found.
+    (empty, all vertices).  Each normalized cop move updates R by
+    `contaminate` (inert robber for KW, restless for DPW), and the cops win
+    iff some placement sequence empties R.  Under require_monotone every move
+    must keep R' a subset of R; the others are pruned.  The witness is the
+    placement sequence found.
     """
     if config.variant not in (Variant.KW, Variant.DPW):
         raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
@@ -273,43 +315,28 @@ def solve_invisible(
     if n == 0:
         return SolveOutcome(Winner.COPS, (), 0)
     full = graph.full_mask
-    universe = _placement_candidates(n, k) if full_moves else None
     start = (0, full)
     parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
     stack = [start]
     while stack:
-        c, r = stack.pop()
-        if universe is not None:
-            cands = [cp for cp in universe if cp != c]
-        else:
-            cands = []
-            if c.bit_count() < k:
-                free = ~c & full
-                cands.extend(c | b for b in _single_bits(free))
-            cands.extend(c ^ b for b in _single_bits(c))
-        for cp in cands:
-            inter = c & cp
-            if inert:
-                flee = r & cp
-                rp = (r | reach_mask(graph, inter, flee)) & ~cp if flee else r & ~cp
-            else:
-                rp = reach_mask(graph, inter, r) & ~cp
-            if mono and rp & ~r:
-                continue
-            if rp == 0:
-                seq = [frozenset(bits_of(cp))]
-                node = (c, r)
+        state = stack.pop()
+        c, r = state
+        # staying put leaves (C, R) unchanged, so only real moves are tried
+        moves, _ = contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], mono)
+        for nxt in moves:  # (C', R'), also the key of the next state
+            if nxt[1] == 0:  # R' is empty: the sequence clears the graph
+                seq = [frozenset(bits_of(nxt[0]))]
+                node = state
                 while parent[node] is not None:
                     seq.append(frozenset(bits_of(node[0])))
                     node = parent[node]
                 seq.reverse()
                 return SolveOutcome(Winner.COPS, tuple(seq), len(parent))
-            key = (cp, rp)
-            if key not in parent:
+            if nxt not in parent:
                 if len(parent) >= budget:
                     raise BudgetExceededError(budget)
-                parent[key] = (c, r)
-                stack.append(key)
+                parent[nxt] = state
+                stack.append(nxt)
     return SolveOutcome(Winner.ROBBER, None, len(parent))
 
 
@@ -356,6 +383,26 @@ def solve_entanglement(
     return SolveOutcome(Winner.COPS, CopStrategy(moves), states)
 
 
+def solve(
+    graph: Graph,
+    variant: Variant,
+    k: int,
+    *,
+    budget: int = DEFAULT_STATE_BUDGET,
+    require_monotone: bool = True,
+) -> SolveOutcome:
+    """Decide the game of `variant` with k cops by its solver.
+
+    require_monotone does not apply to ENT, which has no monotonicity notion.
+    """
+    if variant is Variant.ENT:
+        return solve_entanglement(graph, k, budget=budget)
+    config = GameConfig(variant, k, require_monotone)
+    if variant in (Variant.KW, Variant.DPW):
+        return solve_invisible(graph, config, budget=budget)
+    return solve_visible(graph, config, budget=budget)
+
+
 def measure(
     graph: Graph,
     variant: Variant,
@@ -387,16 +434,7 @@ def measure_detailed(
         return 0, 0
     total = 0
     for k in range(graph.vertex_count + 1):
-        if variant is Variant.ENT:
-            out = solve_entanglement(graph, k, budget=budget)
-        elif variant in (Variant.KW, Variant.DPW):
-            out = solve_invisible(
-                graph, GameConfig(variant, k, require_monotone), budget=budget
-            )
-        else:
-            out = solve_visible(
-                graph, GameConfig(variant, k, require_monotone), budget=budget
-            )
+        out = solve(graph, variant, k, budget=budget, require_monotone=require_monotone)
         total += out.states
         if out.winner is Winner.COPS:
             return (k - 1 if variant in (Variant.TW, Variant.DPW) else k), total

@@ -28,14 +28,11 @@ from ..graphs import GraphError, parse_graph, serialize_graph, to_dot
 from ..pursuit import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
-    GameConfig,
     Variant,
     dpw_sweep_certificate_switch_all,
     ent_strategy_switch_all,
     measure_detailed,
-    solve_entanglement,
-    solve_invisible,
-    solve_visible,
+    solve,
     verify_ent_strategy,
     verify_sweep,
 )
@@ -90,16 +87,7 @@ def _cmd_solve(args) -> int:
             "seconds": round(time.perf_counter() - t0, 3),
         }
     else:
-        if variant is Variant.ENT:
-            out = solve_entanglement(g, args.k, budget=args.budget)
-        elif variant in (Variant.KW, Variant.DPW):
-            out = solve_invisible(
-                g, GameConfig(variant, args.k, mono), budget=args.budget
-            )
-        else:
-            out = solve_visible(
-                g, GameConfig(variant, args.k, mono), budget=args.budget
-            )
+        out = solve(g, variant, args.k, budget=args.budget, require_monotone=mono)
         result = {
             "measure": variant.value,
             "k": args.k,

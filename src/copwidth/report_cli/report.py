@@ -38,8 +38,7 @@ from ..pursuit import (
     ent_strategy_switch_all,
     entanglement_is_one,
     measure,
-    solve_entanglement,
-    solve_invisible,
+    solve,
     solve_visible,
     verify_ent_strategy,
     verify_sweep,
@@ -204,7 +203,7 @@ def _guarded(measure_name: str, claimed, t0: float, build) -> MeasureEntry:
         )
 
 
-def _switch_all_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
+def _switch_all_entries(n_exact: int, n_cert: int, budget: int) -> list[MeasureEntry]:
     entries: list[MeasureEntry] = []
     g_small = gen_switch_all(n_exact)
 
@@ -258,10 +257,7 @@ def _switch_all_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
     t0 = time.perf_counter()
 
     def build_dpw():
-        solve_ok = (
-            solve_invisible(g_small, GameConfig(Variant.DPW, 4), budget=budget).winner
-            is Winner.COPS
-        )
+        solve_ok = solve(g_small, Variant.DPW, 4, budget=budget).winner is Winner.COPS
         exact, note = _exact_or_none(g_small, Variant.DPW, budget)
         return MeasureEntry(
             measure="dpw",
@@ -286,10 +282,7 @@ def _switch_all_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
     t0 = time.perf_counter()
 
     def build_dagw():
-        solve_ok = (
-            solve_visible(g_small, GameConfig(Variant.DAGW, 4), budget=budget).winner
-            is Winner.COPS
-        )
+        solve_ok = solve(g_small, Variant.DAGW, 4, budget=budget).winner is Winner.COPS
         exact, note = _exact_or_none(g_small, Variant.DAGW, budget)
         return MeasureEntry(
             measure="dagw",
@@ -338,9 +331,7 @@ def _switch_all_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
             rep = verify_ent_strategy(gen_switch_all(n), ent_strategy_switch_all(n), 3)
             if not rep.ok:
                 chase_ok = False
-        ent_solve_ok = (
-            solve_entanglement(g_small, 3, budget=budget).winner is Winner.COPS
-        )
+        ent_solve_ok = solve(g_small, Variant.ENT, 3, budget=budget).winner is Winner.COPS
         exact, note = _exact_or_none(g_small, Variant.ENT, budget)
         return MeasureEntry(
             measure="ent",
@@ -357,37 +348,10 @@ def _switch_all_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
 
     entries.append(_guarded("ent", 3, t0, build_ent))
 
-    # cw: evaluate the expression builder and compare edge-exactly.
-    t0 = time.perf_counter()
-    cw_ok = True
-    for n in range(1, n_cert + 1):
-        rep = verify_family_expr(FamilyId.SWITCH_ALL, n)
-        if not (rep.equal and rep.colour_count == 10):
-            cw_ok = False
-    entries.append(
-        MeasureEntry(
-            measure="cw",
-            claimed=10,
-            obtained=10,
-            exact=None,
-            provenance="cw-expression",
-            verified=cw_ok,
-            seconds=time.perf_counter() - t0,
-            note=f"expression evaluates to the generator edge-for-edge with "
-            f"exactly 10 colours for n in 1..{n_cert}",
-        )
-    )
-
-    return MeasureReport(
-        family="switch-all",
-        n_exact=n_exact,
-        n_cert=n_cert,
-        entries=entries,
-        reference_rows=_reference_rows(),
-    )
+    return entries
 
 
-def _zadeh_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
+def _zadeh_entries(n_exact: int, n_cert: int, budget: int) -> list[MeasureEntry]:
     entries: list[MeasureEntry] = []
     g_small = gen_zadeh(n_exact)
 
@@ -458,33 +422,28 @@ def _zadeh_report(n_exact: int, n_cert: int, budget: int) -> MeasureReport:
                 )
             )
 
-    # cw: the nine-colour expression.
+    return entries
+
+
+def _cw_entry(fam: FamilyId, n_cert: int) -> MeasureEntry:
+    """Evaluate the family's expression builder and compare edge-exactly."""
     t0 = time.perf_counter()
+    colours = CLAIMED_BOUNDS[fam.value]["cw"]
     cw_ok = True
     for n in range(1, n_cert + 1):
-        rep = verify_family_expr(FamilyId.ZADEH, n)
-        if not (rep.equal and rep.colour_count == 9):
+        rep = verify_family_expr(fam, n)
+        if not (rep.equal and rep.colour_count == colours):
             cw_ok = False
-    entries.append(
-        MeasureEntry(
-            measure="cw",
-            claimed=9,
-            obtained=9,
-            exact=None,
-            provenance="cw-expression",
-            verified=cw_ok,
-            seconds=time.perf_counter() - t0,
-            note=f"expression evaluates to the generator edge-for-edge with "
-            f"exactly 9 colours for n in 1..{n_cert}",
-        )
-    )
-
-    return MeasureReport(
-        family="zadeh",
-        n_exact=n_exact,
-        n_cert=n_cert,
-        entries=entries,
-        reference_rows=_reference_rows(),
+    return MeasureEntry(
+        measure="cw",
+        claimed=colours,
+        obtained=colours,
+        exact=None,
+        provenance="cw-expression",
+        verified=cw_ok,
+        seconds=time.perf_counter() - t0,
+        note=f"expression evaluates to the generator edge-for-edge with "
+        f"exactly {colours} colours for n in 1..{n_cert}",
     )
 
 
@@ -506,10 +465,18 @@ def run_report(
     if n_exact < 1 or n_cert < 1:
         raise GraphError("n_exact and n_cert must be at least 1")
     if fam is FamilyId.SWITCH_ALL:
-        return _switch_all_report(n_exact, n_cert, budget)
-    if fam is FamilyId.ZADEH:
-        return _zadeh_report(n_exact, n_cert, budget)
-    raise GraphError(f"no bound row for family {fam.value!r}")
+        entries = _switch_all_entries(n_exact, n_cert, budget)
+    elif fam is FamilyId.ZADEH:
+        entries = _zadeh_entries(n_exact, n_cert, budget)
+    else:
+        raise GraphError(f"no bound row for family {fam.value!r}")
+    return MeasureReport(
+        family=fam.value,
+        n_exact=n_exact,
+        n_cert=n_cert,
+        entries=entries + [_cw_entry(fam, n_cert)],
+        reference_rows=_reference_rows(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +564,8 @@ def _all_digraphs(n: int):
 
 
 def _ent_is_one_game(g: Graph) -> bool:
-    zero = solve_entanglement(g, 0).winner is Winner.COPS
-    one = solve_entanglement(g, 1).winner is Winner.COPS
+    zero = solve(g, Variant.ENT, 0).winner is Winner.COPS
+    one = solve(g, Variant.ENT, 1).winner is Winner.COPS
     return one and not zero
 
 

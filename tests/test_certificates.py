@@ -1,5 +1,7 @@
 """Sweep certificates, chase strategies, and structural characterizations."""
 
+import json
+
 import pytest
 
 from copwidth import (
@@ -80,6 +82,14 @@ class TestSweepVerification:
         assert not relaxed.monotone
         assert relaxed.ok is relaxed.cleared
 
+    def test_vacated_guard_falling_back_is_not_monotone(self):
+        # the cop on b leaves and the restless robber from a walks in: R
+        # grows from {a} to {a, b}, the same move the solvers prune
+        g = Graph(["a", "b"], [(0, 1)])
+        rep = simulate_sweep(g, [{1}, set()], "dpw")
+        assert not rep.monotone
+        assert rep.step_of_first_violation == 1
+
 
 class TestFamilySweep:
     def test_first_three_placements(self):
@@ -149,6 +159,13 @@ class TestChaseStrategy:
         g = gen_cycle(3)
         rep = verify_ent_strategy(g, lambda c, v: c, 1)
         assert not rep.ok
+
+    def test_failure_report_is_json_serializable(self):
+        rep = verify_ent_strategy(gen_cycle(3), lambda c, v: c, 1)
+        doc = json.loads(json.dumps({"reason": rep.reason, "failure_position": rep.failure_position}))
+        # the robber walks 0 -> 1 -> 2 and is back at 0 with no cop placed
+        assert doc["failure_position"] == [[], 0]
+        assert "infinite play" in doc["reason"]
 
 
 class TestEntanglementIsOne:

@@ -236,6 +236,19 @@ class TestSerialization:
         with pytest.raises(GraphError, match="duplicate"):
             parse_graph(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"vertices":[{"id":0,"name":"x"},{"id":1,"name":"y"}],"edges":[[true,false]]}',
+            b'{"vertices":[{"id":0,"name":"x"},{"id":true,"name":"y"}],"edges":[]}',
+        ],
+        ids=["edge", "vertex"],
+    )
+    def test_boolean_ids_rejected(self, doc):
+        # JSON true/false must not pass as the ids 1 and 0
+        with pytest.raises(GraphError):
+            parse_graph(doc)
+
 
 class TestDot:
     def test_deterministic_and_labelled(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import copwidth.pursuit.games as games
 from copwidth import (
     BudgetExceededError,
     GameConfig,
@@ -18,11 +19,14 @@ from copwidth import (
     measure,
     measure_detailed,
     replay_cop_strategy,
+    solve,
     solve_entanglement,
     solve_invisible,
     solve_visible,
+    verify_ent_strategy,
     verify_sweep,
 )
+from copwidth.graphs import bits_of, mask_of
 
 
 def two_cycle():
@@ -146,6 +150,17 @@ class TestEntanglement:
         out = solve_entanglement(gen_switch_all(1), 3)
         assert out.winner is Winner.COPS
 
+    @pytest.mark.parametrize("g", [gen_cycle(4), gen_switch_all(1)], ids=["cycle4", "switch_all1"])
+    def test_witness_replays_as_chase_strategy(self, g):
+        k = measure(g, Variant.ENT)
+        moves = solve_entanglement(g, k).witness.moves
+
+        def strategy(placement, robber):
+            return frozenset(bits_of(moves[(mask_of(placement), robber)]))
+
+        rep = verify_ent_strategy(g, strategy, k)
+        assert rep.ok, rep.reason
+
 
 class TestMeasure:
     def test_tw_of_bipartite_cliques(self):
@@ -205,17 +220,34 @@ class TestDeterminacyConsistency:
         for variant in Variant:
             prev = False
             for k in range(n + 1):
-                if variant is Variant.ENT:
-                    won = solve_entanglement(g, k).winner is Winner.COPS
-                elif variant in (Variant.KW, Variant.DPW):
-                    won = (
-                        solve_invisible(g, GameConfig(variant, k)).winner
-                        is Winner.COPS
-                    )
-                else:
-                    won = (
-                        solve_visible(g, GameConfig(variant, k)).winner
-                        is Winner.COPS
-                    )
+                won = solve(g, variant, k).winner is Winner.COPS
                 assert not (prev and not won), f"{variant} lost at k={k} after winning"
                 prev = won
+
+
+class TestDispatch:
+    def test_measure_and_solve_call_the_module_bindings(self, monkeypatch):
+        # wrappers swapped into the games module, as benchmark tracing does,
+        # must see every solve, with (graph, config or k) passed positionally
+        seen = []
+        for name in ("solve_visible", "solve_invisible", "solve_entanglement"):
+
+            def wrapper(graph, arg, *, _name=name, _fn=getattr(games, name), **kwargs):
+                seen.append(_name)
+                return _fn(graph, arg, **kwargs)
+
+            monkeypatch.setattr(games, name, wrapper)
+        expected = {
+            Variant.TW: "solve_visible",
+            Variant.DAGW: "solve_visible",
+            Variant.KW: "solve_invisible",
+            Variant.DPW: "solve_invisible",
+            Variant.ENT: "solve_entanglement",
+        }
+        for variant, name in expected.items():
+            seen.clear()
+            assert measure(gen_cycle(3), variant) >= 0
+            assert seen and set(seen) == {name}
+            seen.clear()
+            assert solve(gen_cycle(3), variant, 3).winner is Winner.COPS
+            assert seen == [name]
