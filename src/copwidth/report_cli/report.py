@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from itertools import chain
+from typing import Iterable, Optional, Union
 
 from ..cliquewidth import verify_family_expr
 from ..families import (
@@ -175,254 +176,146 @@ def _reference_rows() -> list[dict]:
     ]
 
 
-def _exact_or_none(
-    graph: Graph, variant: Variant, budget: int
-) -> tuple[Optional[int], str]:
-    """Exact measure, or None with a note when the state budget runs out."""
-    try:
-        return measure(graph, variant, budget=budget), ""
-    except BudgetExceededError:
-        return None, f"state budget {budget} exhausted during the exact solve; "
+@dataclass
+class _Run:
+    """The inputs one report shares between its entries."""
+
+    family: FamilyId
+    n_exact: int
+    n_cert: int
+    budget: int
+    small: Graph  # the family at n_exact, where the games are solved exactly
+    _sweeps: dict = field(default_factory=dict)
+
+    def wins(self, variant: Variant, k: int) -> bool:
+        return solve(self.small, variant, k, budget=self.budget).winner is Winner.COPS
+
+    def sweep_ok(self, semantics: Variant) -> bool:
+        """The 4-cop switch-all sweep replays cleared and monotone for n in
+        1..n_cert.  Linear-time and budget-free; computed once per semantics
+        and shared by the dpw, dagw and kw entries."""
+        if semantics not in self._sweeps:
+            self._sweeps[semantics] = all(
+                verify_sweep(gen_switch_all(n), dpw_sweep_certificate_switch_all(n), semantics).ok
+                for n in range(1, self.n_cert + 1)
+            )
+        return self._sweeps[semantics]
 
 
-def _guarded(measure_name: str, claimed, t0: float, build) -> MeasureEntry:
-    """Run one entry builder; budget exhaustion downgrades to not-checked."""
+def _bipartite_witness_ok(run: _Run) -> bool:
+    """k-by-k complete bipartite subgraphs of the switch-all symmetric
+    closure for k <= 3, and tw of the standalone k-by-k graph is k."""
+    solved = [
+        measure(gen_complete_bipartite(k, k), Variant.TW, budget=run.budget) == k
+        for k in (2, 3)
+    ]
+    embedded = True
+    for k in (1, 2, 3):
+        wn, left, right = lemma_bipartite_witness(k)
+        h = symmetric_closure(gen_switch_all(wn))
+        embedded &= all(h.has_edge(a, b) and h.has_edge(b, a) for a in left for b in right)
+    return all(solved) and embedded
+
+
+def _zadeh_clique_ok(run: _Run) -> bool:
+    """The k-vertices of zadeh(n_cert) form a bidirectional clique."""
+    g = gen_zadeh(run.n_cert)
+    clique = [g.id_of(f"k{i}") for i in range(1, run.n_cert + 1)]
+    return all(
+        g.has_edge(u, w) and g.has_edge(w, u) for u in clique for w in clique if u != w
+    )
+
+
+_EXACT_NOTE = (
+    "exact value at n={n_exact}; the measure is recorded as unbounded over the "
+    "family, so any finite small-n value is consistent"
+)
+
+# Per family: its generator and one row per game measure, in table order:
+# (measure, provenance, check, note).  A check runs its budgeted solves
+# first, so exhaustion downgrades the entry the same way whatever it finds;
+# an exact-solve row has no check and rests on the exact solve alone.  Notes
+# are formatted with n_exact and n_cert.
+_ROWS: dict[FamilyId, tuple] = {
+    FamilyId.SWITCH_ALL: (gen_switch_all, (
+        # tw: unbounded, witnessed by bipartite subgraphs of growing order.
+        ("tw", "witness-subgraph", _bipartite_witness_ok,
+         "k-by-k bipartite witness embeds in the symmetric closure for k<=3, "
+         "and the measure of the standalone k-by-k graph is exactly k for k in "
+         "{{2,3}}; the witness order grows with n"),
+        ("dpw", "certificate",
+         lambda run: run.wins(Variant.DPW, 4) and run.sweep_ok(Variant.DPW),
+         "4-cop sweep replays cleared and monotone for n in 1..{n_cert}; "
+         "exact solve at n={n_exact} confirms 4 cops win"),
+        # dagw: a monotone open-loop clearing sequence also beats the visible
+        # robber with the same cop count (the placements never depend on the
+        # robber, and the robber's options only shrink), so the restless
+        # sweep implies the bound; inference, not a visible-game replay.
+        ("dagw", "certificate",
+         lambda run: run.wins(Variant.DAGW, 4) and run.sweep_ok(Variant.DPW),
+         "bound carried over from the restless-sweep certificate: a monotone "
+         "open-loop clearing also wins the visible game with the same cop "
+         "count; cross-checked by an exact visible-game solve at n={n_exact}"),
+        ("kw", "certificate", lambda run: run.sweep_ok(Variant.KW),
+         "the same 4-cop sweep replays cleared and monotone under inert "
+         "semantics for n in 1..{n_cert}"),
+        ("ent", "certificate",
+         lambda run: run.wins(Variant.ENT, 3) and all(
+             verify_ent_strategy(gen_switch_all(n), ent_strategy_switch_all(n), 3).ok
+             for n in range(1, run.n_cert + 1)
+         ),
+         "3-cop chase strategy beats every robber reply for n in 1..{n_cert}; "
+         "exact solve at n={n_exact} confirms 3 cops win"),
+    )),
+    FamilyId.ZADEH: (gen_zadeh, (
+        ("tw", "witness-subgraph", _zadeh_clique_ok,
+         "bidirectional clique on the {n_cert} k-vertices checked; the clique "
+         "order grows with n"),
+        # no finite bound to certify: record the exact value at n_exact
+        ("dpw", "exact-solve", None, _EXACT_NOTE),
+        ("dagw", "exact-solve", None, _EXACT_NOTE),
+        ("kw", "exact-solve", None, _EXACT_NOTE),
+        ("ent", "exact-solve", None, _EXACT_NOTE),
+    )),
+}
+
+
+def _game_entry(run: _Run, name: str, provenance: str, check, note: str) -> MeasureEntry:
+    """One game-measure entry: the row's check, then the exact solve at n_exact.
+
+    Budget exhaustion in the check makes the entry not-checked.  In the exact
+    solve it only drops the exact value, except for an exact-solve row, which
+    then has nothing left to rest on and is not-checked too.
+    """
+    t0 = time.perf_counter()
+    claimed = CLAIMED_BOUNDS[run.family.value][name]
+    obtained = claimed if isinstance(claimed, int) else None
+    exact = None
     try:
-        return build()
+        verified = check is None or check(run)
     except BudgetExceededError as exc:
-        return MeasureEntry(
-            measure=measure_name,
-            claimed=claimed,
-            obtained=None,
-            exact=None,
-            provenance="not-checked",
-            verified=False,
-            seconds=time.perf_counter() - t0,
-            note=f"state budget {exc.budget} exhausted before the entry could "
-            "be checked",
-        )
-
-
-def _switch_all_entries(n_exact: int, n_cert: int, budget: int) -> list[MeasureEntry]:
-    entries: list[MeasureEntry] = []
-    g_small = gen_switch_all(n_exact)
-
-    # Certificate replays are linear-time and budget-free; shared between the
-    # dpw, dagw and kw entries.
-    sweeps_ok = {}
-    for semantics in (Variant.DPW, Variant.KW):
-        ok = True
-        for n in range(1, n_cert + 1):
-            rep = verify_sweep(
-                gen_switch_all(n), dpw_sweep_certificate_switch_all(n), semantics
-            )
-            if not (rep.cleared and rep.monotone):
-                ok = False
-        sweeps_ok[semantics] = ok
-
-    # tw: unbounded, witnessed by complete bipartite subgraphs of growing
-    # order inside the symmetric closure.
-    t0 = time.perf_counter()
-
-    def build_tw():
-        ok = True
-        for k in (1, 2, 3):
-            wn, left, right = lemma_bipartite_witness(k)
-            h = symmetric_closure(gen_switch_all(wn))
-            for a in left:
-                for b in right:
-                    if not (h.has_edge(a, b) and h.has_edge(b, a)):
-                        ok = False
-        for k in (2, 3):
-            if measure(gen_complete_bipartite(k, k), Variant.TW, budget=budget) != k:
-                ok = False
-        exact, note = _exact_or_none(g_small, Variant.TW, budget)
-        return MeasureEntry(
-            measure="tw",
-            claimed=UNBOUNDED,
-            obtained=None,
-            exact=exact,
-            provenance="witness-subgraph",
-            verified=ok,
-            seconds=time.perf_counter() - t0,
-            note=note
-            + "k-by-k bipartite witness embeds in the symmetric closure for "
-            "k<=3, and the measure of the standalone k-by-k graph is exactly k "
-            "for k in {2,3}; the witness order grows with n",
-        )
-
-    entries.append(_guarded("tw", UNBOUNDED, t0, build_tw))
-
-    # dpw: the 4-cop open-loop sweep, replayed under restless semantics.
-    t0 = time.perf_counter()
-
-    def build_dpw():
-        solve_ok = solve(g_small, Variant.DPW, 4, budget=budget).winner is Winner.COPS
-        exact, note = _exact_or_none(g_small, Variant.DPW, budget)
-        return MeasureEntry(
-            measure="dpw",
-            claimed=3,
-            obtained=3,
-            exact=exact,
-            provenance="certificate",
-            verified=sweeps_ok[Variant.DPW] and solve_ok,
-            seconds=time.perf_counter() - t0,
-            note=note
-            + f"4-cop sweep replays cleared and monotone for n in 1..{n_cert}; "
-            f"exact solve at n={n_exact} confirms 4 cops win",
-        )
-
-    entries.append(_guarded("dpw", 3, t0, build_dpw))
-
-    # dagw: carried over from the same sweep.  A monotone open-loop clearing
-    # sequence also beats the visible robber with the same cop count (the
-    # placements never depend on the robber, and the robber's options only
-    # shrink), so the restless-sweep certificate implies the visible-game
-    # bound; this is inference, not a direct visible-game replay.
-    t0 = time.perf_counter()
-
-    def build_dagw():
-        solve_ok = solve(g_small, Variant.DAGW, 4, budget=budget).winner is Winner.COPS
-        exact, note = _exact_or_none(g_small, Variant.DAGW, budget)
-        return MeasureEntry(
-            measure="dagw",
-            claimed=4,
-            obtained=4,
-            exact=exact,
-            provenance="certificate",
-            verified=sweeps_ok[Variant.DPW] and solve_ok,
-            seconds=time.perf_counter() - t0,
-            note=note
-            + "bound carried over from the restless-sweep certificate: a "
-            "monotone open-loop clearing also wins the visible game with the "
-            f"same cop count; cross-checked by an exact visible-game solve at "
-            f"n={n_exact}",
-        )
-
-    entries.append(_guarded("dagw", 4, t0, build_dagw))
-
-    # kw: same certificate replayed under inert semantics.
-    t0 = time.perf_counter()
-
-    def build_kw():
-        exact, note = _exact_or_none(g_small, Variant.KW, budget)
-        return MeasureEntry(
-            measure="kw",
-            claimed=4,
-            obtained=4,
-            exact=exact,
-            provenance="certificate",
-            verified=sweeps_ok[Variant.KW],
-            seconds=time.perf_counter() - t0,
-            note=note
-            + f"the same 4-cop sweep replays cleared and monotone under inert "
-            f"semantics for n in 1..{n_cert}",
-        )
-
-    entries.append(_guarded("kw", 4, t0, build_kw))
-
-    # ent: the feedback-vertex chase strategy, verified against every robber
-    # reply, plus an exact game solve at the small instance.
-    t0 = time.perf_counter()
-
-    def build_ent():
-        chase_ok = True
-        for n in range(1, n_cert + 1):
-            rep = verify_ent_strategy(gen_switch_all(n), ent_strategy_switch_all(n), 3)
-            if not rep.ok:
-                chase_ok = False
-        ent_solve_ok = solve(g_small, Variant.ENT, 3, budget=budget).winner is Winner.COPS
-        exact, note = _exact_or_none(g_small, Variant.ENT, budget)
-        return MeasureEntry(
-            measure="ent",
-            claimed=3,
-            obtained=3,
-            exact=exact,
-            provenance="certificate",
-            verified=chase_ok and ent_solve_ok,
-            seconds=time.perf_counter() - t0,
-            note=note
-            + f"3-cop chase strategy beats every robber reply for n in "
-            f"1..{n_cert}; exact solve at n={n_exact} confirms 3 cops win",
-        )
-
-    entries.append(_guarded("ent", 3, t0, build_ent))
-
-    return entries
-
-
-def _zadeh_entries(n_exact: int, n_cert: int, budget: int) -> list[MeasureEntry]:
-    entries: list[MeasureEntry] = []
-    g_small = gen_zadeh(n_exact)
-
-    # tw: unbounded, witnessed by the bidirectional clique on the k-vertices.
-    t0 = time.perf_counter()
-
-    def build_tw():
-        g_wit = gen_zadeh(n_cert)
-        clique = [g_wit.id_of(f"k{i}") for i in range(1, n_cert + 1)]
-        clique_ok = all(
-            g_wit.has_edge(u, w) and g_wit.has_edge(w, u)
-            for u in clique
-            for w in clique
-            if u != w
-        )
-        exact, note = _exact_or_none(g_small, Variant.TW, budget)
-        return MeasureEntry(
-            measure="tw",
-            claimed=UNBOUNDED,
-            obtained=None,
-            exact=exact,
-            provenance="witness-subgraph",
-            verified=clique_ok,
-            seconds=time.perf_counter() - t0,
-            note=note
-            + f"bidirectional clique on the {n_cert} k-vertices checked; the "
-            "clique order grows with n",
-        )
-
-    entries.append(_guarded("tw", UNBOUNDED, t0, build_tw))
-
-    # dpw/dagw/kw/ent: no finite bound to certify; record the exact value at
-    # the small instance.
-    for name, variant in (
-        ("dpw", Variant.DPW),
-        ("dagw", Variant.DAGW),
-        ("kw", Variant.KW),
-        ("ent", Variant.ENT),
-    ):
-        t0 = time.perf_counter()
-        exact, note = _exact_or_none(g_small, variant, budget)
-        if exact is None:
-            entries.append(
-                MeasureEntry(
-                    measure=name,
-                    claimed=UNBOUNDED,
-                    obtained=None,
-                    exact=None,
-                    provenance="not-checked",
-                    verified=False,
-                    seconds=time.perf_counter() - t0,
-                    note=note.rstrip("; "),
-                )
-            )
-        else:
-            entries.append(
-                MeasureEntry(
-                    measure=name,
-                    claimed=UNBOUNDED,
-                    obtained=None,
-                    exact=exact,
-                    provenance="exact-solve",
-                    verified=True,
-                    seconds=time.perf_counter() - t0,
-                    note=f"exact value at n={n_exact}; the measure is recorded "
-                    "as unbounded over the family, so any finite small-n value "
-                    "is consistent",
-                )
-            )
-
-    return entries
+        provenance, obtained, verified = "not-checked", None, False
+        note = f"state budget {exc.budget} exhausted before the entry could be checked"
+    else:
+        note = note.format(n_exact=run.n_exact, n_cert=run.n_cert)
+        try:
+            exact = measure(run.small, Variant(name), budget=run.budget)
+        except BudgetExceededError:
+            spent = f"state budget {run.budget} exhausted during the exact solve"
+            if check is None:
+                provenance, obtained, verified, note = "not-checked", None, False, spent
+            else:
+                note = f"{spent}; {note}"
+    return MeasureEntry(
+        measure=name,
+        claimed=claimed,
+        obtained=obtained,
+        exact=exact,
+        provenance=provenance,
+        verified=verified,
+        seconds=time.perf_counter() - t0,
+        note=note,
+    )
 
 
 def _cw_entry(fam: FamilyId, n_cert: int) -> MeasureEntry:
@@ -464,12 +357,11 @@ def run_report(
     fam = FamilyId(family) if isinstance(family, str) else family
     if n_exact < 1 or n_cert < 1:
         raise GraphError("n_exact and n_cert must be at least 1")
-    if fam is FamilyId.SWITCH_ALL:
-        entries = _switch_all_entries(n_exact, n_cert, budget)
-    elif fam is FamilyId.ZADEH:
-        entries = _zadeh_entries(n_exact, n_cert, budget)
-    else:
+    if fam not in _ROWS:
         raise GraphError(f"no bound row for family {fam.value!r}")
+    generator, rows = _ROWS[fam]
+    run = _Run(fam, n_exact, n_cert, budget, generator(n_exact))
+    entries = [_game_entry(run, *row) for row in rows]
     return MeasureReport(
         family=fam.value,
         n_exact=n_exact,
@@ -524,29 +416,36 @@ class SuiteSummary:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _fail(graph: Graph, detail: str) -> dict:
-    return {"graph": serialize_graph(graph).decode("ascii"), "detail": detail}
+def _run_suite(name: str, graphs: Iterable[Graph], check) -> SuiteResult:
+    """One case per graph; check(graph) yields a detail line per failure."""
+    t0 = time.perf_counter()
+    failures = []
+    cases = 0
+    for g in graphs:
+        cases += 1
+        for detail in check(g):
+            failures.append({"graph": serialize_graph(g).decode("ascii"), "detail": detail})
+    return SuiteResult(name, cases, failures, time.perf_counter() - t0)
 
 
 def _suite_width_inequality(seed: int) -> SuiteResult:
     """dagw <= dpw+1 and kw <= dpw+1 on 200 seeded digraphs with <= 6 vertices."""
-    t0 = time.perf_counter()
-    failures = []
-    cases = 0
     probs = (0.15, 0.3, 0.5)
-    for i in range(200):
-        v = 1 + i % 6
-        p = probs[(i // 6) % len(probs)]
-        g = gen_random_digraph(v, p, seed * 1009 + i)
-        cases += 1
+
+    def check(g):
         dpw = measure(g, Variant.DPW)
         dagw = measure(g, Variant.DAGW)
         kw = measure(g, Variant.KW)
         if dagw > dpw + 1:
-            failures.append(_fail(g, f"dagw {dagw} > dpw {dpw} + 1"))
+            yield f"dagw {dagw} > dpw {dpw} + 1"
         if kw > dpw + 1:
-            failures.append(_fail(g, f"kw {kw} > dpw {dpw} + 1"))
-    return SuiteResult("width-inequality", cases, failures, time.perf_counter() - t0)
+            yield f"kw {kw} > dpw {dpw} + 1"
+
+    graphs = (
+        gen_random_digraph(1 + i % 6, probs[(i // 6) % len(probs)], seed * 1009 + i)
+        for i in range(200)
+    )
+    return _run_suite("width-inequality", graphs, check)
 
 
 def _all_digraphs(n: int):
@@ -563,12 +462,6 @@ def _all_digraphs(n: int):
         yield Graph(names, edges)
 
 
-def _ent_is_one_game(g: Graph) -> bool:
-    zero = solve(g, Variant.ENT, 0).winner is Winner.COPS
-    one = solve(g, Variant.ENT, 1).winner is Winner.COPS
-    return one and not zero
-
-
 def _suite_entanglement_one(seed: int) -> SuiteResult:
     """The one-cop characterization vs the exact game, exhaustively then sampled.
 
@@ -576,44 +469,31 @@ def _suite_entanglement_one(seed: int) -> SuiteResult:
     graphs, per the _all_digraphs enumeration), then 100 seeded 5-6 vertex
     digraphs.
     """
-    t0 = time.perf_counter()
-    failures = []
-    cases = 0
-    for n in range(1, 5):
-        for g in _all_digraphs(n):
-            cases += 1
-            structural = entanglement_is_one(g)
-            game = _ent_is_one_game(g)
-            if structural != game:
-                failures.append(
-                    _fail(g, f"characterization {structural} but game {game}")
-                )
-    for i in range(100):
-        v = 5 + i % 2
-        g = gen_random_digraph(v, 0.3, seed * 2003 + i)
-        cases += 1
+
+    def check(g):
         structural = entanglement_is_one(g)
-        game = _ent_is_one_game(g)
+        zero = solve(g, Variant.ENT, 0).winner is Winner.COPS
+        game = solve(g, Variant.ENT, 1).winner is Winner.COPS and not zero
         if structural != game:
-            failures.append(
-                _fail(g, f"characterization {structural} but game {game}")
-            )
-    return SuiteResult("entanglement-one", cases, failures, time.perf_counter() - t0)
+            yield f"characterization {structural} but game {game}"
+
+    graphs = chain(
+        (g for n in range(1, 5) for g in _all_digraphs(n)),
+        (gen_random_digraph(5 + i % 2, 0.3, seed * 2003 + i) for i in range(100)),
+    )
+    return _run_suite("entanglement-one", graphs, check)
 
 
 def _suite_acyclic_entanglement(seed: int) -> SuiteResult:
     """50 seeded DAGs on <= 10 vertices all need zero cops."""
-    t0 = time.perf_counter()
-    failures = []
-    cases = 0
-    for i in range(50):
-        v = 1 + i % 10
-        g = gen_random_dag(v, 0.4, seed * 4001 + i)
-        cases += 1
+
+    def check(g):
         val = measure(g, Variant.ENT)
         if val != 0:
-            failures.append(_fail(g, f"acyclic graph measured ent {val}"))
-    return SuiteResult("acyclic-entanglement", cases, failures, time.perf_counter() - t0)
+            yield f"acyclic graph measured ent {val}"
+
+    graphs = (gen_random_dag(1 + i % 10, 0.4, seed * 4001 + i) for i in range(50))
+    return _run_suite("acyclic-entanglement", graphs, check)
 
 
 def _suite_move_normalization(seed: int) -> SuiteResult:
@@ -622,27 +502,18 @@ def _suite_move_normalization(seed: int) -> SuiteResult:
     Checked for both visible variants at every cop count up to the vertex
     count.
     """
-    t0 = time.perf_counter()
-    failures = []
-    cases = 0
-    for i in range(100):
-        v = 1 + i % 5
-        g = gen_random_digraph(v, 0.35, seed * 8009 + i)
-        cases += 1
+
+    def check(g):
         for variant in (Variant.TW, Variant.DAGW):
-            for k in range(v + 1):
+            for k in range(g.vertex_count + 1):
                 cfg = GameConfig(variant, k)
                 fast = solve_visible(g, cfg).winner
                 full = solve_visible(g, cfg, full_moves=True).winner
                 if fast is not full:
-                    failures.append(
-                        _fail(
-                            g,
-                            f"{variant.value} at k={k}: normalized "
-                            f"{fast.value} vs full {full.value}",
-                        )
-                    )
-    return SuiteResult("move-normalization", cases, failures, time.perf_counter() - t0)
+                    yield f"{variant.value} at k={k}: normalized {fast.value} vs full {full.value}"
+
+    graphs = (gen_random_digraph(1 + i % 5, 0.35, seed * 8009 + i) for i in range(100))
+    return _run_suite("move-normalization", graphs, check)
 
 
 def run_property_suites(seed: int = 0) -> SuiteSummary:
