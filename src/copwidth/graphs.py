@@ -265,10 +265,10 @@ def _is_id(x) -> bool:
 
 def parse_graph(data: bytes | str) -> Graph:
     """Inverse of serialize_graph; rejects malformed input naming the offender."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph file is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
@@ -283,6 +283,8 @@ def parse_graph(data: bytes | str) -> Graph:
         if not _is_id(entry["id"]) or entry["id"] != i:
             raise GraphError(f"vertex ids must be dense 0..n-1; entry {i} has id {entry['id']!r}")
         names.append(entry["name"])
+    if not isinstance(doc["edges"], list):
+        raise GraphError("'edges' must be a list")
     edges = []
     n = len(names)
     for e in doc["edges"]:

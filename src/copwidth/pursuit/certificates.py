@@ -23,12 +23,11 @@ from ..graphs import (
     induced_subgraph,
     is_acyclic,
     mask_of,
-    reach_mask,
     sccs,
     symmetric_closure,
 )
 from ..families import gen_switch_all
-from .games import Variant, contaminate
+from .games import Variant, contaminate, robber_regions
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,8 @@ def replay_cop_strategy(
 
     True iff from every start the strategy stays defined, every move is
     legal (and monotone when required), and all plays end in capture without
-    revisiting a position.
+    revisiting a position.  The robber's replies are the solver's own step,
+    `robber_regions`.
     """
     g = symmetric_closure(graph) if variant is Variant.TW else graph
 
@@ -362,9 +362,9 @@ def replay_cop_strategy(
         # normalized strategies move one cop at most
         if cp is None or cp.bit_count() > cops or (c ^ cp).bit_count() > 1:
             return "undefined or illegal cop move"
-        space = reach_mask(g, c & cp, 1 << v)
-        if require_monotone and space & (c & ~cp):
+        regions = robber_regions(g, c, v, (cp,), require_monotone)
+        if not regions:
             return "the robber reaches a vacated vertex"
-        return [(cp, w) for w in bits_of(space & ~cp)]
+        return [(cp, w) for w in bits_of(regions[0][1])]
 
     return _replay_positional([(0, v) for v in range(g.vertex_count)], replies) is None

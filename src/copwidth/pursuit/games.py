@@ -16,6 +16,11 @@ Each game rule has one home here:
 - `contaminate`: the invisible games' contamination update and their one
   monotonicity rule (R' must be a subset of R), used by solve_invisible and
   by the sweep replay in certificates.py;
+- `robber_regions`: the visible games' robber step, the region R the robber
+  can land in after a cop announcement C', and their one monotonicity rule
+  (the robber must not reach a vertex the cops vacate); used by
+  solve_visible, whose robber nodes are these pairs (C', R), and by the
+  strategy replay in certificates.py;
 - `solve`: the one dispatch from a variant to its solver.
 
 `solve_visible(full_moves=True)` switches to arbitrary next placements and
@@ -40,7 +45,7 @@ from ..graphs import (
     symmetric_closure,
 )
 
-DEFAULT_STATE_BUDGET = 50_000_000
+DEFAULT_STATE_BUDGET = 5_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -230,6 +235,29 @@ def contaminate(
     return out, grew
 
 
+def robber_regions(
+    graph: Graph, c: int, v: int, placements: Iterable[int], monotone: bool
+) -> list[tuple[int, int]]:
+    """The visible games' robber step from placement C with the robber on v,
+    for each announced placement C': while the cops move, the robber runs
+    in G - (C & C'), so it can reach
+
+        space = Reach_{G-(C&C')}({v})   and lands in   R = space \\ C'.
+
+    The move is monotone iff space meets no vertex the cops vacate (C \\ C').
+    Returns the pairs (C', R) in placement order; with monotone, the other
+    moves are left out.
+    """
+    reach = reach_mask
+    out = []
+    for cp in placements:
+        space = reach(graph, c & cp, 1 << v)
+        if monotone and space & c & ~cp:
+            continue
+        out.append((cp, space & ~cp))
+    return out
+
+
 def solve_visible(
     graph: Graph,
     config: GameConfig,
@@ -241,9 +269,12 @@ def solve_visible(
 
     TW plays on the symmetric closure of the graph; DAGW on the graph as
     given.  The robber chooses the start, so the cops win only if every
-    initial position is won.  With require_monotone, cop moves whose
-    announcement lets the robber reach a vertex being vacated are pruned
-    (equivalently: such plays are awarded to the robber).
+    initial position is won.  A cop node is (C, v); each cop move leads by
+    `robber_regions` to the robber node (C', R), whose successors are the
+    cop nodes (C', w) for w in R, so announcements that leave the robber the
+    same region share one node.  With require_monotone, cop moves that let
+    the robber reach a vertex being vacated are pruned (equivalently: such
+    plays are awarded to the robber).
     """
     if config.variant not in (Variant.TW, Variant.DAGW):
         raise GraphError(f"solve_visible expects variant tw or dagw, got {config.variant.value}")
@@ -259,27 +290,18 @@ def solve_visible(
 
     def cop_moves(key):
         c, v = key
-        out = []
-        vb = 1 << v
         cands = universe if universe is not None else normalized_moves(c, k, full)
-        for cp in cands:
-            if mono:
-                vacated = c & ~cp
-                if vacated and reach_mask(g, c & cp, vb) & vacated:
-                    continue
-            out.append((c, cp, v))
-        return out
+        return robber_regions(g, c, v, cands, mono)
 
     def robber_moves(key):
-        c, cp, v = key
-        space = reach_mask(g, c & cp, 1 << v) & ~cp
-        return [(cp, w) for w in bits_of(space)]
+        cp, r = key
+        return [(cp, w) for w in bits_of(r)]
 
     starts = [(0, v) for v in range(n)]
     cops_win, raw, states = _solve_reachability_game(starts, cop_moves, robber_moves, budget)
     if not cops_win:
         return SolveOutcome(Winner.ROBBER, None, states)
-    moves = {ck: rk[1] for ck, rk in raw.items()}
+    moves = {ck: rk[0] for ck, rk in raw.items()}
     return SolveOutcome(Winner.COPS, CopStrategy(moves), states)
 
 

@@ -218,8 +218,14 @@ class TestSerialization:
         assert doc["edges"] == sorted(doc["edges"])
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(GraphError):
-            parse_graph(b"{nope")
+        for doc in (
+            b"{nope",
+            b'{"vertices": [], "edges": 5}',
+            b'{"vertices": [], "edges": null}',
+            b"\xff\xfe",  # not UTF-8
+        ):
+            with pytest.raises(GraphError):
+                parse_graph(doc)
 
     def test_dangling_endpoint_rejected(self):
         doc = b'{"vertices":[{"id":0,"name":"x"}],"edges":[[0,1]]}'

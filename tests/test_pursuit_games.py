@@ -68,15 +68,28 @@ class TestVisible:
             solve_visible(two_cycle(), GameConfig(Variant.TW, 3))
 
     def test_witness_replays(self):
+        cases = [(g, True) for g in (gen_cycle(4), gen_complete_bipartite(2, 2), gen_switch_all(1))]
+        cases += [(gen_cycle(4), False), (gen_switch_all(1), False)]
         for variant in (Variant.TW, Variant.DAGW):
-            for g in (gen_cycle(4), gen_complete_bipartite(2, 2), gen_switch_all(1)):
+            for g, mono in cases:
                 k = 0
                 while True:
-                    out = solve_visible(g, GameConfig(variant, k))
+                    out = solve_visible(g, GameConfig(variant, k, require_monotone=mono))
                     if out.winner is Winner.COPS:
                         break
                     k += 1
-                assert replay_cop_strategy(g, variant, k, out.witness.moves)
+                assert replay_cop_strategy(g, variant, k, out.witness.moves, require_monotone=mono)
+
+    def test_replay_rejects_lifting_a_reachable_cop(self):
+        # one cop on the two-cycle: place it on a, then lift it while the
+        # robber sits on b, who can reach a
+        moves = {(0, 0): 0b01, (0, 1): 0b01, (0b01, 1): 0}
+        assert not replay_cop_strategy(two_cycle(), Variant.DAGW, 1, moves)
+
+    def test_replay_rejects_an_undefined_position(self):
+        # placing on a leaves the robber on b, where the strategy says nothing
+        moves = {(0, 0): 0b01, (0, 1): 0b01}
+        assert not replay_cop_strategy(two_cycle(), Variant.DAGW, 1, moves)
 
     def test_full_moves_same_winner_spot_check(self):
         g = gen_random_digraph(4, 0.5, 99)
@@ -210,6 +223,10 @@ class TestBudget:
     def test_exhaustion_from_measure(self):
         with pytest.raises(BudgetExceededError):
             measure(gen_switch_all(2), Variant.DAGW, budget=10)
+
+    def test_tw_of_switch_all_fits_a_small_budget(self):
+        # the largest single solve of the scan (k=5) builds about 40k nodes
+        assert measure(gen_switch_all(1), Variant.TW, budget=70_000) == 4
 
 
 class TestDeterminacyConsistency:

@@ -222,6 +222,18 @@ class TestCliSolve:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [b'{"vertices": [], "edges": 5}', b'{"vertices": [], "edges": null}', b"\xff\xfe"],
+        ids=["edges-int", "edges-null", "not-utf8"],
+    )
+    def test_malformed_graph_reports_one_line_error(self, doc, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        f.write_bytes(doc)
+        assert main(["solve", "--measure", "tw", "--graph", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCliCertify:
     @pytest.mark.parametrize("measure", ["dpw", "kw"])
