@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union as _U
 
-from .families import FamilyId, gen_switch_all, gen_zadeh
+from .families import FamilyId, _positive, gen_switch_all, gen_zadeh
 from .graphs import Graph, GraphError
 
 
@@ -53,9 +53,6 @@ CwExpr = _U[Port, Union, Recolour, Connect]
 class LabelledGraph:
     graph: Graph
     colours: tuple[str, ...]
-
-    def colour_of(self, name: str) -> str:
-        return self.colours[self.graph.id_of(name)]
 
 
 def _children(node: CwExpr) -> tuple[CwExpr, ...]:
@@ -269,8 +266,7 @@ RELAY = "relay"
 
 def build_switch_all_expr(n: int) -> CwExpr:
     """Cliquewidth expression evaluating exactly to gen_switch_all(n)."""
-    if not isinstance(n, int) or n < 1:
-        raise GraphError(f"n must be a positive integer, got {n!r}")
+    _positive(n, "n")
     e: CwExpr = Union(Port(HUB_R, "r"), Port(HUB_S, "s"))
     e = Union(e, Port(CHAIN, "c"))
     e = Connect(CHAIN, HUB_S, e)
@@ -342,8 +338,7 @@ Z_H_GRAD = "h-grad"
 
 def build_zadeh_expr(n: int) -> CwExpr:
     """Cliquewidth expression evaluating exactly to gen_zadeh(n)."""
-    if not isinstance(n, int) or n < 1:
-        raise GraphError(f"n must be a positive integer, got {n!r}")
+    _positive(n, "n")
     e: CwExpr = Port(Z_CLIQUE_NEW, "k1")
     for i in range(1, n + 1):
         if i > 1:

@@ -206,19 +206,16 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _coin(out: int, p: float) -> bool:
-    # top 53 bits give a uniform double in [0,1)
-    return (out >> 11) * (2.0 ** -53) < p
+def _seeded_graph(v: int, p: float, seed: int, upward: bool) -> Graph:
+    """The one drawing loop of the seeded generators, on vertices v0..v_{v-1}.
 
-
-def gen_random_digraph(v: int, p: float, seed: int) -> Graph:
-    """Seeded random digraph: each ordered pair (u,w), u != w, is an edge
-    independently with probability p.
-
-    The PRNG is splitmix64 seeded with `seed`; pairs are drawn in lexicographic
-    order (u major, w minor), each consuming exactly one 64-bit output whose
-    top 53 bits are compared against p.  The scheme is fixed so corpora are
-    reproducible across implementations.
+    Checks that v is a positive integer and p lies in [0, 1].  The PRNG is
+    splitmix64 seeded with `seed` mod 2^64.  The ordered pairs (u, w) with
+    u != w (only u < w when `upward`) are drawn in lexicographic order, u
+    major and w minor; each pair consumes exactly one 64-bit output, and is
+    an edge iff the output's top 53 bits, read as a double in [0, 1), are
+    below p.  The scheme is fixed so corpora are reproducible across
+    implementations.
     """
     _positive(v, "v")
     if not 0.0 <= p <= 1.0:
@@ -226,26 +223,22 @@ def gen_random_digraph(v: int, p: float, seed: int) -> Graph:
     state = seed & _M64
     edges = []
     for u in range(v):
-        for w in range(v):
+        for w in range(u + 1 if upward else 0, v):
             if u == w:
                 continue
             state, out = _splitmix64(state)
-            if _coin(out, p):
+            if (out >> 11) * (2.0 ** -53) < p:
                 edges.append((u, w))
     return Graph([f"v{i}" for i in range(v)], edges)
+
+
+def gen_random_digraph(v: int, p: float, seed: int) -> Graph:
+    """Seeded random digraph: each ordered pair (u,w), u != w, is an edge
+    independently with probability p, drawn by the scheme of `_seeded_graph`."""
+    return _seeded_graph(v, p, seed, upward=False)
 
 
 def gen_random_dag(v: int, p: float, seed: int) -> Graph:
-    """Seeded random DAG: same drawing scheme as gen_random_digraph but only
-    pairs with u < w are considered, so all edges point id-upward."""
-    _positive(v, "v")
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"edge probability must be in [0,1], got {p!r}")
-    state = seed & _M64
-    edges = []
-    for u in range(v):
-        for w in range(u + 1, v):
-            state, out = _splitmix64(state)
-            if _coin(out, p):
-                edges.append((u, w))
-    return Graph([f"v{i}" for i in range(v)], edges)
+    """Seeded random DAG: the scheme of `_seeded_graph` over the pairs with
+    u < w only, so all edges point id-upward."""
+    return _seeded_graph(v, p, seed, upward=True)

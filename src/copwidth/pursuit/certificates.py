@@ -27,7 +27,7 @@ from ..graphs import (
     symmetric_closure,
 )
 from ..families import gen_switch_all
-from .games import Variant, contaminate, robber_regions
+from .games import Variant, contaminate, normalized_moves, robber_regions
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,15 @@ class EntVerifyReport:
         return self.ok
 
 
+def _feedback_vertex(graph: Graph, comp: Sequence[int]) -> Optional[int]:
+    """The lowest vertex of the strongly connected component comp whose
+    removal leaves the rest of comp acyclic, or None if there is none."""
+    for v in sorted(comp):
+        if is_acyclic(induced_subgraph(graph, [w for w in comp if w != v])):
+            return v
+    return None
+
+
 def feedback_chase_strategy(
     graph: Graph,
     k: int,
@@ -211,15 +220,10 @@ def feedback_chase_strategy(
     target: dict[int, int] = {}
     for comp in sccs(sub):
         nontrivial = len(comp) > 1 or sub.succ_masks[comp[0]] >> comp[0] & 1
-        if not nontrivial:
-            continue
-        comp_set = set(comp)
-        for v in comp:
-            if is_acyclic(induced_subgraph(sub, comp_set - {v})):
-                fv = to_full[v]
-                for w in comp:
-                    target[to_full[w]] = fv
-                break
+        fv = _feedback_vertex(sub, comp) if nontrivial else None
+        if fv is not None:
+            for w in comp:
+                target[to_full[w]] = to_full[fv]
 
     def strategy(placement: frozenset[int], robber: int) -> frozenset[int]:
         if robber in anchor_set and robber not in placement:
@@ -328,16 +332,10 @@ def entanglement_is_one(graph: Graph) -> bool:
     contains a vertex whose removal makes that component acyclic."""
     if is_acyclic(graph):
         return False
-    for comp in sccs(graph):
-        if len(comp) == 1:
-            continue  # loop-free singletons are vacuous; a self-loop empties on removal
-        sub = induced_subgraph(graph, comp)
-        everyone = set(range(len(comp)))
-        if not any(
-            is_acyclic(induced_subgraph(sub, everyone - {v})) for v in range(len(comp))
-        ):
-            return False
-    return True
+    # loop-free singletons are vacuous; a self-loop empties on removal
+    return all(
+        len(comp) == 1 or _feedback_vertex(graph, comp) is not None for comp in sccs(graph)
+    )
 
 
 def replay_cop_strategy(
@@ -351,16 +349,15 @@ def replay_cop_strategy(
 
     True iff from every start the strategy stays defined, every move is
     legal (and monotone when required), and all plays end in capture without
-    revisiting a position.  The robber's replies are the solver's own step,
-    `robber_regions`.
+    revisiting a position.  Legal moves and the robber's replies are the
+    solver's own rules, `normalized_moves` and `robber_regions`.
     """
     g = symmetric_closure(graph) if variant is Variant.TW else graph
 
     def replies(pos: tuple[int, int]) -> list | str:
         c, v = pos
         cp = strategy_moves.get(pos)
-        # normalized strategies move one cop at most
-        if cp is None or cp.bit_count() > cops or (c ^ cp).bit_count() > 1:
+        if cp is None or cp not in normalized_moves(c, cops, g.full_mask):
             return "undefined or illegal cop move"
         regions = robber_regions(g, c, v, (cp,), require_monotone)
         if not regions:

@@ -3,9 +3,11 @@ measures: treewidth (on the symmetric closure), DAG-width, Kelly-width
 (invisible inert robber), directed pathwidth (invisible robber) and
 entanglement.
 
-The visible-robber and entanglement games are solved by backward induction
-over the explicit position space (attractor computation with successor
-counters); the invisible-robber games are one-player searches over
+The three visible-robber games (treewidth, DAG-width and entanglement) are
+solved by one backward induction, `_solve_cop_game`, over cop nodes
+(C, v) and robber nodes (C', R): the announced placement and the region the
+robber can land in, so announcements that leave the robber the same choices
+share a node.  The invisible-robber games are one-player searches over
 (placement, contaminated-set) states.  Positions are encoded as int bitmasks
 throughout.
 
@@ -13,14 +15,17 @@ Each game rule has one home here:
 
 - `normalized_moves`: the cop moves {stay, add one cop, remove one cop} of
   the visible and invisible solvers;
+- `ent_moves`: the entanglement game's cop moves {stay, enter the robber's
+  vertex with a spare cop, enter it and lift one cop};
 - `contaminate`: the invisible games' contamination update and their one
   monotonicity rule (R' must be a subset of R), used by solve_invisible and
   by the sweep replay in certificates.py;
-- `robber_regions`: the visible games' robber step, the region R the robber
-  can land in after a cop announcement C', and their one monotonicity rule
-  (the robber must not reach a vertex the cops vacate); used by
-  solve_visible, whose robber nodes are these pairs (C', R), and by the
-  strategy replay in certificates.py;
+- `robber_regions`: the treewidth and DAG-width games' robber step, the
+  region R the robber can land in after a cop announcement C', and their
+  one monotonicity rule (the robber must not reach a vertex the cops
+  vacate); used by solve_visible and by the strategy replay in
+  certificates.py.  In the entanglement game R is simply the robber's
+  successors outside C';
 - `solve`: the one dispatch from a variant to its solver.
 
 `solve_visible(full_moves=True)` switches to arbitrary next placements and
@@ -100,59 +105,67 @@ def _check_cops(graph: Graph, cops: int) -> None:
         raise GraphError(f"cop count {cops} exceeds vertex count {graph.vertex_count}")
 
 
-def _solve_reachability_game(
-    starts: list,
-    cop_moves: Callable[[object], list],
-    robber_moves: Callable[[object], list],
+def _solve_cop_game(
+    n: int,
+    regions: Callable[[int, int], list[tuple[int, int]]],
     budget: int,
-) -> tuple[bool, dict, int]:
-    """Backward induction on the game graph spanned by `starts`.
+) -> SolveOutcome:
+    """Backward induction for a visible-robber game on n vertices.
 
-    Cop nodes are won when some successor is won; robber nodes when all are
-    (a robber node without successors is captured).  Returns (all starts won,
-    strategy {cop key: winning robber key}, explored node count).
+    A cop node is (C, v), placement C with the robber on v, and the starts
+    are (0, v) for every v: the robber chooses where to begin.  The game's
+    rule `regions(C, v)` lists the cop moves as robber nodes (C', R), the
+    announced placement and the region the robber can land in; the robber
+    node (C', R) leads to the cop nodes (C', w) for w in R.  Nodes with
+    equal keys are one node, so announcements that leave the robber the
+    same choices merge.  Cop nodes are won when some successor is won;
+    robber nodes when all are (an empty R is a capture).  The cops win iff
+    every start is won, and the witness maps each won cop node to its C'.
+
+    Every rule lists distinct placements C', and the w of a robber node are
+    distinct bits, so each node's successors are distinct and are not
+    deduplicated here.  The
+    states are the nodes built; building more than `budget` raises
+    BudgetExceededError.
     """
-    ids: dict = {}  # (side, key) -> node id; both games may reuse a key across sides
-    keys: list = []
+    if n == 0:
+        return SolveOutcome(Winner.COPS, CopStrategy({}), 0)
+    # node ids by side, tables[is_cop]: a pair can be both a (C', R) and a (C, v)
+    tables: tuple[dict, dict] = ({}, {})
+    keys: list[tuple[int, int]] = []
     is_cop: list[bool] = []
     preds: list[list[int]] = []
     pending: list[int] = []
 
-    def intern(key, cop: bool) -> int:
-        nid = ids.get((cop, key))
+    def intern(key: tuple[int, int], cop: bool) -> int:
+        nid = tables[cop].get(key)
         if nid is None:
             nid = len(keys)
             if nid >= budget:
                 raise BudgetExceededError(budget)
-            ids[(cop, key)] = nid
+            tables[cop][key] = nid
             keys.append(key)
             is_cop.append(cop)
             preds.append([])
-            pending.append(-1)
-            frontier.append(nid)
         return nid
 
-    frontier: deque[int] = deque()
-    for s in starts:
-        intern(s, True)
-    # phase 1: materialize the reachable game graph
-    while frontier:
-        nid = frontier.popleft()
-        key = keys[nid]
-        succs = cop_moves(key) if is_cop[nid] else robber_moves(key)
-        seen = set()
-        count = 0
-        for sk in succs:
-            if sk in seen:
-                continue
-            seen.add(sk)
-            sid = intern(sk, not is_cop[nid])
+    for v in range(n):
+        intern((0, v), True)
+    # phase 1: materialize the reachable game graph, with keys as the queue
+    nid = 0
+    while nid < len(keys):
+        if is_cop[nid]:
+            succs = [intern(rk, False) for rk in regions(*keys[nid])]
+        else:
+            cp, r = keys[nid]
+            succs = [intern((cp, w), True) for w in bits_of(r)]
+        for sid in succs:
             preds[sid].append(nid)
-            count += 1
-        pending[nid] = count
+        pending.append(len(succs))
+        nid += 1
     # phase 2: propagate wins backwards from captured robber nodes
     won = [False] * len(keys)
-    strategy: dict = {}
+    moves: dict[tuple[int, int], int] = {}
     ready: deque[int] = deque(
         i for i in range(len(keys)) if not is_cop[i] and pending[i] == 0
     )
@@ -165,14 +178,16 @@ def _solve_reachability_game(
                 continue
             if is_cop[p]:
                 won[p] = True
-                strategy[keys[p]] = keys[nid]
+                moves[keys[p]] = keys[nid][0]
                 ready.append(p)
             else:
                 pending[p] -= 1
                 if pending[p] == 0:
                     won[p] = True
                     ready.append(p)
-    return all(won[ids[(True, s)]] for s in starts), strategy, len(keys)
+    if not all(won[:n]):
+        return SolveOutcome(Winner.ROBBER, None, len(keys))
+    return SolveOutcome(Winner.COPS, CopStrategy(moves), len(keys))
 
 
 def _placement_candidates(n: int, k: int) -> list[int]:
@@ -198,6 +213,22 @@ def normalized_moves(c: int, k: int, full: int) -> list[int]:
     while placed:
         b = placed & -placed
         out.append(c ^ b)
+        placed ^= b
+    return out
+
+
+def ent_moves(c: int, v: int, k: int) -> list[int]:
+    """The entanglement game's announcements from placement c with the
+    robber on v, a vertex outside c, and k cops: stay (first), enter v with
+    a spare cop, or enter v and lift one placed cop."""
+    vb = 1 << v
+    out = [c]
+    if c.bit_count() < k:
+        out.append(c | vb)
+    placed = c
+    while placed:
+        b = placed & -placed
+        out.append((c | vb) ^ b)
         placed ^= b
     return out
 
@@ -268,48 +299,26 @@ def solve_visible(
     """Decide the visible-robber game (variant TW or DAGW) with config.cops cops.
 
     TW plays on the symmetric closure of the graph; DAGW on the graph as
-    given.  The robber chooses the start, so the cops win only if every
-    initial position is won.  A cop node is (C, v); each cop move leads by
-    `robber_regions` to the robber node (C', R), whose successors are the
-    cop nodes (C', w) for w in R, so announcements that leave the robber the
-    same region share one node.  With require_monotone, cop moves that let
-    the robber reach a vertex being vacated are pruned (equivalently: such
-    plays are awarded to the robber).
+    given.  The cop moves are `normalized_moves`, or every placement of at
+    most config.cops cops with full_moves, and each leads by
+    `robber_regions` to the robber node (C', R) of `_solve_cop_game`.  With
+    require_monotone, cop moves that let the robber reach a vertex being
+    vacated are pruned (equivalently: such plays are awarded to the robber).
     """
     if config.variant not in (Variant.TW, Variant.DAGW):
         raise GraphError(f"solve_visible expects variant tw or dagw, got {config.variant.value}")
     _check_cops(graph, config.cops)
     g = symmetric_closure(graph) if config.variant is Variant.TW else graph
-    n = g.vertex_count
     k = config.cops
     mono = config.require_monotone
-    if n == 0:
-        return SolveOutcome(Winner.COPS, CopStrategy({}), 0)
     full = g.full_mask
-    universe = _placement_candidates(n, k) if full_moves else None
+    universe = _placement_candidates(g.vertex_count, k) if full_moves else None
 
-    def cop_moves(key):
-        c, v = key
-        cands = universe if universe is not None else normalized_moves(c, k, full)
+    def regions(c: int, v: int) -> list[tuple[int, int]]:
+        cands = universe if full_moves else normalized_moves(c, k, full)
         return robber_regions(g, c, v, cands, mono)
 
-    def robber_moves(key):
-        cp, r = key
-        return [(cp, w) for w in bits_of(r)]
-
-    starts = [(0, v) for v in range(n)]
-    cops_win, raw, states = _solve_reachability_game(starts, cop_moves, robber_moves, budget)
-    if not cops_win:
-        return SolveOutcome(Winner.ROBBER, None, states)
-    moves = {ck: rk[0] for ck, rk in raw.items()}
-    return SolveOutcome(Winner.COPS, CopStrategy(moves), states)
-
-
-def _single_bits(mask: int) -> Iterable[int]:
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
+    return _solve_cop_game(g.vertex_count, regions, budget)
 
 
 def solve_invisible(
@@ -370,39 +379,21 @@ def solve_entanglement(
 ) -> SolveOutcome:
     """Decide the entanglement game with k cops.
 
-    Rounds: from position (C, robber at v) the cops announce C' = C, or
-    C | {v} if a spare cop exists, or (C | {v}) minus one currently placed
-    cop; then the robber must move along an edge to some v' outside C'.
-    A robber without such an edge is caught (cops win); infinite play is a
-    robber win.  There is no monotonicity notion here.
+    Rounds: from position (C, robber at v) the cops announce one of
+    `ent_moves`: C' = C, or C | {v} if a spare cop exists, or (C | {v})
+    minus one currently placed cop; then the robber must move along an edge
+    to some v' outside C', so the robber node of `_solve_cop_game` is
+    (C', succ(v) \\ C').  A robber without such an edge is caught (cops
+    win); infinite play is a robber win.  There is no monotonicity notion
+    here.
     """
     _check_cops(graph, k)
-    n = graph.vertex_count
-    if n == 0:
-        return SolveOutcome(Winner.COPS, CopStrategy({}), 0)
     succ = graph.succ_masks
 
-    def cop_moves(key):
-        c, v = key
-        vb = 1 << v
-        out = [(c, v)]
-        if c.bit_count() < k:
-            out.append((c | vb, v))
-        entered = c | vb
-        for b in _single_bits(c):
-            out.append((entered ^ b, v))
-        return out
+    def regions(c: int, v: int) -> list[tuple[int, int]]:
+        return [(cp, succ[v] & ~cp) for cp in ent_moves(c, v, k)]
 
-    def robber_moves(key):
-        c, v = key
-        return [(c, w) for w in bits_of(succ[v] & ~c)]
-
-    starts = [(0, v) for v in range(n)]
-    cops_win, raw, states = _solve_reachability_game(starts, cop_moves, robber_moves, budget)
-    if not cops_win:
-        return SolveOutcome(Winner.ROBBER, None, states)
-    moves = {ck: rk[0] for ck, rk in raw.items()}
-    return SolveOutcome(Winner.COPS, CopStrategy(moves), states)
+    return _solve_cop_game(graph.vertex_count, regions, budget)
 
 
 def solve(

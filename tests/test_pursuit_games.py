@@ -16,6 +16,7 @@ from copwidth import (
     gen_path,
     gen_random_digraph,
     gen_switch_all,
+    gen_zadeh,
     measure,
     measure_detailed,
     replay_cop_strategy,
@@ -91,6 +92,11 @@ class TestVisible:
         moves = {(0, 0): 0b01, (0, 1): 0b01}
         assert not replay_cop_strategy(two_cycle(), Variant.DAGW, 1, moves)
 
+    def test_replay_rejects_a_cop_off_the_graph(self):
+        # vertex 5 does not exist in a one-vertex graph
+        moves = {(0, 0): 1 << 5, (1 << 5, 0): (1 << 5) | 1}
+        assert not replay_cop_strategy(Graph(["a"], []), Variant.DAGW, 2, moves)
+
     def test_full_moves_same_winner_spot_check(self):
         g = gen_random_digraph(4, 0.5, 99)
         for variant in (Variant.TW, Variant.DAGW):
@@ -163,7 +169,9 @@ class TestEntanglement:
         out = solve_entanglement(gen_switch_all(1), 3)
         assert out.winner is Winner.COPS
 
-    @pytest.mark.parametrize("g", [gen_cycle(4), gen_switch_all(1)], ids=["cycle4", "switch_all1"])
+    @pytest.mark.parametrize(
+        "g", [gen_cycle(4), gen_switch_all(1), gen_zadeh(1)], ids=["cycle4", "switch_all1", "zadeh1"]
+    )
     def test_witness_replays_as_chase_strategy(self, g):
         k = measure(g, Variant.ENT)
         moves = solve_entanglement(g, k).witness.moves
