@@ -7,9 +7,14 @@ The three visible-robber games (treewidth, DAG-width and entanglement) are
 solved by one backward induction, `_solve_cop_game`, over cop nodes
 (C, v) and robber nodes (C', R): the announced placement and the region the
 robber can land in, so announcements that leave the robber the same choices
-share a node.  The invisible-robber games are one-player searches over
-(placement, contaminated-set) states.  Positions are encoded as int bitmasks
-throughout.
+share a node.  The invisible-robber games are one-player searches.  With
+monotone play the winner depends only on the contaminated set R, so the
+search runs over R alone, and each step clears one vertex whose guard fits
+beside it (`_search_contaminated`, after Hunter & Kreutzer's and Barat's
+elimination orderings).  Non-monotone play is searched over (placement,
+contaminated set) states (`_search_placements`), which with strict pruning
+is also the reference the contaminated-set search is tested against.
+Positions are encoded as int bitmasks throughout.
 
 Each game rule has one home here:
 
@@ -18,8 +23,10 @@ Each game rule has one home here:
 - `ent_moves`: the entanglement game's cop moves {stay, enter the robber's
   vertex with a spare cop, enter it and lift one cop};
 - `contaminate`: the invisible games' contamination update and their one
-  monotonicity rule (R' must be a subset of R), used by solve_invisible and
-  by the sweep replay in certificates.py;
+  monotonicity rule (R' must be a subset of R), used by the placement
+  search and by the sweep replay in certificates.py;
+- `_guard`: what that rule means for the contaminated-set search, the
+  cleared vertices that must hold cops while a cop lands on a vertex of R;
 - `robber_regions`: the treewidth and DAG-width games' robber step, the
   region R the robber can land in after a cop announcement C', and their
   one monotonicity rule (the robber must not reach a vertex the cops
@@ -321,30 +328,19 @@ def solve_visible(
     return _solve_cop_game(g.vertex_count, regions, budget)
 
 
-def solve_invisible(
-    graph: Graph,
-    config: GameConfig,
-    *,
-    budget: int = DEFAULT_STATE_BUDGET,
+def _search_placements(
+    graph: Graph, k: int, inert: bool, budget: int, strict: bool
 ) -> SolveOutcome:
-    """Decide the invisible-robber game (variant KW or DPW) with config.cops cops.
+    """The invisible games as a one-player search over states (placement C,
+    contaminated set R) from (empty, all vertices) on a nonempty graph.
 
-    One-player search over states (placement C, contaminated set R) from
-    (empty, all vertices).  Each normalized cop move updates R by
-    `contaminate` (inert robber for KW, restless for DPW), and the cops win
-    iff some placement sequence empties R.  Under require_monotone every move
-    must keep R' a subset of R; the others are pruned.  The witness is the
-    placement sequence found.
+    Each normalized cop move updates R by `contaminate`, and the cops win iff
+    some placement sequence empties R; with strict, moves that are not
+    monotone are pruned.  solve_invisible uses it for non-monotone play, and
+    with strict it is the reference semantics of `_search_contaminated`.
+    The states are the (C, R) pairs visited; the witness is the placement
+    sequence found.
     """
-    if config.variant not in (Variant.KW, Variant.DPW):
-        raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
-    _check_cops(graph, config.cops)
-    n = graph.vertex_count
-    k = config.cops
-    mono = config.require_monotone
-    inert = config.variant is Variant.KW
-    if n == 0:
-        return SolveOutcome(Winner.COPS, (), 0)
     full = graph.full_mask
     start = (0, full)
     parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
@@ -353,7 +349,7 @@ def solve_invisible(
         state = stack.pop()
         c, r = state
         # staying put leaves (C, R) unchanged, so only real moves are tried
-        moves, _ = contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], mono)
+        moves, _ = contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict)
         for nxt in moves:  # (C', R'), also the key of the next state
             if nxt[1] == 0:  # R' is empty: the sequence clears the graph
                 seq = [frozenset(bits_of(nxt[0]))]
@@ -369,6 +365,153 @@ def solve_invisible(
                 parent[nxt] = state
                 stack.append(nxt)
     return SolveOutcome(Winner.ROBBER, None, len(parent))
+
+
+def _out_mask(graph: Graph, mask: int) -> int:
+    """N+(mask): the union of the successors of the vertices in mask."""
+    succ = graph.succ_masks
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= succ[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
+def _guard(graph: Graph, inert: bool, r: int, u: int) -> int:
+    """The cleared vertices the cops must hold while a cop lands on u, a
+    single bit of the contaminated set R, so that the move is monotone:
+
+        inert (KW):     guard = N+(Reach_{G[R]}(u)) \\ R
+        restless (DPW): guard = N+(R) \\ R, the same for every u
+    """
+    outside = graph.full_mask & ~r
+    if inert:
+        return _out_mask(graph, reach_mask(graph, outside, u)) & outside
+    return _out_mask(graph, r) & outside
+
+
+def _clearable(graph: Graph, inert: bool, k: int, r: int) -> int:
+    """The vertices u of R that k cops can clear monotonically from R: those
+    whose guard fits beside the cop on u, in at most k - 1 cops."""
+    if not inert:
+        return r if _guard(graph, False, r, r & -r).bit_count() < k else 0
+    outside = graph.full_mask & ~r
+    ok = 0
+    todo = r
+    while todo:
+        u = todo & -todo
+        todo ^= u
+        space = reach_mask(graph, outside, u)
+        if (_out_mask(graph, space) & outside).bit_count() < k:
+            # every v that u reaches has a guard inside u's
+            ok |= space
+            todo &= ~space
+    return ok
+
+
+def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> SolveOutcome:
+    """The monotone invisible games as a search over contaminated sets R
+    alone, from R = all vertices of a nonempty graph.
+
+    Proof sketch that R decides the game (Hunter & Kreutzer's elimination
+    orderings for KW, Barat's for DPW):
+
+    - Invariant: in every reachable monotone state (C, R), R and C are
+      disjoint, since `contaminate` removes C' from R'.  For DPW also
+      C contains the boundary N+(R) \\ R: any successor of R' outside
+      C & C' is reached by the robber, so it lies in R' or in C'.
+    - Free moves leave R as it is and are monotone: for KW lifting any cop
+      or placing one on a cleared vertex; for DPW lifting a cop outside the
+      boundary or placing one on a cleared vertex.  So all placements of at
+      most k cops on cleared vertices (that contain the boundary, for DPW)
+      are mutually reachable, and one node per R suffices.
+    - The one real move places a cop on some u in R and gives R \\ {u}.
+      It is monotone iff the cops already hold the guard of `_guard`,
+      so it is possible iff the guard has at most k - 1 vertices.  Lifting
+      a boundary cop in DPW, or placing on u without its guard in KW, lets
+      the robber onto a cleared vertex and is pruned.
+
+    The states are the distinct contaminated sets visited.  The witness
+    rebuilds a placement sequence from the path of sets: per step, lift the
+    cops outside the guard one at a time, place the missing guard cops,
+    then place u.  Each placement differs from the last by one vertex and
+    holds at most k cops, and the sequence replays cleared and monotone.
+    """
+    full = graph.full_mask
+    parent: dict[int, int | None] = {full: None}
+    stack = [full]
+    while stack:
+        r = stack.pop()
+        ok = _clearable(graph, inert, k, r)
+        while ok:
+            u = ok & -ok
+            ok ^= u
+            rp = r ^ u
+            if not rp:
+                steps = [(r, u)]
+                while parent[r] is not None:
+                    steps.append((parent[r], parent[r] ^ r))
+                    r = parent[r]
+                steps.reverse()
+                return SolveOutcome(
+                    Winner.COPS, _sweep_of(graph, inert, steps), len(parent)
+                )
+            if rp not in parent:
+                if len(parent) >= budget:
+                    raise BudgetExceededError(budget)
+                parent[rp] = r
+                stack.append(rp)
+    return SolveOutcome(Winner.ROBBER, None, len(parent))
+
+
+def _sweep_of(
+    graph: Graph, inert: bool, steps: list[tuple[int, int]]
+) -> tuple[frozenset[int], ...]:
+    """The placement sequence that clears u from R for each step (R, u) in
+    turn, one vertex changed per placement (see `_search_contaminated`)."""
+    seq = []
+    c = 0
+    for r, u in steps:
+        guard = _guard(graph, inert, r, u)
+        for b in bits_of(c & ~guard):
+            c ^= 1 << b
+            seq.append(c)
+        for b in bits_of(guard & ~c):
+            c |= 1 << b
+            seq.append(c)
+        c |= u
+        seq.append(c)
+    return tuple(frozenset(bits_of(p)) for p in seq)
+
+
+def solve_invisible(
+    graph: Graph,
+    config: GameConfig,
+    *,
+    budget: int = DEFAULT_STATE_BUDGET,
+) -> SolveOutcome:
+    """Decide the invisible-robber game (variant KW or DPW) with config.cops cops.
+
+    The robber is inert for KW (moves only when a cop lands on it) and
+    restless for DPW; `contaminate` states both updates.  The cops win iff
+    some placement sequence empties the contaminated set, and the witness is
+    such a sequence.  Under require_monotone every move must keep the
+    contaminated set a subset of the one before, and the search runs over
+    contaminated sets alone (`_search_contaminated`); without it, over
+    (placement, contaminated set) states (`_search_placements`).  The
+    budget caps the states of the search that runs.
+    """
+    if config.variant not in (Variant.KW, Variant.DPW):
+        raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
+    _check_cops(graph, config.cops)
+    k = config.cops
+    inert = config.variant is Variant.KW
+    if graph.vertex_count == 0:
+        return SolveOutcome(Winner.COPS, (), 0)
+    if config.require_monotone:
+        return _search_contaminated(graph, k, inert, budget)
+    return _search_placements(graph, k, inert, budget, strict=False)
 
 
 def solve_entanglement(

@@ -70,7 +70,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"--budget must be a positive state count, got {budget}")
+
+
 def _cmd_solve(args) -> int:
+    _check_budget(args.budget)
     with open(args.graph, "rb") as fh:
         g = parse_graph(fh.read())
     variant = Variant(args.measure)
@@ -147,6 +153,7 @@ def _cmd_cw_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_budget(args.budget)
     rep = run_report(
         args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget
     )

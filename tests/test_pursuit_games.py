@@ -27,11 +27,52 @@ from copwidth import (
     verify_ent_strategy,
     verify_sweep,
 )
-from copwidth.graphs import bits_of, mask_of
+from copwidth.graphs import bits_of, mask_of, serialize_graph
+from copwidth.report_cli.report import _all_digraphs
 
 
 def two_cycle():
     return Graph(["a", "b"], [(0, 1), (1, 0)])
+
+
+def first_win(g, variant):
+    """The least k at which the cops win the monotone invisible game, and
+    that solve's outcome."""
+    k = 0
+    while True:
+        out = solve_invisible(g, GameConfig(variant, k))
+        if out.winner is Winner.COPS:
+            return k, out
+        k += 1
+
+
+def replaces_a_cop(witness):
+    """Whether some placement adds a vertex that an earlier one held: a
+    guard cop put back on a vertex already cleared."""
+    held = set()
+    prev = frozenset()
+    for p in witness:
+        if p - prev & held:
+            return True
+        held |= p
+        prev = p
+    return False
+
+
+def assert_searches_agree(g):
+    """The contaminated-set search of the monotone invisible games decides
+    like the strict (placement, contaminated set) search at every k up to
+    the first win, and its witness replays cleared and monotone."""
+    for variant in (Variant.KW, Variant.DPW):
+        inert = variant is Variant.KW
+        for k in range(g.vertex_count + 1):
+            out = solve_invisible(g, GameConfig(variant, k))
+            ref = games._search_placements(g, k, inert, games.DEFAULT_STATE_BUDGET, strict=True)
+            assert out.winner is ref.winner, f"{variant.value} k={k}: {serialize_graph(g)}"
+            if out.winner is Winner.COPS:
+                rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
+                assert rep.cleared and rep.monotone, f"{variant.value} k={k}: {serialize_graph(g)}"
+                break
 
 
 class TestVisible:
@@ -130,17 +171,34 @@ class TestInvisible:
         assert relaxed.winner is Winner.COPS
 
     def test_witness_replays_as_certificate(self):
-        for variant in (Variant.KW, Variant.DPW):
-            for g in (gen_cycle(4), gen_switch_all(1), two_cycle()):
-                k = 0
-                while True:
-                    out = solve_invisible(g, GameConfig(variant, k))
-                    if out.winner is Winner.COPS:
-                        break
-                    k += 1
-                cert = SweepCertificate(k, tuple(out.witness))
-                rep = verify_sweep(g, cert, variant)
-                assert rep.cleared and rep.monotone
+        small = (gen_cycle(4), gen_switch_all(1), two_cycle())
+        seeded = [gen_random_digraph(6 + i % 2, 0.35, 500 + i) for i in range(6)]
+        cases = [(v, g) for v in (Variant.KW, Variant.DPW) for g in small + tuple(seeded)]
+        cases.append((Variant.KW, gen_zadeh(1)))
+        replaced = False
+        for variant, g in cases:
+            k, out = first_win(g, variant)
+            cert = SweepCertificate(k, tuple(out.witness))
+            rep = verify_sweep(g, cert, variant)
+            assert rep.cleared and rep.monotone, f"{variant.value}: {serialize_graph(g)}"
+            replaced |= variant is Variant.KW and replaces_a_cop(out.witness)
+        # the rebuilt sweep lifts the cops outside each step's guard; some
+        # later guard must need one back on its already cleared vertex
+        assert replaced
+
+    def test_contaminated_set_search_matches_placement_search(self):
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                assert_searches_agree(g)
+
+    def test_contaminated_set_search_matches_on_seeded_graphs(self):
+        for i in range(40):
+            assert_searches_agree(gen_random_digraph(4 + i % 4, 0.3 + 0.1 * (i % 3), 700 + i))
+
+    def test_states_count_contaminated_sets(self):
+        # two cops lose kw on zadeh(1) after every reachable contaminated set
+        out = solve_invisible(gen_zadeh(1), GameConfig(Variant.KW, 2))
+        assert out.winner is Winner.ROBBER and out.states == 27_344
 
     def test_variant_guard(self):
         with pytest.raises(GraphError):
@@ -235,6 +293,18 @@ class TestBudget:
     def test_tw_of_switch_all_fits_a_small_budget(self):
         # the largest single solve of the scan (k=5) builds about 40k nodes
         assert measure(gen_switch_all(1), Variant.TW, budget=70_000) == 4
+
+    def test_kw_of_zadeh_fits_a_small_budget(self):
+        # two cops lose after 27,344 contaminated sets; the placement search
+        # walked 930,760 (placement, contaminated set) states there
+        assert measure(gen_zadeh(1), Variant.KW, budget=30_000) == 3
+
+    @pytest.mark.parametrize("mono", [True, False], ids=["monotone", "non_monotone"])
+    def test_invisible_exhaustion_carries_the_budget(self, mono):
+        config = GameConfig(Variant.KW, 2, require_monotone=mono)
+        with pytest.raises(BudgetExceededError) as info:
+            solve_invisible(gen_switch_all(1), config, budget=7)
+        assert info.value.budget == 7
 
 
 class TestDeterminacyConsistency:

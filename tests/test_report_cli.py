@@ -1,6 +1,10 @@
 """Bound-table reports, property suites, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,18 @@ class TestCliSolve:
         assert rc == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["solve", "report"])
+    def test_non_positive_budget_rejected(self, command, budget, path4, capsys):
+        args = {
+            "solve": ["solve", "--measure", "kw", "--graph", path4],
+            "report": ["report", "--family", "switch-all"],
+        }[command]
+        assert main(args + ["--budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --budget must be a positive state count, got {budget}\n"
+
     def test_missing_file_reports_error(self, capsys):
         rc = main(["solve", "--measure", "tw", "--graph", "/nonexistent.json"])
         assert rc == 1
@@ -305,3 +321,19 @@ class TestCliSuite:
         assert by_name["move-normalization"]["cases"] == 100
         for s in doc["suites"]:
             assert s["passed"] and s["failures"] == []
+
+
+class TestModuleEntryPoint:
+    def test_python_m_copwidth_runs_the_cli(self):
+        # run from a source checkout: src/ on the path, nothing installed
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "copwidth", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: copwidth")
