@@ -136,8 +136,9 @@ def sexpr(expr: CwExpr) -> str:
     """Single-line S-expression form; bit-exact for goldens.
 
     Shapes: (port COLOUR NAME), (union E1 E2), (recolour OLD NEW E),
-    (connect SRC DST E).  Colour and name atoms must not contain whitespace
-    or parentheses.
+    (connect SRC DST E).  Colour and name atoms must not contain parentheses
+    or any character for which str.isspace() holds, since parse_sexpr
+    splits on those.
     """
     out: list[str] = []
     stack: list = [expr]
@@ -169,7 +170,7 @@ def sexpr(expr: CwExpr) -> str:
 
 
 def _check_atom(atom: str) -> None:
-    if not atom or any(ch in atom for ch in " \t\n()"):
+    if not atom or any(ch in "()" or ch.isspace() for ch in atom):
         raise GraphError(f"atom {atom!r} is not printable in S-expression form")
 
 

@@ -269,7 +269,9 @@ def parse_graph(data: bytes | str) -> Graph:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
         raise GraphError(f"graph file is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the interpreter's digit limit;
+        # RecursionError is the decoder giving up on deep nesting
         raise GraphError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise GraphError("graph document must be an object with 'vertices' and 'edges'")
@@ -282,7 +284,10 @@ def parse_graph(data: bytes | str) -> Graph:
             raise GraphError(f"vertex entry {i} must have 'id' and 'name'")
         if not _is_id(entry["id"]) or entry["id"] != i:
             raise GraphError(f"vertex ids must be dense 0..n-1; entry {i} has id {entry['id']!r}")
-        names.append(entry["name"])
+        nm = entry["name"]
+        if isinstance(nm, str) and any("\ud800" <= ch <= "\udfff" for ch in nm):
+            raise GraphError(f"vertex entry {i} has a name with a lone surrogate, which UTF-8 cannot encode")
+        names.append(nm)
     if not isinstance(doc["edges"], list):
         raise GraphError("'edges' must be a list")
     edges = []

@@ -1,57 +1,1 @@
 """Pursuit games: exact solvers, measures, certificates and strategy checks."""
-
-from .games import (
-    DEFAULT_STATE_BUDGET,
-    BudgetExceededError,
-    CopStrategy,
-    GameConfig,
-    SolveOutcome,
-    Variant,
-    Winner,
-    measure,
-    measure_detailed,
-    solve,
-    solve_entanglement,
-    solve_invisible,
-    solve_visible,
-)
-from .certificates import (
-    EntVerifyReport,
-    SweepCertificate,
-    SweepReport,
-    dpw_sweep_certificate_switch_all,
-    ent_strategy_switch_all,
-    entanglement_is_one,
-    feedback_chase_strategy,
-    replay_cop_strategy,
-    simulate_sweep,
-    verify_ent_strategy,
-    verify_sweep,
-)
-
-__all__ = [
-    "DEFAULT_STATE_BUDGET",
-    "BudgetExceededError",
-    "CopStrategy",
-    "GameConfig",
-    "SolveOutcome",
-    "Variant",
-    "Winner",
-    "measure",
-    "measure_detailed",
-    "solve",
-    "solve_entanglement",
-    "solve_invisible",
-    "solve_visible",
-    "EntVerifyReport",
-    "SweepCertificate",
-    "SweepReport",
-    "dpw_sweep_certificate_switch_all",
-    "ent_strategy_switch_all",
-    "entanglement_is_one",
-    "feedback_chase_strategy",
-    "replay_cop_strategy",
-    "simulate_sweep",
-    "verify_ent_strategy",
-    "verify_sweep",
-]

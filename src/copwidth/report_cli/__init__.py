@@ -1,28 +1,1 @@
 """Bound-table reports, seeded property suites, and the command line."""
-
-from .cli import build_parser, main
-from .report import (
-    CLAIMED_BOUNDS,
-    REFERENCE_NOTE,
-    REFERENCE_ROWS,
-    MeasureEntry,
-    MeasureReport,
-    SuiteResult,
-    SuiteSummary,
-    run_property_suites,
-    run_report,
-)
-
-__all__ = [
-    "CLAIMED_BOUNDS",
-    "REFERENCE_NOTE",
-    "REFERENCE_ROWS",
-    "MeasureEntry",
-    "MeasureReport",
-    "SuiteResult",
-    "SuiteSummary",
-    "build_parser",
-    "main",
-    "run_property_suites",
-    "run_report",
-]

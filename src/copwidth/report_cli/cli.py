@@ -25,16 +25,18 @@ from ..families import (
     gen_zadeh,
 )
 from ..graphs import GraphError, parse_graph, serialize_graph, to_dot
-from ..pursuit import (
+from ..pursuit.certificates import (
+    dpw_sweep_certificate_switch_all,
+    ent_strategy_switch_all,
+    verify_ent_strategy,
+    verify_sweep,
+)
+from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     Variant,
-    dpw_sweep_certificate_switch_all,
-    ent_strategy_switch_all,
     measure_detailed,
     solve,
-    verify_ent_strategy,
-    verify_sweep,
 )
 from .report import run_property_suites, run_report
 

@@ -29,20 +29,22 @@ from ..families import (
     lemma_bipartite_witness,
 )
 from ..graphs import Graph, GraphError, serialize_graph, symmetric_closure
-from ..pursuit import (
+from ..pursuit.certificates import (
+    dpw_sweep_certificate_switch_all,
+    ent_strategy_switch_all,
+    entanglement_is_one,
+    verify_ent_strategy,
+    verify_sweep,
+)
+from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     GameConfig,
     Variant,
     Winner,
-    dpw_sweep_certificate_switch_all,
-    ent_strategy_switch_all,
-    entanglement_is_one,
     measure,
     solve,
     solve_visible,
-    verify_ent_strategy,
-    verify_sweep,
 )
 
 MEASURES = ("tw", "dpw", "dagw", "kw", "ent", "cw")

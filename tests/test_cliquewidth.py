@@ -24,6 +24,13 @@ from copwidth import (
 )
 
 
+# parentheses, letters, operator heads (so that some draws parse) and every
+# whitespace character (none lies above U+3000)
+SEXPR_TOKENS = ["(", ")", "a", "b", "(port a b)", "(union", "(recolour a b", "(connect a b"] + [
+    chr(c) for c in range(0x3001) if chr(c).isspace()
+]
+
+
 def edge_names(result):
     g = result.graph
     return {(g.name_of(u), g.name_of(w)) for u, w in g.edges()}
@@ -164,9 +171,23 @@ class TestSexpr:
         with pytest.raises(GraphError):
             parse_sexpr("(paint a b (port a u))")
 
+    @pytest.mark.parametrize("atom", ["a\rb", "a\x0bb", "a\xa0b", "a\u2028b"])
+    def test_whitespace_atoms_rejected(self, atom):
+        # parse_sexpr splits on every str.isspace() character
+        for e in (Port(atom, "u"), Port("a", atom), Recolour(atom, "b", Port("a", "u"))):
+            with pytest.raises(GraphError, match="not printable"):
+                sexpr(e)
 
-def expr_shapes():
-    colours = st.sampled_from("abc")
+    @given(st.lists(st.sampled_from(SEXPR_TOKENS)).map("".join))
+    def test_parse_fuzz(self, text):
+        try:
+            e = parse_sexpr(text)
+        except GraphError:
+            return
+        assert parse_sexpr(sexpr(e)) == e
+
+
+def expr_shapes(colours=st.sampled_from("abc")):
     return st.recursive(
         st.tuples(st.just("port"), colours),
         lambda kids: st.one_of(
@@ -215,7 +236,11 @@ class TestExpressionAlgebra:
         assert colour_map(lr) == colour_map(rl)
         assert edge_names(lr) == edge_names(rl)
 
-    @given(expr_shapes())
+    @given(expr_shapes(st.sampled_from("abc") | st.text()))
     def test_sexpr_round_trip(self, shape):
         e = realize(shape, itertools.count())
-        assert parse_sexpr(sexpr(e)) == e
+        try:
+            text = sexpr(e)
+        except GraphError:
+            return
+        assert parse_sexpr(text) == e

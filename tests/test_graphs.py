@@ -32,6 +32,32 @@ def small_graphs(max_n=5):
     )
 
 
+def json_shaped():
+    """JSON documents over the graph format's keys: near-graphs and junk."""
+    ids = st.integers(-1, 3)
+    names = st.sampled_from(["", "x", "y", "\ud800"]) | st.text(max_size=3)
+    leaves = st.none() | st.booleans() | ids | st.floats(allow_nan=False) | names
+    keys = st.sampled_from(["vertices", "edges", "id", "name"])
+    junk = st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(keys, kids, max_size=4),
+        max_leaves=20,
+    )
+    vertices = st.lists(names, max_size=4).map(
+        lambda ns: [{"id": i, "name": nm} for i, nm in enumerate(ns)]
+    )
+    edges = st.lists(st.lists(ids, min_size=2, max_size=2), max_size=4)
+    return st.fixed_dictionaries({"vertices": vertices, "edges": edges}) | junk
+
+
+def assert_rejects_or_round_trips(data):
+    try:
+        g = parse_graph(data)
+    except GraphError:
+        return
+    assert parse_graph(serialize_graph(g)) == g
+
+
 class TestConstruction:
     def test_basic_accessors(self):
         g = Graph(["a", "b"], [(0, 1)])
@@ -223,9 +249,29 @@ class TestSerialization:
             b'{"vertices": [], "edges": 5}',
             b'{"vertices": [], "edges": null}',
             b"\xff\xfe",  # not UTF-8
+            b"[" * 100_000,  # deeper than the decoder's recursion limit
+            b'{"vertices": [], "edges": [' + b"1" * 5000 + b"]}",  # past the int digit limit
         ):
             with pytest.raises(GraphError):
                 parse_graph(doc)
+
+    def test_lone_surrogate_name_rejected(self):
+        # json decodes the escape to a str that serialize_graph cannot encode
+        doc = b'{"vertices":[{"id":0,"name":"\\ud800"}],"edges":[]}'
+        with pytest.raises(GraphError, match="vertex entry 0"):
+            parse_graph(doc)
+
+    @given(st.binary())
+    def test_fuzz_bytes(self, data):
+        assert_rejects_or_round_trips(data)
+
+    @given(st.text())
+    def test_fuzz_text(self, text):
+        assert_rejects_or_round_trips(text)
+
+    @given(json_shaped())
+    def test_fuzz_json_shaped(self, doc):
+        assert_rejects_or_round_trips(json.dumps(doc))
 
     def test_dangling_endpoint_rejected(self):
         doc = b'{"vertices":[{"id":0,"name":"x"}],"edges":[[0,1]]}'

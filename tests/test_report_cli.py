@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import copwidth
 from copwidth import (
     GraphError,
     MeasureEntry,
@@ -15,7 +16,7 @@ from copwidth import (
     REFERENCE_NOTE,
     run_report,
 )
-from copwidth.report_cli import main
+from copwidth.report_cli.cli import main
 
 
 def strip_seconds(obj):
@@ -240,8 +241,14 @@ class TestCliSolve:
 
     @pytest.mark.parametrize(
         "doc",
-        [b'{"vertices": [], "edges": 5}', b'{"vertices": [], "edges": null}', b"\xff\xfe"],
-        ids=["edges-int", "edges-null", "not-utf8"],
+        [
+            b'{"vertices": [], "edges": 5}',
+            b'{"vertices": [], "edges": null}',
+            b"\xff\xfe",
+            b"[" * 100_000,
+            b'{"vertices":[{"id":0,"name":"\\ud800"}],"edges":[]}',
+        ],
+        ids=["edges-int", "edges-null", "not-utf8", "deep-nesting", "lone-surrogate"],
     )
     def test_malformed_graph_reports_one_line_error(self, doc, tmp_path, capsys):
         f = tmp_path / "g.json"
@@ -324,16 +331,23 @@ class TestCliSuite:
 
 
 class TestModuleEntryPoint:
-    def test_python_m_copwidth_runs_the_cli(self):
+    @pytest.mark.parametrize("module", ["copwidth", "copwidth.report_cli.cli"])
+    def test_python_m_copwidth_runs_the_cli(self, module):
         # run from a source checkout: src/ on the path, nothing installed
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p
         ))
         proc = subprocess.run(
-            [sys.executable, "-m", "copwidth", "--help"],
+            [sys.executable, "-m", module, "--help"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.startswith("usage: copwidth")
+
+
+def test_public_api_names_resolve():
+    assert len(copwidth.__all__) == 67
+    assert len(set(copwidth.__all__)) == 67
+    assert [n for n in copwidth.__all__ if not hasattr(copwidth, n)] == []
