@@ -232,14 +232,11 @@ def _build_node(items: list) -> CwExpr:
         if len(args) != 2 or any(isinstance(a, str) for a in args):
             raise GraphError("union expects (union E1 E2)")
         return Union(args[0], args[1])
-    if op == "recolour":
+    if op in ("recolour", "connect"):
         if len(args) != 3 or not (isinstance(args[0], str) and isinstance(args[1], str)) or isinstance(args[2], str):
-            raise GraphError("recolour expects (recolour OLD NEW E)")
-        return Recolour(args[0], args[1], args[2])
-    if op == "connect":
-        if len(args) != 3 or not (isinstance(args[0], str) and isinstance(args[1], str)) or isinstance(args[2], str):
-            raise GraphError("connect expects (connect SRC DST E)")
-        return Connect(args[0], args[1], args[2])
+            usage = "OLD NEW" if op == "recolour" else "SRC DST"
+            raise GraphError(f"{op} expects ({op} {usage} E)")
+        return (Recolour if op == "recolour" else Connect)(*args)
     raise GraphError(f"unknown expression operator {op!r}")
 
 
@@ -408,8 +405,7 @@ def verify_family_expr(
     """Compare eval(builder(n)) against the generator, matching vertices by
     name; reports symmetric-difference edges and any unknown/missing names.
     Pass expr to check a hand-supplied expression instead of the built one."""
-    if isinstance(family, str):
-        family = FamilyId(family)
+    family = FamilyId(family)
     if family not in _BUILDERS:
         raise GraphError(f"no expression builder for family {family.value!r}")
     builder, generator = _BUILDERS[family]

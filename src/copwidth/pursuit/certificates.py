@@ -91,8 +91,7 @@ def simulate_sweep(
     Each step is the solvers' own contamination update; a step is monotone
     iff it keeps the contaminated set a subset of the one before.
     """
-    if isinstance(semantics, str):
-        semantics = Variant(semantics)
+    semantics = Variant(semantics)
     if semantics not in (Variant.KW, Variant.DPW):
         raise GraphError(f"sweep semantics must be kw or dpw, got {semantics.value}")
     inert = semantics is Variant.KW

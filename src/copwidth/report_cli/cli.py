@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..cliquewidth import verify_family_expr
 from ..families import (
+    FamilyId,
     gen_complete_bipartite,
     gen_cycle,
     gen_path,
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["switch-all", "zadeh", "bipartite", "cycle", "path", "random"],
+        choices=[f.value for f in FamilyId],
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="second side for bipartite (default: n)")

@@ -163,6 +163,20 @@ class TestSexpr:
         with pytest.raises(GraphError):
             parse_sexpr("(union (port a u))")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(recolour a (port a u))", "recolour expects (recolour OLD NEW E)"),
+            ("(recolour a b c)", "recolour expects (recolour OLD NEW E)"),
+            ("(connect a b (port a u) (port b v))", "connect expects (connect SRC DST E)"),
+            ("(connect (port a u) b (port b v))", "connect expects (connect SRC DST E)"),
+        ],
+    )
+    def test_relabel_arity_messages(self, text, message):
+        with pytest.raises(GraphError) as err:
+            parse_sexpr(text)
+        assert str(err.value) == message
+
     def test_parse_rejects_trailing_junk(self):
         with pytest.raises(GraphError):
             parse_sexpr("(port a u) (port b v)")

@@ -10,12 +10,19 @@ import pytest
 
 import copwidth
 from copwidth import (
+    CLAIMED_BOUNDS,
     GraphError,
     MeasureEntry,
     MeasureReport,
     REFERENCE_NOTE,
+    Variant,
+    Winner,
+    gen_switch_all,
+    measure,
     run_report,
+    solve,
 )
+from copwidth.pursuit import games
 from copwidth.report_cli.cli import main
 
 
@@ -144,6 +151,54 @@ class TestBudgetStarvation:
         for e in starved:
             assert "budget" in e.note
             assert not e.verified and e.obtained is None and e.exact is None
+
+
+class TestCrossChecks:
+    def test_each_game_is_solved_once(self, monkeypatch):
+        # every (variant, cop count) solved on the small instance, seen
+        # through the solver bindings in the games module
+        small = gen_switch_all(1)
+        solved = []
+        for name in ("solve_visible", "solve_invisible", "solve_entanglement"):
+
+            def wrapper(graph, arg, *, _fn=getattr(games, name), **kwargs):
+                if graph == small:  # arg is a GameConfig, or the cop count for ent
+                    key = (Variant.ENT, arg) if isinstance(arg, int) else (arg.variant, arg.cops)
+                    solved.append(key)
+                return _fn(graph, arg, **kwargs)
+
+            monkeypatch.setattr(games, name, wrapper)
+        run_report("switch-all", n_exact=1, n_cert=2)
+        least_winning = {Variant.DPW: 2, Variant.DAGW: 2, Variant.KW: 2, Variant.ENT: 1}
+        for variant, k_star in least_winning.items():
+            assert sorted(k for v, k in solved if v is variant) == list(range(k_star + 1))
+
+    def test_claimed_cop_counts_win_on_the_small_instance(self):
+        # the fixed-k verdicts the cross-checks used to solve, now implied by
+        # the exact values being within the claims
+        g = gen_switch_all(1)
+        for variant, k in ((Variant.DPW, 4), (Variant.DAGW, 4), (Variant.ENT, 3)):
+            assert solve(g, variant, k).winner is Winner.COPS
+        for variant in (Variant.DPW, Variant.DAGW, Variant.KW, Variant.ENT):
+            assert measure(g, variant) <= CLAIMED_BOUNDS["switch-all"][variant.value]
+
+    def test_budget_for_the_exact_scan_verifies(self):
+        # 3,000 states cover every solve of the dagw and ent scans, though
+        # not the 4-cop dagw or 3-cop ent game
+        rep = run_report("switch-all", n_exact=1, n_cert=2, budget=3_000)
+        by_measure = {e.measure: e for e in rep.entries}
+        for name, exact in (("dagw", 2), ("ent", 1)):
+            e = by_measure[name]
+            assert (e.provenance, e.verified, e.exact) == ("certificate", True, exact)
+            assert e.obtained == e.claimed
+
+    def test_exhausted_exact_scan_leaves_the_cross_check_undone(self):
+        rep = run_report("switch-all", n_exact=1, n_cert=2, budget=110)
+        dpw = {e.measure: e for e in rep.entries}["dpw"]
+        assert (dpw.provenance, dpw.verified, dpw.obtained, dpw.exact) == (
+            "not-checked", False, None, None,
+        )
+        assert dpw.note == "state budget 110 exhausted before the entry could be checked"
 
 
 class TestMeasureEntryValidation:
