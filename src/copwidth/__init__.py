@@ -3,155 +3,24 @@
 Construct the counterexample graph families, decide five cops-and-robber
 width measures exactly, replay the families' sweep certificates and chase
 strategies, evaluate colouring expressions, and reproduce the bound table.
+Each public name is declared in the `__all__` of the module that defines it.
 """
 
-from .graphs import (
-    Graph,
-    GraphError,
-    induced_subgraph,
-    is_acyclic,
-    parse_graph,
-    reachable,
-    sccs,
-    serialize_graph,
-    symmetric_closure,
-    to_dot,
-)
-from .families import (
-    FamilyId,
-    gen_complete_bipartite,
-    gen_cycle,
-    gen_path,
-    gen_random_dag,
-    gen_random_digraph,
-    gen_switch_all,
-    gen_zadeh,
-    lemma_bipartite_witness,
-)
-from .pursuit.games import (
-    DEFAULT_STATE_BUDGET,
-    BudgetExceededError,
-    CopStrategy,
-    GameConfig,
-    SolveOutcome,
-    Variant,
-    Winner,
-    measure,
-    measure_detailed,
-    solve,
-    solve_entanglement,
-    solve_invisible,
-    solve_visible,
-)
-from .pursuit.certificates import (
-    EntVerifyReport,
-    SweepCertificate,
-    SweepReport,
-    dpw_sweep_certificate_switch_all,
-    ent_strategy_switch_all,
-    entanglement_is_one,
-    feedback_chase_strategy,
-    replay_cop_strategy,
-    simulate_sweep,
-    verify_ent_strategy,
-    verify_sweep,
-)
-from .cliquewidth import (
-    Connect,
-    CwVerifyReport,
-    LabelledGraph,
-    Port,
-    Recolour,
-    Union,
-    build_switch_all_expr,
-    build_zadeh_expr,
-    colour_set,
-    colours_used,
-    eval_expr,
-    parse_sexpr,
-    sexpr,
-    verify_family_expr,
-)
-from .report_cli.report import (
-    CLAIMED_BOUNDS,
-    MeasureEntry,
-    MeasureReport,
-    REFERENCE_NOTE,
-    REFERENCE_ROWS,
-    SuiteResult,
-    SuiteSummary,
-    run_property_suites,
-    run_report,
-)
+from .graphs import *
+from .families import *
+from .pursuit.games import *
+from .pursuit.certificates import *
+from .cliquewidth import *
+from .report_cli.report import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "GraphError",
-    "induced_subgraph",
-    "is_acyclic",
-    "parse_graph",
-    "reachable",
-    "sccs",
-    "serialize_graph",
-    "symmetric_closure",
-    "to_dot",
-    "FamilyId",
-    "gen_complete_bipartite",
-    "gen_cycle",
-    "gen_path",
-    "gen_random_dag",
-    "gen_random_digraph",
-    "gen_switch_all",
-    "gen_zadeh",
-    "lemma_bipartite_witness",
-    "DEFAULT_STATE_BUDGET",
-    "BudgetExceededError",
-    "CopStrategy",
-    "EntVerifyReport",
-    "GameConfig",
-    "SolveOutcome",
-    "SweepCertificate",
-    "SweepReport",
-    "Variant",
-    "Winner",
-    "dpw_sweep_certificate_switch_all",
-    "ent_strategy_switch_all",
-    "entanglement_is_one",
-    "feedback_chase_strategy",
-    "measure",
-    "measure_detailed",
-    "replay_cop_strategy",
-    "simulate_sweep",
-    "solve",
-    "solve_entanglement",
-    "solve_invisible",
-    "solve_visible",
-    "verify_ent_strategy",
-    "verify_sweep",
-    "Connect",
-    "CwVerifyReport",
-    "LabelledGraph",
-    "Port",
-    "Recolour",
-    "Union",
-    "build_switch_all_expr",
-    "build_zadeh_expr",
-    "colour_set",
-    "colours_used",
-    "eval_expr",
-    "parse_sexpr",
-    "sexpr",
-    "verify_family_expr",
-    "CLAIMED_BOUNDS",
-    "MeasureEntry",
-    "MeasureReport",
-    "REFERENCE_NOTE",
-    "REFERENCE_ROWS",
-    "SuiteResult",
-    "SuiteSummary",
-    "run_property_suites",
-    "run_report",
-    "__version__",
-]
+__all__ = (
+    graphs.__all__
+    + families.__all__
+    + pursuit.games.__all__
+    + pursuit.certificates.__all__
+    + cliquewidth.__all__
+    + report_cli.report.__all__
+    + ["__version__"]
+)

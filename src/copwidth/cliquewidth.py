@@ -13,6 +13,23 @@ deep at larger n, far beyond the default recursion limit.
 
 from __future__ import annotations
 
+__all__ = [
+    "Connect",
+    "CwVerifyReport",
+    "LabelledGraph",
+    "Port",
+    "Recolour",
+    "Union",
+    "build_switch_all_expr",
+    "build_zadeh_expr",
+    "colour_set",
+    "colours_used",
+    "eval_expr",
+    "parse_sexpr",
+    "sexpr",
+    "verify_family_expr",
+]
+
 from dataclasses import dataclass
 from typing import Union as _U
 

@@ -9,6 +9,18 @@ assign ids identically on every run.
 
 from __future__ import annotations
 
+__all__ = [
+    "FamilyId",
+    "gen_complete_bipartite",
+    "gen_cycle",
+    "gen_path",
+    "gen_random_dag",
+    "gen_random_digraph",
+    "gen_switch_all",
+    "gen_zadeh",
+    "lemma_bipartite_witness",
+]
+
 import enum
 import math
 

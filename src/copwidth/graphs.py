@@ -10,6 +10,19 @@ solvers spend nearly all their time in reachability queries.
 
 from __future__ import annotations
 
+__all__ = [
+    "Graph",
+    "GraphError",
+    "induced_subgraph",
+    "is_acyclic",
+    "parse_graph",
+    "reachable",
+    "sccs",
+    "serialize_graph",
+    "symmetric_closure",
+    "to_dot",
+]
+
 import json
 from typing import Iterable, Iterator
 

@@ -7,11 +7,26 @@ graph and whether it ever recontaminates.  The entanglement side provides a
 feedback-vertex chase strategy (the one that witnesses ent <= 3 for the
 switch-all family) and an exhaustive verifier that plays every robber reply
 against a given cop strategy; the visible-game strategy replay runs on the
-same depth-first search.  The sweep replay steps with the solvers' own
-contamination update and monotonicity rule from games.py.
+same depth-first search.  The replays step with the solvers' own rules
+from games.py: the sweep with the contamination update and monotonicity
+rule, the chase with the entanglement cop moves.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "EntVerifyReport",
+    "SweepCertificate",
+    "SweepReport",
+    "dpw_sweep_certificate_switch_all",
+    "ent_strategy_switch_all",
+    "entanglement_is_one",
+    "feedback_chase_strategy",
+    "replay_cop_strategy",
+    "simulate_sweep",
+    "verify_ent_strategy",
+    "verify_sweep",
+]
 
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -27,7 +42,7 @@ from ..graphs import (
     symmetric_closure,
 )
 from ..families import gen_switch_all
-from .games import Variant, contaminate, normalized_moves, robber_regions
+from .games import Variant, contaminate, ent_moves, normalized_moves, robber_regions
 
 
 @dataclass(frozen=True)
@@ -305,16 +320,19 @@ def verify_ent_strategy(
     strategy is asked once per reachable position.
     """
     succ = graph.succ_masks
+    vertices = frozenset(range(graph.vertex_count))
 
     def replies(pos: tuple[frozenset[int], int]) -> list | str:
         c, v = pos
         cp = frozenset(strategy(c, v))
-        added = cp - c
-        legal = (not added and cp == c) or (
-            added == {v} and len(c - cp) <= 1 and len(cp) <= k
-        )
-        if not legal:
-            return f"illegal cop move {sorted(c)} -> {sorted(cp)} against robber at {v}"
+        # test the stay first: it is the chase's usual reply
+        if cp != c and not (
+            cp <= vertices
+            and all(isinstance(w, int) for w in cp)
+            and mask_of(cp) in ent_moves(mask_of(c), v, k)
+        ):
+            shown = sorted(cp, key=None if cp <= vertices else str)
+            return f"illegal cop move {sorted(c)} -> {shown} against robber at {v}"
         return [(cp, w) for w in bits_of(succ[v] & ~mask_of(cp))]
 
     failure = _replay_positional(

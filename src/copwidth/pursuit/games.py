@@ -21,7 +21,8 @@ Each game rule has one home here:
 - `normalized_moves`: the cop moves {stay, add one cop, remove one cop} of
   the visible and invisible solvers;
 - `ent_moves`: the entanglement game's cop moves {stay, enter the robber's
-  vertex with a spare cop, enter it and lift one cop};
+  vertex with a spare cop, enter it and lift one cop}, used by
+  solve_entanglement and by the chase replay in certificates.py;
 - `contaminate`: the invisible games' contamination update and their one
   monotonicity rule (R' must be a subset of R), used by the placement
   search and by the sweep replay in certificates.py;
@@ -41,6 +42,22 @@ on small graphs.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "DEFAULT_STATE_BUDGET",
+    "BudgetExceededError",
+    "CopStrategy",
+    "GameConfig",
+    "SolveOutcome",
+    "Variant",
+    "Winner",
+    "measure",
+    "measure_detailed",
+    "solve",
+    "solve_entanglement",
+    "solve_invisible",
+    "solve_visible",
+]
 
 import enum
 from collections import deque

@@ -39,7 +39,7 @@ from ..pursuit.games import (
     measure_detailed,
     solve,
 )
-from .report import run_property_suites, run_report
+from .report import CLAIMED_BOUNDS, run_property_suites, run_report
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -126,12 +126,13 @@ def _cmd_certify(args) -> int:
         }
         print(json.dumps(result, indent=2))
         return 0 if rep.ok else 1
-    rep = verify_ent_strategy(g, ent_strategy_switch_all(args.n), 3)
+    cops = CLAIMED_BOUNDS["switch-all"]["ent"]
+    rep = verify_ent_strategy(g, ent_strategy_switch_all(args.n), cops)
     result = {
         "family": "switch-all",
         "n": args.n,
         "measure": "ent",
-        "cops": 3,
+        "cops": cops,
         "ok": rep.ok,
         "reason": rep.reason,
         "failure_position": rep.failure_position,
@@ -197,15 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="solve a game exactly")
-    p.add_argument(
-        "--measure", required=True, choices=["tw", "dagw", "kw", "dpw", "ent"]
-    )
+    p.add_argument("--measure", required=True, choices=[v.value for v in Variant])
     p.add_argument("--graph", required=True, help="graph file in the JSON format")
     p.add_argument("--k", type=int, help="decide at a fixed cop count instead")
     p.add_argument(
         "--non-monotone",
         action="store_true",
-        help="drop the monotonicity requirement",
+        help="drop the monotonicity requirement (no effect on ent)",
     )
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.set_defaults(func=_cmd_solve)
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=_cmd_cw_verify)
 
     p = sub.add_parser("report", help="verify the bound table for a family")
-    p.add_argument("--family", required=True, choices=["switch-all", "zadeh"])
+    p.add_argument("--family", required=True, choices=list(CLAIMED_BOUNDS))
     p.add_argument("--n-exact", type=int, default=1)
     p.add_argument("--n-cert", type=int, default=8)
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)

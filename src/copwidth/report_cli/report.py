@@ -12,6 +12,18 @@ characterizations.
 
 from __future__ import annotations
 
+__all__ = [
+    "CLAIMED_BOUNDS",
+    "MeasureEntry",
+    "MeasureReport",
+    "REFERENCE_NOTE",
+    "REFERENCE_ROWS",
+    "SuiteResult",
+    "SuiteSummary",
+    "run_property_suites",
+    "run_report",
+]
+
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -48,7 +60,7 @@ from ..pursuit.games import (
     solve_visible,
 )
 
-MEASURES = ("tw", "dpw", "dagw", "kw", "ent", "cw")
+MEASURES = (*(v.value for v in Variant), "cw")
 
 PROVENANCES = (
     "exact-solve",

@@ -155,6 +155,18 @@ class TestChaseStrategy:
         assert rep.failure_position is not None
         assert "illegal" in rep.reason
 
+    @pytest.mark.parametrize("placed", [False, True])
+    @pytest.mark.parametrize("vertex", [99, -1, "a", 2.0])
+    def test_cop_move_to_a_non_vertex_reported_as_illegal(self, vertex, placed):
+        # the strategy is caller code: a bad vertex fails the check, never raises
+        def strategy(c, v):  # with placed, one legal move comes first
+            return c | {v} if placed and not c else c | {vertex}
+
+        rep = verify_ent_strategy(gen_cycle(3), strategy, 2)
+        assert not rep.ok
+        assert "illegal" in rep.reason
+        assert rep.failure_position == (((0,), 1) if placed else ((), 0))
+
     def test_idle_strategy_loses_on_a_cycle(self):
         g = gen_cycle(3)
         rep = verify_ent_strategy(g, lambda c, v: c, 1)

@@ -1,5 +1,7 @@
 """Bound-table reports, property suites, and the command-line front end."""
 
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -22,8 +24,17 @@ from copwidth import (
     run_report,
     solve,
 )
-from copwidth.pursuit import games
+from copwidth import cliquewidth, families, graphs
+from copwidth.pursuit import certificates, games
+from copwidth.report_cli import report
 from copwidth.report_cli.cli import main
+
+# The modules that declare the public API, in the order copwidth.__all__ lists them.
+PUBLIC_MODULES = (graphs, families, games, certificates, cliquewidth, report)
+
+# Report JSON at n_exact=1, n_cert=2 with `seconds` stripped.  Regenerate a
+# file only for an intended change to the report, and say so in the change.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def strip_seconds(obj):
@@ -32,6 +43,11 @@ def strip_seconds(obj):
     if isinstance(obj, list):
         return [strip_seconds(x) for x in obj]
     return obj
+
+
+def assert_matches_golden(rep, name):
+    text = json.dumps(strip_seconds(rep.to_dict()), indent=2) + "\n"
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +125,9 @@ class TestSwitchAllReport:
                 assert e[key] is None or isinstance(e[key], int)
             assert isinstance(e["claimed"], (int, str))
 
+    def test_matches_golden_report(self, switch_all_report):
+        assert_matches_golden(switch_all_report, "report-switch-all.json")
+
     def test_deterministic_up_to_timing(self, switch_all_report):
         again = run_report("switch-all", n_exact=1, n_cert=2)
         assert strip_seconds(again.to_dict()) == strip_seconds(
@@ -119,6 +138,9 @@ class TestSwitchAllReport:
 class TestZadehReport:
     def test_all_verified(self, zadeh_report):
         assert zadeh_report.all_verified
+
+    def test_matches_golden_report(self, zadeh_report):
+        assert_matches_golden(zadeh_report, "report-zadeh.json")
 
     def test_every_game_measure_unbounded(self, zadeh_report):
         claims = {e.measure: e.claimed for e in zadeh_report.entries}
@@ -406,3 +428,31 @@ def test_public_api_names_resolve():
     assert len(copwidth.__all__) == 67
     assert len(set(copwidth.__all__)) == 67
     assert [n for n in copwidth.__all__ if not hasattr(copwidth, n)] == []
+
+
+def _top_level_names(module) -> set:
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+@pytest.mark.parametrize("module", PUBLIC_MODULES, ids=lambda m: m.__name__)
+def test_public_names_are_defined_where_declared(module):
+    # no re-exports: each name in a module's __all__ is defined in that module
+    assert set(module.__all__) <= _top_level_names(module)
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == module.__name__, name
+
+
+def test_package_all_concatenates_the_module_lists():
+    declared = [name for module in PUBLIC_MODULES for name in module.__all__]
+    assert copwidth.__all__ == declared + ["__version__"]
+    assert len(copwidth.__all__) == 67
