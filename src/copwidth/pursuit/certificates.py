@@ -325,8 +325,11 @@ def verify_ent_strategy(
     def replies(pos: tuple[frozenset[int], int]) -> list | str:
         c, v = pos
         cp = frozenset(strategy(c, v))
-        # test the stay first: it is the chase's usual reply
-        if cp != c and not (
+        # test the stay first: it is the chase's usual reply.  Play on from
+        # c itself, whose vertices are ints; an equal cp may hold 0.0 for 0
+        if cp == c:
+            cp = c
+        elif not (
             cp <= vertices
             and all(isinstance(w, int) for w in cp)
             and mask_of(cp) in ent_moves(mask_of(c), v, k)

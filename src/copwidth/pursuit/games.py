@@ -11,9 +11,17 @@ share a node.  The invisible-robber games are one-player searches.  With
 monotone play the winner depends only on the contaminated set R, so the
 search runs over R alone, and each step clears one vertex whose guard fits
 beside it (`_search_contaminated`, after Hunter & Kreutzer's and Barat's
-elimination orderings).  Non-monotone play is searched over (placement,
-contaminated set) states (`_search_placements`), which with strict pruning
-is also the reference the contaminated-set search is tested against.
+elimination orderings).  That search solves each strongly connected
+component as its own subgame, since no guard reaches back into an earlier
+one, and the cops win iff they win every SCC.  For Kelly-width it also
+splits R into the weak components of G[R], independent subgames joined by
+an AND, because a vertex's guard depends only on its own component.  The
+directed-pathwidth guard N+(R) \\ R is shared by all of R, so that search
+stays linear.  The witness clears the SCCs in topological order, sources
+first, and the components one after another.  Non-monotone play is
+searched over (placement, contaminated set) states (`_search_placements`),
+which with strict pruning is also the reference the contaminated-set
+search is tested against.
 Positions are encoded as int bitmasks throughout.
 
 Each game rule has one home here:
@@ -71,6 +79,7 @@ from ..graphs import (
     bits_of,
     mask_of,
     reach_mask,
+    sccs,
     symmetric_closure,
 )
 
@@ -384,52 +393,83 @@ def _search_placements(
     return SolveOutcome(Winner.ROBBER, None, len(parent))
 
 
-def _out_mask(graph: Graph, mask: int) -> int:
-    """N+(mask): the union of the successors of the vertices in mask."""
-    succ = graph.succ_masks
+def _spread(adj: list[int] | tuple[int, ...], r: int, start: int) -> tuple[int, int]:
+    """The vertices of R that start, a subset of R, reaches along the
+    neighbour masks adj, and the union of adj over those vertices: with
+    successor masks, Reach_{G[R]}(start) and its out-neighbours."""
+    seen = frontier = start
     out = 0
-    while mask:
-        b = mask & -mask
-        out |= succ[b.bit_length() - 1]
-        mask ^= b
-    return out
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        out |= nxt
+        frontier = nxt & r & ~seen
+        seen |= frontier
+    return seen, out
 
 
-def _guard(graph: Graph, inert: bool, r: int, u: int) -> int:
+def _guard(succ: list[int] | tuple[int, ...], inert: bool, r: int, u: int) -> int:
     """The cleared vertices the cops must hold while a cop lands on u, a
     single bit of the contaminated set R, so that the move is monotone:
 
         inert (KW):     guard = N+(Reach_{G[R]}(u)) \\ R
         restless (DPW): guard = N+(R) \\ R, the same for every u
+
+    With succ the graph's successor masks this is the rule of the game;
+    with the edges between SCCs left out, the rule of the SCC holding R.
     """
-    outside = graph.full_mask & ~r
+    return _spread(succ, r, u if inert else r)[1] & ~r
+
+
+def _clearable(succ: list[int], pred: list[int], inert: bool, k: int, r: int) -> int:
+    """The vertices u of R worth clearing from R with k cops, given the
+    successor and predecessor masks: those whose guard fits beside the cop
+    on u, in at most k - 1 cops; or only the first of them with no
+    in-neighbour in R \\ {u}, when there is one, since clearing it first
+    loses nothing (see `_search_contaminated`)."""
     if inert:
-        return _out_mask(graph, reach_mask(graph, outside, u)) & outside
-    return _out_mask(graph, r) & outside
-
-
-def _clearable(graph: Graph, inert: bool, k: int, r: int) -> int:
-    """The vertices u of R that k cops can clear monotonically from R: those
-    whose guard fits beside the cop on u, in at most k - 1 cops."""
-    if not inert:
-        return r if _guard(graph, False, r, r & -r).bit_count() < k else 0
-    outside = graph.full_mask & ~r
-    ok = 0
-    todo = r
+        ok = 0
+        todo = r
+        while todo:
+            u = todo & -todo
+            todo ^= u
+            space, out = _spread(succ, r, u)
+            if (out & ~r).bit_count() < k:
+                ok |= space
+                todo &= ~space
+            else:
+                todo &= ~_spread(pred, r, u)[0]
+    else:
+        ok = r if _guard(succ, False, r, r).bit_count() < k else 0
+    todo = ok
     while todo:
         u = todo & -todo
         todo ^= u
-        space = reach_mask(graph, outside, u)
-        if (_out_mask(graph, space) & outside).bit_count() < k:
-            # every v that u reaches has a guard inside u's
-            ok |= space
-            todo &= ~space
+        if not pred[u.bit_length() - 1] & r & ~u:
+            return u
     return ok
+
+
+def _parts(nbr: list[int] | None, r: int) -> list[int]:
+    """The independent subgames left by the contaminated set R: the weak
+    components of G[R] when nbr holds the in- and out-neighbours of each
+    vertex (KW), else R itself (DPW); none when R is empty."""
+    if nbr is None:
+        return [r] if r else []
+    out = []
+    while r:
+        part = _spread(nbr, r, r & -r)[0]
+        out.append(part)
+        r ^= part
+    return out
 
 
 def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> SolveOutcome:
     """The monotone invisible games as a search over contaminated sets R
-    alone, from R = all vertices of a nonempty graph.
+    alone, one subgame per SCC, on a nonempty graph.
 
     Proof sketch that R decides the game (Hunter & Kreutzer's elimination
     orderings for KW, Barat's for DPW):
@@ -449,48 +489,115 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
       a boundary cop in DPW, or placing on u without its guard in KW, lets
       the robber onto a cleared vertex and is pruned.
 
-    The states are the distinct contaminated sets visited.  The witness
-    rebuilds a placement sequence from the path of sets: per step, lift the
-    cops outside the guard one at a time, place the missing guard cops,
-    then place u.  Each placement differs from the last by one vertex and
-    holds at most k cops, and the sequence replays cleared and monotone.
+    The game splits twice, as the Kelly-width and DAG-width games do
+    (Hunter & Kreutzer, TCS 2008; Berwanger et al., JCTB 2012):
+
+    - By SCC.  No edge enters an SCC from a later one in `sccs` order, so
+      while the SCCs before S are cleared and those after it contaminated,
+      every guard of u in S lies in S and is u's guard in G[S].  So the
+      SCCs are searched with the edges between them left out, each from
+      R = S, and the cops win iff they win every SCC.
+    - By weak component, for KW.  The robber's reach from u stays in u's
+      weak component of G[R], and no edge leaves that component for
+      another part of R, so the guard of u depends on its component alone
+      and the components are independent subgames: R is won iff some
+      clearable u leaves every component of R \\ {u} won.  The DPW guard
+      N+(R) \\ R is shared by all of R, so DPW keeps R whole and its search
+      stays linear: the path/tree difference of the two widths.
+
+    Two cuts in `_clearable` shrink the OR without changing its value:
+
+    - A clearable u with no in-neighbour in R \\ {u} is tried alone.  From
+      R \\ {u} the cops can play any winning order from R with u's step
+      left out: no later guard gains a vertex, since only u could be new
+      and nothing left in R enters u.
+    - For KW, a vertex that reaches u in G[R] has a guard containing u's,
+      and one that u reaches a guard inside u's, so one reach each way
+      settles them all.
+
+    The search is a depth-first AND/OR search with an explicit stack.
+    Each set is entered once and recorded with its winning u, or 0 when
+    lost.  A set on the stack strictly contains every set it asks about,
+    so it is never asked about while still open.  The states are the sets
+    entered, summed over all SCCs, and the budget caps that sum.
+
+    The witness clears the SCCs in `sccs` order, sources first, and inside
+    each a won set R by its recorded u, then each part of R \\ {u} in
+    turn.  `_sweep_of` rebuilds the placements from these steps with the
+    guards of the whole graph, which equal the subgame guards: per step,
+    lift the cops outside the guard one at a time, place the missing
+    guard cops, then place u.  Each placement differs from the last by one
+    vertex and holds at most k cops, and the sequence replays cleared and
+    monotone.
     """
-    full = graph.full_mask
-    parent: dict[int, int | None] = {full: None}
-    stack = [full]
-    while stack:
-        r = stack.pop()
-        ok = _clearable(graph, inert, k, r)
-        while ok:
-            u = ok & -ok
-            ok ^= u
-            rp = r ^ u
-            if not rp:
-                steps = [(r, u)]
-                while parent[r] is not None:
-                    steps.append((parent[r], parent[r] ^ r))
-                    r = parent[r]
-                steps.reverse()
-                return SolveOutcome(
-                    Winner.COPS, _sweep_of(graph, inert, steps), len(parent)
-                )
-            if rp not in parent:
-                if len(parent) >= budget:
+    # successor and predecessor masks within each SCC
+    succ = [0] * graph.vertex_count
+    pred = [0] * graph.vertex_count
+    scopes = []
+    for comp in sccs(graph):
+        scope = mask_of(comp)
+        scopes.append(scope)
+        for v in comp:
+            succ[v] = graph.succ_masks[v] & scope
+            for w in graph.succs[v]:
+                if scope >> w & 1:
+                    pred[w] |= 1 << v
+    nbr = [s | p for s, p in zip(succ, pred)] if inert else None
+    won: dict[int, int] = {}
+    # the open set R, its untried clearable vertices, the u being tried and
+    # the parts of R \ {u} not yet known to be won; the root's parts are
+    # the SCCs, and its u is -1 until one of them is lost
+    r, todo, u, parts = 0, 0, -1, scopes[::-1]
+    stack = []
+    while True:
+        if u and parts:
+            part = parts[-1]
+            w = won.get(part)
+            if w is None:
+                if len(won) >= budget:
                     raise BudgetExceededError(budget)
-                parent[rp] = r
-                stack.append(rp)
-    return SolveOutcome(Winner.ROBBER, None, len(parent))
+                won[part] = 0
+                stack.append((r, todo, u, parts))
+                r, todo, u, parts = part, _clearable(succ, pred, inert, k, part), 0, []
+            elif w:
+                parts.pop()
+            else:
+                u = 0
+            continue
+        if not u and todo:
+            u = todo & -todo
+            todo ^= u
+            parts = _parts(nbr, r ^ u)
+            continue
+        if not stack:
+            break
+        if u:
+            won[r] = u
+        r, todo, u, parts = stack.pop()
+    if not u:
+        return SolveOutcome(Winner.ROBBER, None, len(won))
+    steps = []
+    rest = graph.full_mask
+    todo_sets = scopes[::-1]
+    while todo_sets:
+        r = todo_sets.pop()
+        u = won[r]
+        steps.append((rest, u))
+        rest ^= u
+        todo_sets += _parts(nbr, r ^ u)
+    return SolveOutcome(Winner.COPS, _sweep_of(graph, inert, steps), len(won))
 
 
 def _sweep_of(
     graph: Graph, inert: bool, steps: list[tuple[int, int]]
 ) -> tuple[frozenset[int], ...]:
     """The placement sequence that clears u from R for each step (R, u) in
-    turn, one vertex changed per placement (see `_search_contaminated`)."""
+    turn, R the contaminated set of the whole graph, one vertex changed per
+    placement (see `_search_contaminated`)."""
     seq = []
     c = 0
     for r, u in steps:
-        guard = _guard(graph, inert, r, u)
+        guard = _guard(graph.succ_masks, inert, r, u)
         for b in bits_of(c & ~guard):
             c ^= 1 << b
             seq.append(c)

@@ -15,7 +15,7 @@ import sys
 import time
 from typing import Optional
 
-from ..cliquewidth import verify_family_expr
+from ..cliquewidth import _BUILDERS, verify_family_expr
 from ..families import (
     FamilyId,
     gen_complete_bipartite,
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cw", help="colouring-expression commands")
     cw_sub = p.add_subparsers(dest="cw_command", required=True)
     pv = cw_sub.add_parser("verify", help="compare expression against generator")
-    pv.add_argument("--family", required=True, choices=["switch-all", "zadeh"])
+    pv.add_argument("--family", required=True, choices=[f.value for f in _BUILDERS])
     pv.add_argument("--n", type=int, required=True)
     pv.set_defaults(func=_cmd_cw_verify)
 

@@ -167,6 +167,13 @@ class TestChaseStrategy:
         assert "illegal" in rep.reason
         assert rep.failure_position == (((0,), 1) if placed else ((), 0))
 
+    def test_stay_with_equal_non_int_vertices_plays_on(self):
+        # {0.0} == {0}: the stay is legal and play goes on from the int placement
+        def strategy(c, v):
+            return frozenset({v}) if not c else frozenset(float(x) for x in c)
+
+        assert verify_ent_strategy(gen_cycle(3), strategy, 1).ok
+
     def test_idle_strategy_loses_on_a_cycle(self):
         g = gen_cycle(3)
         rep = verify_ent_strategy(g, lambda c, v: c, 1)

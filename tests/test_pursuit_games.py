@@ -195,10 +195,34 @@ class TestInvisible:
         for i in range(40):
             assert_searches_agree(gen_random_digraph(4 + i % 4, 0.3 + 0.1 * (i % 3), 700 + i))
 
+    def test_contaminated_set_search_matches_on_sparse_graphs(self):
+        # p = 0.2 leaves several SCCs and weak components to split
+        for i in range(30):
+            assert_searches_agree(gen_random_digraph(6 + i % 3, 0.2, 900 + i))
+
     def test_states_count_contaminated_sets(self):
-        # two cops lose kw on zadeh(1) after every reachable contaminated set
+        # two cops lose kw on zadeh(1) after 300 connected contaminated sets
+        # over its SCCs; the unsplit search walked 27,344 sets
         out = solve_invisible(gen_zadeh(1), GameConfig(Variant.KW, 2))
-        assert out.winner is Winner.ROBBER and out.states == 27_344
+        assert out.winner is Winner.ROBBER and out.states == 300
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("shape", ["two_cycles", "joined_triangles"])
+    def test_sweep_over_several_sccs_and_components(self, shape, order):
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        if shape == "two_cycles":
+            edges[2:] = [(2, 3), (3, 0), (4, 5), (5, 4)]
+        else:
+            edges.append((2, 3))
+        if order == "reversed":
+            edges = [(5 - a, 5 - b) for a, b in edges]
+        g = Graph([str(v) for v in range(6)], edges)
+        for variant in (Variant.KW, Variant.DPW):
+            k, out = first_win(g, variant)
+            assert k == 2
+            assert all(len(p) <= k for p in out.witness)
+            rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
+            assert rep.cleared and rep.monotone, f"{variant.value}: {serialize_graph(g)}"
 
     def test_variant_guard(self):
         with pytest.raises(GraphError):
@@ -295,9 +319,24 @@ class TestBudget:
         assert measure(gen_switch_all(1), Variant.TW, budget=70_000) == 4
 
     def test_kw_of_zadeh_fits_a_small_budget(self):
-        # two cops lose after 27,344 contaminated sets; the placement search
-        # walked 930,760 (placement, contaminated set) states there
+        # the unsplit contaminated-set search lost two cops after 27,344
+        # sets; the placement search walked 930,760 states there
         assert measure(gen_zadeh(1), Variant.KW, budget=30_000) == 3
+
+    def test_kw_of_zadeh_fits_the_split_search_budget(self):
+        # the scan takes 330 sets over zadeh(1)'s SCCs and weak components
+        assert measure(gen_zadeh(1), Variant.KW, budget=2_000) == 3
+
+    @pytest.mark.parametrize(
+        "g, variant, value",
+        [(gen_switch_all(2), Variant.KW, 3), (gen_switch_all(3), Variant.DPW, 3)],
+        ids=["kw_switch_all_2", "dpw_switch_all_3"],
+    )
+    def test_family_value_with_replayed_witness(self, g, variant, value):
+        assert measure(g, variant) == value
+        k, out = first_win(g, variant)
+        rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
+        assert rep.cleared and rep.monotone
 
     @pytest.mark.parametrize("mono", [True, False], ids=["monotone", "non_monotone"])
     def test_invisible_exhaustion_carries_the_budget(self, mono):

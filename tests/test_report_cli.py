@@ -1,5 +1,6 @@
 """Bound-table reports, property suites, and the command-line front end."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -27,7 +28,7 @@ from copwidth import (
 from copwidth import cliquewidth, families, graphs
 from copwidth.pursuit import certificates, games
 from copwidth.report_cli import report
-from copwidth.report_cli.cli import main
+from copwidth.report_cli.cli import build_parser, main
 
 # The modules that declare the public API, in the order copwidth.__all__ lists them.
 PUBLIC_MODULES = (graphs, families, games, certificates, cliquewidth, report)
@@ -215,12 +216,13 @@ class TestCrossChecks:
             assert e.obtained == e.claimed
 
     def test_exhausted_exact_scan_leaves_the_cross_check_undone(self):
-        rep = run_report("switch-all", n_exact=1, n_cert=2, budget=110)
+        # dpw's winning k=2 takes 64 contaminated sets on switch-all(1)
+        rep = run_report("switch-all", n_exact=1, n_cert=2, budget=50)
         dpw = {e.measure: e for e in rep.entries}["dpw"]
         assert (dpw.provenance, dpw.verified, dpw.obtained, dpw.exact) == (
             "not-checked", False, None, None,
         )
-        assert dpw.note == "state budget 110 exhausted before the entry could be checked"
+        assert dpw.note == "state budget 50 exhausted before the entry could be checked"
 
 
 class TestMeasureEntryValidation:
@@ -357,6 +359,15 @@ class TestCliCertify:
 
 
 class TestCliCw:
+    def test_family_choices_are_the_expression_builders(self):
+        def subparser(parser, name):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices[name]
+
+        verify = subparser(subparser(build_parser(), "cw"), "verify")
+        (family,) = [a for a in verify._actions if a.dest == "family"]
+        assert family.choices == [f.value for f in cliquewidth._BUILDERS]
+
     def test_verify_switch_all(self, capsys):
         assert main(["cw", "verify", "--family", "switch-all", "--n", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
