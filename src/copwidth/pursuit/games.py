@@ -3,11 +3,14 @@ measures: treewidth (on the symmetric closure), DAG-width, Kelly-width
 (invisible inert robber), directed pathwidth (invisible robber) and
 entanglement.
 
-The three visible-robber games (treewidth, DAG-width and entanglement) are
-solved by one backward induction, `_solve_cop_game`, over cop nodes
-(C, v) and robber nodes (C', R): the announced placement and the region the
-robber can land in, so announcements that leave the robber the same choices
-share a node.  The invisible-robber games are one-player searches.  With
+The visible-robber games of DAG-width and entanglement are solved by one
+backward induction, `_solve_cop_game`, over cop nodes (C, v) and robber
+nodes (C', R): the announced placement and the region the robber can land
+in, so announcements that leave the robber the same choices share a node.
+Treewidth is solved as the Kelly-width game on the symmetric closure
+(`_as_played`), since kw(G<->) = tw(G) + 1; the visible treewidth game on
+`_solve_cop_game` (`solve_visible`) stays as the independent reference it
+is tested against.  The invisible-robber games are one-player searches.  With
 monotone play the winner depends only on the contaminated set R, so the
 search runs over R alone, and each step clears one vertex whose guard fits
 beside it (`_search_contaminated`, after Hunter & Kreutzer's and Barat's
@@ -36,13 +39,14 @@ Each game rule has one home here:
   search and by the sweep replay in certificates.py;
 - `_guard`: what that rule means for the contaminated-set search, the
   cleared vertices that must hold cops while a cop lands on a vertex of R;
-- `robber_regions`: the treewidth and DAG-width games' robber step, the
-  region R the robber can land in after a cop announcement C', and their
-  one monotonicity rule (the robber must not reach a vertex the cops
-  vacate); used by solve_visible and by the strategy replay in
+- `robber_regions`: the visible treewidth and DAG-width games' robber
+  step, the region R the robber can land in after a cop announcement C',
+  and their one monotonicity rule (the robber must not reach a vertex the
+  cops vacate); used by solve_visible and by the strategy replay in
   certificates.py.  In the entanglement game R is simply the robber's
   successors outside C';
-- `solve`: the one dispatch from a variant to its solver.
+- `solve`: the one dispatch from a variant to its solver, by way of
+  `_as_played`, which `measure_detailed` calls once per scan.
 
 `solve_visible(full_moves=True)` switches to arbitrary next placements and
 exists as the reference semantics for cross-checking the move normalization
@@ -332,11 +336,13 @@ def solve_visible(
     """Decide the visible-robber game (variant TW or DAGW) with config.cops cops.
 
     TW plays on the symmetric closure of the graph; DAGW on the graph as
-    given.  The cop moves are `normalized_moves`, or every placement of at
-    most config.cops cops with full_moves, and each leads by
-    `robber_regions` to the robber node (C', R) of `_solve_cop_game`.  With
-    require_monotone, cop moves that let the robber reach a vertex being
-    vacated are pruned (equivalently: such plays are awarded to the robber).
+    given.  `solve` decides TW by the KW search on the closure instead, and
+    this TW game is the independent reference it is tested against.  The
+    cop moves are `normalized_moves`, or every placement of at most
+    config.cops cops with full_moves, and each leads by `robber_regions` to
+    the robber node (C', R) of `_solve_cop_game`.  With require_monotone,
+    cop moves that let the robber reach a vertex being vacated are pruned
+    (equivalently: such plays are awarded to the robber).
     """
     if config.variant not in (Variant.TW, Variant.DAGW):
         raise GraphError(f"solve_visible expects variant tw or dagw, got {config.variant.value}")
@@ -393,7 +399,7 @@ def _search_placements(
     return SolveOutcome(Winner.ROBBER, None, len(parent))
 
 
-def _spread(adj: list[int] | tuple[int, ...], r: int, start: int) -> tuple[int, int]:
+def _spread(adj: tuple[int, ...], r: int, start: int) -> tuple[int, int]:
     """The vertices of R that start, a subset of R, reaches along the
     neighbour masks adj, and the union of adj over those vertices: with
     successor masks, Reach_{G[R]}(start) and its out-neighbours."""
@@ -411,7 +417,7 @@ def _spread(adj: list[int] | tuple[int, ...], r: int, start: int) -> tuple[int, 
     return seen, out
 
 
-def _guard(succ: list[int] | tuple[int, ...], inert: bool, r: int, u: int) -> int:
+def _guard(succ: tuple[int, ...], inert: bool, r: int, u: int) -> int:
     """The cleared vertices the cops must hold while a cop lands on u, a
     single bit of the contaminated set R, so that the move is monotone:
 
@@ -424,7 +430,7 @@ def _guard(succ: list[int] | tuple[int, ...], inert: bool, r: int, u: int) -> in
     return _spread(succ, r, u if inert else r)[1] & ~r
 
 
-def _clearable(succ: list[int], pred: list[int], inert: bool, k: int, r: int) -> int:
+def _clearable(succ: tuple[int, ...], pred: tuple[int, ...], inert: bool, k: int, r: int) -> int:
     """The vertices u of R worth clearing from R with k cops, given the
     successor and predecessor masks: those whose guard fits beside the cop
     on u, in at most k - 1 cops; or only the first of them with no
@@ -453,7 +459,7 @@ def _clearable(succ: list[int], pred: list[int], inert: bool, k: int, r: int) ->
     return ok
 
 
-def _parts(nbr: list[int] | None, r: int) -> list[int]:
+def _parts(nbr: tuple[int, ...] | None, r: int) -> list[int]:
     """The independent subgames left by the contaminated set R: the weak
     components of G[R] when nbr holds the in- and out-neighbours of each
     vertex (KW), else R itself (DPW); none when R is empty."""
@@ -465,6 +471,38 @@ def _parts(nbr: list[int] | None, r: int) -> list[int]:
         out.append(part)
         r ^= part
     return out
+
+
+# the last graph `_scc_masks` was asked about, and its masks
+_last_scc_masks: tuple = (None, None)
+
+
+def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """The set-up of `_search_contaminated`, which depends on the graph
+    alone: the SCC masks in `sccs` order, and each vertex's successor,
+    predecessor and neighbour (successor or predecessor) masks within its
+    SCC.  The masks of the last graph asked about are kept, so the solves
+    of one cop-count scan, and the kw and dpw scans of one graph, build
+    them once."""
+    global _last_scc_masks
+    last, masks = _last_scc_masks
+    if last is graph:
+        return masks
+    succ = [0] * graph.vertex_count
+    pred = [0] * graph.vertex_count
+    scopes = []
+    for comp in sccs(graph):
+        scope = mask_of(comp)
+        scopes.append(scope)
+        for v in comp:
+            succ[v] = graph.succ_masks[v] & scope
+            for w in graph.succs[v]:
+                if scope >> w & 1:
+                    pred[w] |= 1 << v
+    nbr = [s | p for s, p in zip(succ, pred)]
+    masks = (tuple(scopes), tuple(succ), tuple(pred), tuple(nbr))
+    _last_scc_masks = (graph, masks)
+    return masks
 
 
 def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> SolveOutcome:
@@ -530,24 +568,14 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
     vertex and holds at most k cops, and the sequence replays cleared and
     monotone.
     """
-    # successor and predecessor masks within each SCC
-    succ = [0] * graph.vertex_count
-    pred = [0] * graph.vertex_count
-    scopes = []
-    for comp in sccs(graph):
-        scope = mask_of(comp)
-        scopes.append(scope)
-        for v in comp:
-            succ[v] = graph.succ_masks[v] & scope
-            for w in graph.succs[v]:
-                if scope >> w & 1:
-                    pred[w] |= 1 << v
-    nbr = [s | p for s, p in zip(succ, pred)] if inert else None
+    scopes, succ, pred, nbr = _scc_masks(graph)
+    if not inert:
+        nbr = None
     won: dict[int, int] = {}
     # the open set R, its untried clearable vertices, the u being tried and
     # the parts of R \ {u} not yet known to be won; the root's parts are
     # the SCCs, and its u is -1 until one of them is lost
-    r, todo, u, parts = 0, 0, -1, scopes[::-1]
+    r, todo, u, parts = 0, 0, -1, list(scopes[::-1])
     stack = []
     while True:
         if u and parts:
@@ -578,7 +606,7 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
         return SolveOutcome(Winner.ROBBER, None, len(won))
     steps = []
     rest = graph.full_mask
-    todo_sets = scopes[::-1]
+    todo_sets = list(scopes[::-1])
     while todo_sets:
         r = todo_sets.pop()
         u = won[r]
@@ -663,6 +691,22 @@ def solve_entanglement(
     return _solve_cop_game(graph.vertex_count, regions, budget)
 
 
+def _as_played(
+    graph: Graph, variant: Variant, require_monotone: bool
+) -> tuple[Graph, Variant, bool]:
+    """The graph, variant and monotonicity the game of `variant` is solved
+    with.  TW is played as the monotone KW game on the symmetric closure
+    with the same cop count: kw(G<->) = tw(G) + 1 (Hunter & Kreutzer, TCS
+    2008).  On a symmetric graph the KW guard of u, the cleared neighbours
+    of u's component of G[R], is the set Q(R \\ {u}, u) of the treewidth
+    elimination-ordering search of Bodlaender et al. (TALG 2012).  Monotone
+    and non-monotone tw coincide (Seymour & Thomas, JCTB 1993), so TW is
+    searched monotone whatever require_monotone says."""
+    if variant is Variant.TW:
+        return symmetric_closure(graph), Variant.KW, True
+    return graph, variant, require_monotone
+
+
 def solve(
     graph: Graph,
     variant: Variant,
@@ -673,14 +717,22 @@ def solve(
 ) -> SolveOutcome:
     """Decide the game of `variant` with k cops by its solver.
 
-    require_monotone does not apply to ENT, which has no monotonicity notion.
+    TW is decided as the KW game on the symmetric closure (`_as_played`),
+    so its witness is a placement sequence on the closure that
+    `simulate_sweep` replays under KW rules; `solve_visible` stays the
+    independent reference for TW.  require_monotone does not apply to TW,
+    whose monotone and non-monotone games have the same winner, nor to ENT,
+    which has no monotonicity notion.
     """
+    graph, variant, require_monotone = _as_played(graph, variant, require_monotone)
+    # the solvers are looked up as module globals at call time, so wrapped
+    # bindings see every solve
     if variant is Variant.ENT:
         return solve_entanglement(graph, k, budget=budget)
     config = GameConfig(variant, k, require_monotone)
-    if variant in (Variant.KW, Variant.DPW):
-        return solve_invisible(graph, config, budget=budget)
-    return solve_visible(graph, config, budget=budget)
+    if variant is Variant.DAGW:
+        return solve_visible(graph, config, budget=budget)
+    return solve_invisible(graph, config, budget=budget)
 
 
 def measure(
@@ -693,9 +745,13 @@ def measure(
     """Least winning cop count, reported in the variant's own offset.
 
     TW and DPW report k-1 where k is the least winning cop count (width k
-    means k+1 cops win); DAGW, KW and ENT report the cop count itself.  The
-    empty graph yields 0 for every variant.  The budget applies per solve;
-    exhaustion raises BudgetExceededError rather than returning a value.
+    means k+1 cops win); DAGW, KW and ENT report the cop count itself.  TW
+    is the KW value of the symmetric closure minus one, and require_monotone
+    changes neither TW, whose monotone and non-monotone values coincide
+    (Seymour & Thomas, JCTB 1993), nor ENT, which has no monotonicity
+    notion.  The empty graph yields 0 for every variant.  The budget applies
+    per solve; exhaustion raises BudgetExceededError rather than returning
+    a value.
     """
     return measure_detailed(
         graph, variant, budget=budget, require_monotone=require_monotone
@@ -709,12 +765,16 @@ def measure_detailed(
     budget: int = DEFAULT_STATE_BUDGET,
     require_monotone: bool = True,
 ) -> tuple[int, int]:
-    """measure() plus the total game states explored across the cop-count scan."""
+    """measure() plus the total game states explored across the cop-count
+    scan.  The per-graph set-up is done once per scan: the symmetric closure
+    for TW here, and the SCC masks of the contaminated-set search by
+    `_scc_masks`, which keeps the last graph's."""
     if graph.vertex_count == 0:
         return 0, 0
+    g, played, mono = _as_played(graph, variant, require_monotone)
     total = 0
     for k in range(graph.vertex_count + 1):
-        out = solve(graph, variant, k, budget=budget, require_monotone=require_monotone)
+        out = solve(g, played, k, budget=budget, require_monotone=mono)
         total += out.states
         if out.winner is Winner.COPS:
             return (k - 1 if variant in (Variant.TW, Variant.DPW) else k), total

@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--non-monotone",
         action="store_true",
-        help="drop the monotonicity requirement (no effect on ent)",
+        help="drop the monotonicity requirement (no effect on tw or ent)",
     )
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.set_defaults(func=_cmd_solve)

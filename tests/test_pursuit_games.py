@@ -20,6 +20,7 @@ from copwidth import (
     measure,
     measure_detailed,
     replay_cop_strategy,
+    simulate_sweep,
     solve,
     solve_entanglement,
     solve_invisible,
@@ -27,7 +28,7 @@ from copwidth import (
     verify_ent_strategy,
     verify_sweep,
 )
-from copwidth.graphs import bits_of, mask_of, serialize_graph
+from copwidth.graphs import bits_of, mask_of, serialize_graph, symmetric_closure
 from copwidth.report_cli.report import _all_digraphs
 
 
@@ -73,6 +74,22 @@ def assert_searches_agree(g):
                 rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
                 assert rep.cleared and rep.monotone, f"{variant.value} k={k}: {serialize_graph(g)}"
                 break
+
+
+def assert_tw_agrees(g):
+    """solve decides tw, as kw on the symmetric closure, like the visible
+    treewidth game, monotone and not, at every k up to the first win; the
+    winning sweep replays on the closure under kw rules within k cops."""
+    for k in range(g.vertex_count + 1):
+        out = solve(g, Variant.TW, k)
+        for mono in (True, False):
+            ref = solve_visible(g, GameConfig(Variant.TW, k, require_monotone=mono))
+            assert out.winner is ref.winner, f"k={k} monotone={mono}: {serialize_graph(g)}"
+        if out.winner is Winner.COPS:
+            rep = simulate_sweep(symmetric_closure(g), out.witness, Variant.KW)
+            assert rep.cleared and rep.monotone, f"k={k}: {serialize_graph(g)}"
+            assert all(len(p) <= k for p in out.witness), f"k={k}: {serialize_graph(g)}"
+            return
 
 
 class TestVisible:
@@ -229,6 +246,54 @@ class TestInvisible:
             solve_invisible(two_cycle(), GameConfig(Variant.TW, 1))
 
 
+class TestTreewidthAsKellyWidth:
+    def test_agrees_with_the_visible_game_on_all_small_digraphs(self):
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                assert_tw_agrees(g)
+
+    def test_agrees_with_the_visible_game_on_seeded_graphs(self):
+        for i in range(96):
+            assert_tw_agrees(gen_random_digraph(4 + i % 4, 0.2 + 0.1 * (i % 4), 1300 + i))
+
+    def test_require_monotone_does_not_change_tw(self):
+        # monotone and non-monotone tw coincide, so both run the one search
+        g = gen_zadeh(1)
+        assert measure_detailed(g, Variant.TW, require_monotone=False) == measure_detailed(
+            g, Variant.TW
+        )
+
+    @pytest.mark.parametrize(
+        "gen, value", [(gen_switch_all, 5), (gen_zadeh, 4)], ids=["switch_all_2", "zadeh_2"]
+    )
+    def test_family_value_at_n2(self, gen, value):
+        # out of reach of the visible game: it lost k=5 on switch-all(2)
+        # and k=4 on zadeh(2) after about a million nodes each
+        g = gen(2)
+        assert measure(g, Variant.TW) == value
+        out = solve(g, Variant.TW, value + 1)
+        rep = simulate_sweep(symmetric_closure(g), out.witness, Variant.KW)
+        assert rep.cleared and rep.monotone
+        assert all(len(p) <= value + 1 for p in out.witness)
+
+
+    def test_scan_builds_the_per_graph_set_up_once(self, monkeypatch):
+        calls = {"symmetric_closure": 0, "sccs": 0}
+        for name in calls:
+
+            def counted(graph, _name=name, _fn=getattr(games, name)):
+                calls[_name] += 1
+                return _fn(graph)
+
+            monkeypatch.setattr(games, name, counted)
+        g = gen_zadeh(1)
+        assert measure(g, Variant.TW) == 3
+        assert calls == {"symmetric_closure": 1, "sccs": 1}
+        # the kw and dpw scans of one graph share its SCC masks
+        assert (measure(g, Variant.KW), measure(g, Variant.DPW)) == (3, 2)
+        assert calls == {"symmetric_closure": 1, "sccs": 2}
+
+
 class TestEntanglement:
     def test_acyclic_zero_cops(self):
         assert solve_entanglement(gen_path(4), 0).winner is Winner.COPS
@@ -315,8 +380,9 @@ class TestBudget:
             measure(gen_switch_all(2), Variant.DAGW, budget=10)
 
     def test_tw_of_switch_all_fits_a_small_budget(self):
-        # the largest single solve of the scan (k=5) builds about 40k nodes
-        assert measure(gen_switch_all(1), Variant.TW, budget=70_000) == 4
+        # the kw search on the symmetric closure takes 2,037 sets over the scan
+        value, states = measure_detailed(gen_switch_all(1), Variant.TW, budget=5_000)
+        assert value == 4 and states < 5_000
 
     def test_kw_of_zadeh_fits_a_small_budget(self):
         # the unsplit contaminated-set search lost two cops after 27,344
@@ -372,7 +438,7 @@ class TestDispatch:
 
             monkeypatch.setattr(games, name, wrapper)
         expected = {
-            Variant.TW: "solve_visible",
+            Variant.TW: "solve_invisible",
             Variant.DAGW: "solve_visible",
             Variant.KW: "solve_invisible",
             Variant.DPW: "solve_invisible",
