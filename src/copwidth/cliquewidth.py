@@ -30,6 +30,7 @@ __all__ = [
     "verify_family_expr",
 ]
 
+import re
 from dataclasses import dataclass
 from typing import Union as _U
 
@@ -193,22 +194,9 @@ def _check_atom(atom: str) -> None:
 
 def parse_sexpr(text: str) -> CwExpr:
     """Inverse of sexpr."""
-    tokens: list[str] = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
+    # \s in a str pattern matches exactly where str.isspace() holds (every code
+    # point checked on Python 3.11): the characters sexpr keeps out of atoms
+    tokens = re.findall(r"[()]|[^()\s]+", text)
     # shift-reduce over nested lists
     stack: list[list] = []
     result: CwExpr | None = None

@@ -104,6 +104,8 @@ class Graph:
         return self.names[v]
 
     def _check(self, v: int) -> None:
+        if not _is_id(v):
+            raise GraphError(f"vertex id must be an int, got {v!r}")
         if not (0 <= v < len(self.names)):
             raise GraphError(f"vertex id {v} out of range (vertex_count={len(self.names)})")
 

@@ -10,6 +10,10 @@ against a given cop strategy; the visible-game strategy replay runs on the
 same depth-first search.  The replays step with the solvers' own rules
 from games.py: the sweep with the contamination update and monotonicity
 rule, the chase with the entanglement cop moves.
+
+Each family certificate is declared once, in `_CERTIFICATES`, with the
+(family, measure) bound it backs and its cop count; the report and
+`copwidth certify` replay it from there.
 """
 
 from __future__ import annotations
@@ -29,11 +33,13 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..graphs import (
     Graph,
     GraphError,
+    _is_id,
     bits_of,
     induced_subgraph,
     is_acyclic,
@@ -41,7 +47,7 @@ from ..graphs import (
     sccs,
     symmetric_closure,
 )
-from ..families import gen_switch_all
+from ..families import FamilyId, gen_switch_all
 from .games import Variant, contaminate, ent_moves, normalized_moves, robber_regions
 
 
@@ -58,8 +64,8 @@ class SweepCertificate:
     placements: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if self.cops < 0:
-            raise GraphError(f"cop budget must be non-negative, got {self.cops}")
+        if not _is_id(self.cops) or self.cops < 0:
+            raise GraphError(f"cop budget must be a non-negative int, got {self.cops!r}")
         prev: frozenset[int] = frozenset()
         for step, placement in enumerate(self.placements):
             if not isinstance(placement, frozenset):
@@ -84,6 +90,7 @@ class SweepReport:
     monotone: bool
     step_of_first_violation: Optional[int]
     final_contaminated: frozenset[int]
+    steps: int  # placements replayed
     _required_ok: bool = True
 
     @property
@@ -113,6 +120,7 @@ def simulate_sweep(
     c = 0
     r = graph.full_mask
     first_bad: Optional[int] = None
+    steps = 0
     for step, placement in enumerate(placements):
         cp = 0
         for v in placement:
@@ -121,12 +129,14 @@ def simulate_sweep(
         [(c, r)], grew = contaminate(graph, inert, c, r, (cp,), strict=False)
         if grew and first_bad is None:
             first_bad = step
+        steps += 1
     monotone = first_bad is None
     return SweepReport(
         cleared=(r == 0),
         monotone=monotone,
         step_of_first_violation=first_bad,
         final_contaminated=frozenset(bits_of(r)),
+        steps=steps,
         _required_ok=(monotone or not require_monotone),
     )
 
@@ -345,6 +355,25 @@ def verify_ent_strategy(
         return EntVerifyReport(ok=True)
     reason, (c, v) = failure
     return EntVerifyReport(ok=False, reason=reason, failure_position=(tuple(sorted(c)), v))
+
+
+def _sweep_replay(semantics: Variant, n: int) -> tuple[int, SweepReport]:
+    cert = dpw_sweep_certificate_switch_all(n)
+    return cert.cops, verify_sweep(gen_switch_all(n), cert, semantics)
+
+
+def _chase_replay(n: int) -> tuple[int, EntVerifyReport]:
+    return 3, verify_ent_strategy(gen_switch_all(n), ent_strategy_switch_all(n), 3)
+
+
+# (family, measure) -> replay(n): the certificate that backs the bound, as its
+# cop count and its replay report on the family at n.  `copwidth certify`
+# lists the keys in this order.
+_CERTIFICATES = {
+    (FamilyId.SWITCH_ALL, Variant.DPW): partial(_sweep_replay, Variant.DPW),
+    (FamilyId.SWITCH_ALL, Variant.KW): partial(_sweep_replay, Variant.KW),
+    (FamilyId.SWITCH_ALL, Variant.ENT): _chase_replay,
+}
 
 
 def entanglement_is_one(graph: Graph) -> bool:

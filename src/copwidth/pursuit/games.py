@@ -165,8 +165,6 @@ def _solve_cop_game(
     states are the nodes built; building more than `budget` raises
     BudgetExceededError.
     """
-    if n == 0:
-        return SolveOutcome(Winner.COPS, CopStrategy({}), 0)
     # node ids by side, tables[is_cop]: a pair can be both a (C', R) and a (C, v)
     tables: tuple[dict, dict] = ({}, {})
     keys: list[tuple[int, int]] = []

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from typing import Optional
 
 from ..cliquewidth import _BUILDERS, verify_family_expr
@@ -26,12 +27,7 @@ from ..families import (
     gen_zadeh,
 )
 from ..graphs import GraphError, parse_graph, serialize_graph, to_dot
-from ..pursuit.certificates import (
-    dpw_sweep_certificate_switch_all,
-    ent_strategy_switch_all,
-    verify_ent_strategy,
-    verify_sweep,
-)
+from ..pursuit.certificates import _CERTIFICATES, SweepReport
 from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
@@ -109,50 +105,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = gen_switch_all(args.n)
-    if args.measure in ("dpw", "kw"):
-        cert = dpw_sweep_certificate_switch_all(args.n)
-        rep = verify_sweep(g, cert, Variant(args.measure))
-        result = {
-            "family": "switch-all",
-            "n": args.n,
-            "measure": args.measure,
-            "cops": cert.cops,
-            "steps": len(cert.placements),
-            "cleared": rep.cleared,
-            "monotone": rep.monotone,
-            "step_of_first_violation": rep.step_of_first_violation,
-            "ok": rep.ok,
-        }
-        print(json.dumps(result, indent=2))
-        return 0 if rep.ok else 1
-    cops = CLAIMED_BOUNDS["switch-all"]["ent"]
-    rep = verify_ent_strategy(g, ent_strategy_switch_all(args.n), cops)
-    result = {
-        "family": "switch-all",
-        "n": args.n,
-        "measure": "ent",
-        "cops": cops,
-        "ok": rep.ok,
-        "reason": rep.reason,
-        "failure_position": rep.failure_position,
-    }
-    print(json.dumps(result, indent=2))
+    cops, rep = _CERTIFICATES[FamilyId(args.family), Variant(args.measure)](args.n)
+    if isinstance(rep, SweepReport):
+        shown = ("steps", "cleared", "monotone", "step_of_first_violation", "ok")
+    else:
+        shown = ("ok", "reason", "failure_position")
+    result = {"family": args.family, "n": args.n, "measure": args.measure, "cops": cops}
+    print(json.dumps({**result, **{f: getattr(rep, f) for f in shown}}, indent=2))
     return 0 if rep.ok else 1
 
 
 def _cmd_cw_verify(args) -> int:
     rep = verify_family_expr(args.family, args.n)
-    result = {
-        "family": args.family,
-        "n": args.n,
-        "equal": rep.equal,
-        "colour_count": rep.colour_count,
-        "missing_edges": [list(e) for e in rep.missing_edges],
-        "extra_edges": [list(e) for e in rep.extra_edges],
-        "name_issues": list(rep.name_issues),
-    }
-    print(json.dumps(result, indent=2))
+    print(json.dumps({"family": args.family, "n": args.n, **asdict(rep)}, indent=2))
     return 0 if rep.equal else 1
 
 
@@ -210,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("certify", help="replay a family certificate")
-    p.add_argument("--measure", required=True, choices=["dpw", "kw", "ent"])
-    p.add_argument("--family", required=True, choices=["switch-all"])
+    families, measures = zip(*_CERTIFICATES)
+    p.add_argument("--measure", required=True, choices=[m.value for m in dict.fromkeys(measures)])
+    p.add_argument("--family", required=True, choices=[f.value for f in dict.fromkeys(families)])
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_certify)
 

@@ -2,7 +2,7 @@
 
 run_report reproduces the documented upper-bound row for one of the two
 constructed families, verifying each entry by whichever means fits: replaying
-the sweep certificate, evaluating the colouring expression, checking a
+the family's certificate, evaluating the colouring expression, checking a
 witness subgraph, or solving the game exactly at a small instance.  Rows for
 families this package does not construct are reproduced for reference with
 provenance not-checked.  run_property_suites runs the four seeded
@@ -42,13 +42,7 @@ from ..families import (
     lemma_bipartite_witness,
 )
 from ..graphs import Graph, GraphError, serialize_graph, symmetric_closure
-from ..pursuit.certificates import (
-    dpw_sweep_certificate_switch_all,
-    ent_strategy_switch_all,
-    entanglement_is_one,
-    verify_ent_strategy,
-    verify_sweep,
-)
+from ..pursuit.certificates import _CERTIFICATES, entanglement_is_one
 from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
@@ -191,23 +185,21 @@ class _Run:
     n_cert: int
     budget: int
     exact: Callable[[Variant], int]  # measure on the family at n_exact, solved once
-    _sweeps: dict = field(default_factory=dict)
+    _certified: dict = field(default_factory=dict)
 
     def exact_within_claim(self, name: str) -> bool:
         """The claimed bound's cop count wins at n_exact: measure reports each
         variant in its own offset, and more cops never lose."""
         return self.exact(Variant(name)) <= CLAIMED_BOUNDS[self.family.value][name]
 
-    def sweep_ok(self, semantics: Variant) -> bool:
-        """The 4-cop switch-all sweep replays cleared and monotone for n in
-        1..n_cert.  Linear-time and budget-free; computed once per semantics
-        and shared by the dpw, dagw and kw entries."""
-        if semantics not in self._sweeps:
-            self._sweeps[semantics] = all(
-                verify_sweep(gen_switch_all(n), dpw_sweep_certificate_switch_all(n), semantics).ok
-                for n in range(1, self.n_cert + 1)
-            )
-        return self._sweeps[semantics]
+    def certified(self, variant: Variant) -> bool:
+        """The family's certificate for the variant replays for n in
+        1..n_cert.  Linear-time and budget-free; computed once per variant,
+        so the dpw and dagw entries share one replay set."""
+        if variant not in self._certified:
+            replay = _CERTIFICATES[self.family, variant]
+            self._certified[variant] = all(replay(n)[1].ok for n in range(1, self.n_cert + 1))
+        return self._certified[variant]
 
 
 def _bipartite_witness_ok(run: _Run) -> bool:
@@ -252,7 +244,7 @@ _ROWS: dict[FamilyId, tuple] = {
          "and the measure of the standalone k-by-k graph is exactly k for k in "
          "{{2,3}}; the witness order grows with n"),
         ("dpw", "certificate",
-         lambda run: run.exact_within_claim("dpw") and run.sweep_ok(Variant.DPW),
+         lambda run: run.exact_within_claim("dpw") and run.certified(Variant.DPW),
          "4-cop sweep replays cleared and monotone for n in 1..{n_cert}; "
          "exact solve at n={n_exact} confirms 4 cops win"),
         # dagw: a monotone open-loop clearing sequence also beats the visible
@@ -260,20 +252,15 @@ _ROWS: dict[FamilyId, tuple] = {
         # robber, and the robber's options only shrink), so the restless
         # sweep implies the bound; inference, not a visible-game replay.
         ("dagw", "certificate",
-         lambda run: run.exact_within_claim("dagw") and run.sweep_ok(Variant.DPW),
+         lambda run: run.exact_within_claim("dagw") and run.certified(Variant.DPW),
          "bound carried over from the restless-sweep certificate: a monotone "
          "open-loop clearing also wins the visible game with the same cop "
          "count; cross-checked by an exact visible-game solve at n={n_exact}"),
-        ("kw", "certificate", lambda run: run.sweep_ok(Variant.KW),
+        ("kw", "certificate", lambda run: run.certified(Variant.KW),
          "the same 4-cop sweep replays cleared and monotone under inert "
          "semantics for n in 1..{n_cert}"),
         ("ent", "certificate",
-         lambda run: run.exact_within_claim("ent") and all(
-             verify_ent_strategy(
-                 gen_switch_all(n), ent_strategy_switch_all(n), CLAIMED_BOUNDS["switch-all"]["ent"]
-             ).ok
-             for n in range(1, run.n_cert + 1)
-         ),
+         lambda run: run.exact_within_claim("ent") and run.certified(Variant.ENT),
          "3-cop chase strategy beats every robber reply for n in 1..{n_cert}; "
          "exact solve at n={n_exact} confirms 3 cops win"),
     )),

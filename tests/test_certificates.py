@@ -39,6 +39,10 @@ class TestSweepCertificateType:
         with pytest.raises(GraphError):
             SweepCertificate(-1, ())
 
+    def test_non_int_budget_rejected_naming_it(self):
+        with pytest.raises(GraphError, match="got '2'"):
+            SweepCertificate("2", ())
+
 
 class TestSweepVerification:
     def test_empty_sequence_clears_nothing(self):
@@ -62,6 +66,25 @@ class TestSweepVerification:
         g = gen_cycle(3)
         with pytest.raises(GraphError):
             verify_sweep(g, SweepCertificate(1, ()), Variant.TW)
+
+    @pytest.mark.parametrize("vertex, shown", [("a", "'a'"), (1.0, "1.0")])
+    def test_non_int_vertex_rejected_naming_it(self, vertex, shown):
+        with pytest.raises(GraphError, match=f"got {shown}"):
+            simulate_sweep(gen_cycle(3), [[vertex]], "kw")
+
+    def test_certificate_with_a_non_int_vertex_rejected(self):
+        cert = SweepCertificate(1, (frozenset({"a"}),))
+        with pytest.raises(GraphError, match="got 'a'"):
+            verify_sweep(gen_cycle(3), cert, "kw")
+
+    def test_steps_count_the_placements_replayed(self):
+        g = gen_cycle(3)
+        assert simulate_sweep(g, [], "kw").steps == 0
+        assert simulate_sweep(g, ({0}, {0, 1}, {1}), "dpw").steps == 3
+        # a generator is consumed once, and its placements are still counted
+        assert simulate_sweep(g, ({v} for v in range(3)), "kw").steps == 3
+        cert = dpw_sweep_certificate_switch_all(2)
+        assert verify_sweep(gen_switch_all(2), cert, "dpw").steps == len(cert.placements)
 
     def test_recontamination_flagged_with_step(self):
         # u keeps itself contaminated through its loop; x is cleared behind
@@ -143,6 +166,10 @@ class TestChaseStrategy:
         rep = verify_ent_strategy(g, ent_strategy_switch_all(n), 3)
         assert rep.ok
         assert rep.failure_position is None
+
+    def test_non_int_anchor_rejected_naming_it(self):
+        with pytest.raises(GraphError, match="got 'a'"):
+            feedback_chase_strategy(gen_cycle(3), 1, anchors=("a",))
 
     def test_illegal_strategy_reported_with_position(self):
         g = gen_cycle(3)

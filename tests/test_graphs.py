@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from copwidth import (
     Graph,
     GraphError,
+    gen_cycle,
     gen_switch_all,
     induced_subgraph,
     is_acyclic,
@@ -124,6 +125,10 @@ class TestReachable:
         g = Graph(["a"], [])
         with pytest.raises(GraphError):
             reachable(g, frozenset(), frozenset({3}))
+
+    def test_non_int_id_rejected_naming_it(self):
+        with pytest.raises(GraphError, match="got 'a'"):
+            reachable(gen_cycle(3), ["a"], [0])
 
     @given(small_graphs())
     def test_monotone_in_sources(self, g):

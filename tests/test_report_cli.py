@@ -38,6 +38,11 @@ PUBLIC_MODULES = (graphs, families, games, certificates, cliquewidth, report)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def subparser(parser, name):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
 def strip_seconds(obj):
     if isinstance(obj, dict):
         return {k: strip_seconds(v) for k, v in obj.items() if k != "seconds"}
@@ -357,16 +362,65 @@ class TestCliCertify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] and doc["cops"] == 3 and not doc["reason"]
 
+    def test_choices_are_the_certificate_table_keys(self):
+        certify = subparser(build_parser(), "certify")
+        choices = {a.dest: a.choices for a in certify._actions if a.choices}
+        keys = list(certificates._CERTIFICATES)
+        assert choices["family"] == list(dict.fromkeys(f.value for f, _ in keys))
+        assert choices["measure"] == list(dict.fromkeys(m.value for _, m in keys))
+
+    @pytest.mark.parametrize("measure", ["dpw", "kw"])
+    def test_sweep_output_is_pinned(self, measure, capsys):
+        assert main(["certify", "--measure", measure, "--family", "switch-all", "--n", "2"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            '  "family": "switch-all",\n'
+            '  "n": 2,\n'
+            f'  "measure": "{measure}",\n'
+            '  "cops": 4,\n'
+            '  "steps": 45,\n'
+            '  "cleared": true,\n'
+            '  "monotone": true,\n'
+            '  "step_of_first_violation": null,\n'
+            '  "ok": true\n'
+            '}\n'
+        )
+
+    def test_chase_output_is_pinned(self, capsys):
+        assert main(["certify", "--measure", "ent", "--family", "switch-all", "--n", "2"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            '  "family": "switch-all",\n'
+            '  "n": 2,\n'
+            '  "measure": "ent",\n'
+            '  "cops": 3,\n'
+            '  "ok": true,\n'
+            '  "reason": "",\n'
+            '  "failure_position": null\n'
+            '}\n'
+        )
+
 
 class TestCliCw:
     def test_family_choices_are_the_expression_builders(self):
-        def subparser(parser, name):
-            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            return sub.choices[name]
-
         verify = subparser(subparser(build_parser(), "cw"), "verify")
         (family,) = [a for a in verify._actions if a.dest == "family"]
         assert family.choices == [f.value for f in cliquewidth._BUILDERS]
+
+    @pytest.mark.parametrize("family, colours", [("switch-all", 10), ("zadeh", 9)])
+    def test_verify_output_is_pinned(self, family, colours, capsys):
+        assert main(["cw", "verify", "--family", family, "--n", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            f'  "family": "{family}",\n'
+            '  "n": 1,\n'
+            '  "equal": true,\n'
+            f'  "colour_count": {colours},\n'
+            '  "missing_edges": [],\n'
+            '  "extra_edges": [],\n'
+            '  "name_issues": []\n'
+            '}\n'
+        )
 
     def test_verify_switch_all(self, capsys):
         assert main(["cw", "verify", "--family", "switch-all", "--n", "2"]) == 0
