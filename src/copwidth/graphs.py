@@ -32,7 +32,8 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """A finite directed graph; immutable once constructed."""
+    """A finite directed graph; immutable once constructed.  The constructor
+    checks that each edge is a new pair of int vertex ids in 0..n-1."""
 
     __slots__ = ("names", "succs", "succ_masks", "_ids")
 
@@ -47,18 +48,22 @@ class Graph:
             ids[nm] = i
         n = len(names)
         succ_sets: list[set[int]] = [set() for _ in range(n)]
-        for u, w in edges:
-            if not (0 <= u < n and 0 <= w < n):
-                raise GraphError(f"edge ({u},{w}) has a dangling endpoint (vertex_count={n})")
-            if w in succ_sets[u]:
-                raise GraphError(f"duplicate edge ({u},{w})")
-            succ_sets[u].add(w)
-        succ_masks = []
-        for u in range(n):
-            m = 0
-            for w in succ_sets[u]:
-                m |= 1 << w
-            succ_masks.append(m)
+        succ_masks = [0] * n
+        for e in edges:
+            try:
+                u, w = e
+                if not (0 <= u < n and 0 <= w < n):
+                    raise GraphError(f"edge ({u},{w}) has a dangling endpoint (vertex_count={n})")
+                s = succ_sets[u]
+                if w in s:
+                    raise GraphError(f"duplicate edge ({u},{w})")
+                s.add(w)
+                succ_masks[u] |= 1 << w
+            except GraphError:
+                raise
+            except (TypeError, ValueError):
+                # from the range check (str), the index or shift (float) or the unpacking
+                raise GraphError(f"edge {e!r} must be a pair of vertex ids") from None
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "succs", tuple(tuple(sorted(s)) for s in succ_sets))
         object.__setattr__(self, "succ_masks", tuple(succ_masks))
@@ -103,11 +108,16 @@ class Graph:
         self._check(v)
         return self.names[v]
 
-    def _check(self, v: int) -> None:
+    def _mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of the given vertex ids, each checked first."""
+        return mask_of(map(self._check, vertices))
+
+    def _check(self, v: int) -> int:
         if not _is_id(v):
             raise GraphError(f"vertex id must be an int, got {v!r}")
         if not (0 <= v < len(self.names)):
             raise GraphError(f"vertex id {v} out of range (vertex_count={len(self.names)})")
+        return v
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -159,15 +169,7 @@ def reachable(graph: Graph, blocked: Iterable[int], sources: Iterable[int]) -> s
     A source that is itself blocked contributes nothing; an unblocked source is
     always in the result.
     """
-    bm = 0
-    for v in blocked:
-        graph._check(v)
-        bm |= 1 << v
-    sm = 0
-    for v in sources:
-        graph._check(v)
-        sm |= 1 << v
-    return set(bits_of(reach_mask(graph, bm, sm)))
+    return set(bits_of(reach_mask(graph, graph._mask(blocked), graph._mask(sources))))
 
 
 def symmetric_closure(graph: Graph) -> Graph:
@@ -239,17 +241,12 @@ def sccs(graph: Graph) -> list[list[int]]:
 
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph on `keep`, re-indexed densely preserving relative id order."""
-    kept = sorted(set(keep))
+    kept = set(keep)
     for v in kept:
         graph._check(v)
-    remap = {v: i for i, v in enumerate(kept)}
-    names = [graph.names[v] for v in kept]
-    edges = [
-        (remap[u], remap[w])
-        for u in kept
-        for w in graph.succs[u]
-        if w in remap
-    ]
+    remap = {v: i for i, v in enumerate(sorted(kept))}  # in ascending id order
+    names = [graph.names[v] for v in remap]
+    edges = [(i, remap[w]) for u, i in remap.items() for w in graph.succs[u] if w in remap]
     return Graph(names, edges)
 
 
@@ -305,16 +302,10 @@ def parse_graph(data: bytes | str) -> Graph:
         names.append(nm)
     if not isinstance(doc["edges"], list):
         raise GraphError("'edges' must be a list")
-    edges = []
-    n = len(names)
     for e in doc["edges"]:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_id(x) for x in e)):
             raise GraphError(f"edge {e!r} must be a pair of vertex ids")
-        u, w = e
-        if not (0 <= u < n and 0 <= w < n):
-            raise GraphError(f"edge [{u},{w}] has a dangling endpoint (vertex_count={n})")
-        edges.append((u, w))
-    return Graph(names, edges)
+    return Graph(names, doc["edges"])
 
 
 def _dot_quote(s: str) -> str:

@@ -48,7 +48,7 @@ from ..graphs import (
     symmetric_closure,
 )
 from ..families import FamilyId, gen_switch_all
-from .games import Variant, contaminate, ent_moves, normalized_moves, robber_regions
+from .games import Variant, _check_cops, contaminate, ent_moves, normalized_moves, robber_regions
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class SweepCertificate:
     placements: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if not _is_id(self.cops) or self.cops < 0:
-            raise GraphError(f"cop budget must be a non-negative int, got {self.cops!r}")
+        _check_cops(self.cops)
         prev: frozenset[int] = frozenset()
         for step, placement in enumerate(self.placements):
             if not isinstance(placement, frozenset):
@@ -122,11 +121,7 @@ def simulate_sweep(
     first_bad: Optional[int] = None
     steps = 0
     for step, placement in enumerate(placements):
-        cp = 0
-        for v in placement:
-            graph._check(v)
-            cp |= 1 << v
-        [(c, r)], grew = contaminate(graph, inert, c, r, (cp,), strict=False)
+        [(c, r)], grew = contaminate(graph, inert, c, r, (graph._mask(placement),), strict=False)
         if grew and first_bad is None:
             first_bad = step
         steps += 1
@@ -235,10 +230,9 @@ def feedback_chase_strategy(
     never trigger a chase move (the strategy then cannot win and verification
     will say so).
     """
-    for v in anchors:
-        graph._check(v)
+    _check_cops(k)
     anchor_set = frozenset(anchors)
-    rest = sorted(set(range(graph.vertex_count)) - anchor_set)
+    rest = list(bits_of(graph.full_mask & ~graph._mask(anchor_set)))
     sub = induced_subgraph(graph, rest)
     to_full = {i: v for i, v in enumerate(rest)}
     target: dict[int, int] = {}
@@ -329,6 +323,7 @@ def verify_ent_strategy(
     exists) yields a failure report carrying the offending position.  The
     strategy is asked once per reachable position.
     """
+    _check_cops(k)
     succ = graph.succ_masks
     vertices = frozenset(range(graph.vertex_count))
 
@@ -341,7 +336,7 @@ def verify_ent_strategy(
             cp = c
         elif not (
             cp <= vertices
-            and all(isinstance(w, int) for w in cp)
+            and all(_is_id(w) for w in cp)
             and mask_of(cp) in ent_moves(mask_of(c), v, k)
         ):
             shown = sorted(cp, key=None if cp <= vertices else str)
@@ -401,6 +396,7 @@ def replay_cop_strategy(
     revisiting a position.  Legal moves and the robber's replies are the
     solver's own rules, `normalized_moves` and `robber_regions`.
     """
+    _check_cops(cops)
     g = symmetric_closure(graph) if variant is Variant.TW else graph
 
     def replies(pos: tuple[int, int]) -> list | str:

@@ -80,6 +80,7 @@ from typing import Callable, Iterable
 from ..graphs import (
     Graph,
     GraphError,
+    _is_id,
     bits_of,
     mask_of,
     reach_mask,
@@ -135,10 +136,12 @@ class SolveOutcome:
     states: int
 
 
-def _check_cops(graph: Graph, cops: int) -> None:
-    if not isinstance(cops, int) or cops < 0:
+def _check_cops(cops: int, graph: Graph | None = None) -> None:
+    """The one check of a cop count, for the solvers (given the graph, whose
+    vertex count bounds it) and the replays (which allow more cops)."""
+    if not (_is_id(cops) and cops >= 0):
         raise GraphError(f"cop count must be a non-negative integer, got {cops!r}")
-    if cops > graph.vertex_count:
+    if graph is not None and cops > graph.vertex_count:
         raise GraphError(f"cop count {cops} exceeds vertex count {graph.vertex_count}")
 
 
@@ -344,7 +347,7 @@ def solve_visible(
     """
     if config.variant not in (Variant.TW, Variant.DAGW):
         raise GraphError(f"solve_visible expects variant tw or dagw, got {config.variant.value}")
-    _check_cops(graph, config.cops)
+    _check_cops(config.cops, graph)
     g = symmetric_closure(graph) if config.variant is Variant.TW else graph
     k = config.cops
     mono = config.require_monotone
@@ -654,7 +657,7 @@ def solve_invisible(
     """
     if config.variant not in (Variant.KW, Variant.DPW):
         raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
-    _check_cops(graph, config.cops)
+    _check_cops(config.cops, graph)
     k = config.cops
     inert = config.variant is Variant.KW
     if graph.vertex_count == 0:
@@ -680,7 +683,7 @@ def solve_entanglement(
     win); infinite play is a robber win.  There is no monotonicity notion
     here.
     """
-    _check_cops(graph, k)
+    _check_cops(k, graph)
     succ = graph.succ_masks
 
     def regions(c: int, v: int) -> list[tuple[int, int]]:
@@ -775,5 +778,10 @@ def measure_detailed(
         out = solve(g, played, k, budget=budget, require_monotone=mono)
         total += out.states
         if out.winner is Winner.COPS:
-            return (k - 1 if variant in (Variant.TW, Variant.DPW) else k), total
+            return _width(variant, k), total
     raise AssertionError("a full placement always wins; unreachable")
+
+
+def _width(variant: Variant, k: int) -> int:
+    """The variant's measure when k cops win: k-1 for TW and DPW, else k."""
+    return k - 1 if variant in (Variant.TW, Variant.DPW) else k

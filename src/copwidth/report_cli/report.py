@@ -2,12 +2,13 @@
 
 run_report reproduces the documented upper-bound row for one of the two
 constructed families, verifying each entry by whichever means fits: replaying
-the family's certificate, evaluating the colouring expression, checking a
-witness subgraph, or solving the game exactly at a small instance.  Rows for
-families this package does not construct are reproduced for reference with
-provenance not-checked.  run_property_suites runs the four seeded
-cross-check suites relating the solvers to each other and to the structural
-characterizations.
+the family's certificate, whose cop count must be within the claim,
+evaluating the colouring expression, checking a witness subgraph, or solving
+the game exactly at a small instance.  Every entry, cw included, is one row
+of `_ROWS` checked on one path, `_entry`.  Rows for families this package
+does not construct are reproduced for reference with provenance not-checked.
+run_property_suites runs the four seeded cross-check suites relating the
+solvers to each other and to the structural characterizations.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from ..pursuit.games import (
     GameConfig,
     Variant,
     Winner,
+    _width,
     measure,
     solve,
     solve_visible,
@@ -164,18 +166,6 @@ class MeasureReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _reference_rows() -> list[dict]:
-    return [
-        {
-            "family": name,
-            "claimed": dict(claims),
-            "provenance": "not-checked",
-            "note": REFERENCE_NOTE,
-        }
-        for name, claims in REFERENCE_ROWS.items()
-    ]
-
-
 @dataclass
 class _Run:
     """The inputs one report shares between its entries."""
@@ -192,14 +182,19 @@ class _Run:
         variant in its own offset, and more cops never lose."""
         return self.exact(Variant(name)) <= CLAIMED_BOUNDS[self.family.value][name]
 
-    def certified(self, variant: Variant) -> bool:
-        """The family's certificate for the variant replays for n in
-        1..n_cert.  Linear-time and budget-free; computed once per variant,
-        so the dpw and dagw entries share one replay set."""
-        if variant not in self._certified:
-            replay = _CERTIFICATES[self.family, variant]
-            self._certified[variant] = all(replay(n)[1].ok for n in range(1, self.n_cert + 1))
-        return self._certified[variant]
+    def certified(self, key: Variant, name: str) -> bool:
+        """The family's certificate `key` replays for n in 1..n_cert, and its
+        cop count, in the offset of measure `name`, is within that measure's
+        claim.  The replays are linear-time and budget-free, and run once per
+        key, so the dpw and dagw entries share one replay set."""
+        if key not in self._certified:
+            replay = _CERTIFICATES[self.family, key]
+            self._certified[key] = [replay(n) for n in range(1, self.n_cert + 1)]
+        claim = CLAIMED_BOUNDS[self.family.value][name]
+        return all(
+            rep.ok and _width(Variant(name), cops) <= claim
+            for cops, rep in self._certified[key]
+        )
 
 
 def _bipartite_witness_ok(run: _Run) -> bool:
@@ -217,6 +212,19 @@ def _bipartite_witness_ok(run: _Run) -> bool:
     return all(solved) and embedded
 
 
+def _cw_expression_ok(run: _Run) -> bool:
+    """The family's expression evaluates to its generator edge-for-edge with
+    exactly the claimed number of colours for n in 1..n_cert."""
+    colours = CLAIMED_BOUNDS[run.family.value]["cw"]
+    reports = (verify_family_expr(run.family, n) for n in range(1, run.n_cert + 1))
+    return all(rep.equal and rep.colour_count == colours for rep in reports)
+
+
+_CW_ROW = ("cw", "cw-expression", _cw_expression_ok,
+           "expression evaluates to the generator edge-for-edge with exactly "
+           "{claimed} colours for n in 1..{n_cert}")
+
+
 def _zadeh_clique_ok(run: _Run) -> bool:
     """The k-vertices of zadeh(n_cert) form a bidirectional clique."""
     g = gen_zadeh(run.n_cert)
@@ -231,11 +239,11 @@ _EXACT_NOTE = (
     "family, so any finite small-n value is consistent"
 )
 
-# Per family: its generator and one row per game measure, in table order:
+# Per family: its generator and one row per measure, in table order:
 # (measure, provenance, check, note).  A check runs its budgeted solves
 # first, so exhaustion downgrades the entry the same way whatever it finds;
 # a cross-check's solve is the entry's own exact scan (`_Run.exact`).  Notes
-# are formatted with n_exact and n_cert; an exact-solve row has no check.
+# are formatted with n_exact, n_cert and claimed; exact-solve rows have no check.
 _ROWS: dict[FamilyId, tuple] = {
     FamilyId.SWITCH_ALL: (gen_switch_all, (
         # tw: unbounded, witnessed by bipartite subgraphs of growing order.
@@ -244,7 +252,7 @@ _ROWS: dict[FamilyId, tuple] = {
          "and the measure of the standalone k-by-k graph is exactly k for k in "
          "{{2,3}}; the witness order grows with n"),
         ("dpw", "certificate",
-         lambda run: run.exact_within_claim("dpw") and run.certified(Variant.DPW),
+         lambda run: run.exact_within_claim("dpw") and run.certified(Variant.DPW, "dpw"),
          "4-cop sweep replays cleared and monotone for n in 1..{n_cert}; "
          "exact solve at n={n_exact} confirms 4 cops win"),
         # dagw: a monotone open-loop clearing sequence also beats the visible
@@ -252,17 +260,18 @@ _ROWS: dict[FamilyId, tuple] = {
         # robber, and the robber's options only shrink), so the restless
         # sweep implies the bound; inference, not a visible-game replay.
         ("dagw", "certificate",
-         lambda run: run.exact_within_claim("dagw") and run.certified(Variant.DPW),
+         lambda run: run.exact_within_claim("dagw") and run.certified(Variant.DPW, "dagw"),
          "bound carried over from the restless-sweep certificate: a monotone "
          "open-loop clearing also wins the visible game with the same cop "
          "count; cross-checked by an exact visible-game solve at n={n_exact}"),
-        ("kw", "certificate", lambda run: run.certified(Variant.KW),
+        ("kw", "certificate", lambda run: run.certified(Variant.KW, "kw"),
          "the same 4-cop sweep replays cleared and monotone under inert "
          "semantics for n in 1..{n_cert}"),
         ("ent", "certificate",
-         lambda run: run.exact_within_claim("ent") and run.certified(Variant.ENT),
+         lambda run: run.exact_within_claim("ent") and run.certified(Variant.ENT, "ent"),
          "3-cop chase strategy beats every robber reply for n in 1..{n_cert}; "
          "exact solve at n={n_exact} confirms 3 cops win"),
+        _CW_ROW,
     )),
     FamilyId.ZADEH: (gen_zadeh, (
         ("tw", "witness-subgraph", _zadeh_clique_ok,
@@ -273,12 +282,13 @@ _ROWS: dict[FamilyId, tuple] = {
         ("dagw", "exact-solve", None, _EXACT_NOTE),
         ("kw", "exact-solve", None, _EXACT_NOTE),
         ("ent", "exact-solve", None, _EXACT_NOTE),
+        _CW_ROW,
     )),
 }
 
 
-def _game_entry(run: _Run, name: str, provenance: str, check, note: str) -> MeasureEntry:
-    """One game-measure entry: the row's check, then the exact solve at n_exact.
+def _entry(run: _Run, name: str, provenance: str, check, note: str) -> MeasureEntry:
+    """One entry: the row's check, then a game measure's exact solve at n_exact.
 
     Budget exhaustion in the check, a cross-check's exact scan included,
     makes the entry not-checked.  In the exact solve after it, exhaustion only
@@ -295,9 +305,9 @@ def _game_entry(run: _Run, name: str, provenance: str, check, note: str) -> Meas
         provenance, obtained, verified = "not-checked", None, False
         note = f"state budget {exc.budget} exhausted before the entry could be checked"
     else:
-        note = note.format(n_exact=run.n_exact, n_cert=run.n_cert)
+        note = note.format(n_exact=run.n_exact, n_cert=run.n_cert, claimed=claimed)
         try:
-            exact = run.exact(Variant(name))
+            exact = None if name == "cw" else run.exact(Variant(name))
         except BudgetExceededError:
             spent = f"state budget {run.budget} exhausted during the exact solve"
             if check is None:
@@ -313,28 +323,6 @@ def _game_entry(run: _Run, name: str, provenance: str, check, note: str) -> Meas
         verified=verified,
         seconds=time.perf_counter() - t0,
         note=note,
-    )
-
-
-def _cw_entry(fam: FamilyId, n_cert: int) -> MeasureEntry:
-    """Evaluate the family's expression builder and compare edge-exactly."""
-    t0 = time.perf_counter()
-    colours = CLAIMED_BOUNDS[fam.value]["cw"]
-    cw_ok = True
-    for n in range(1, n_cert + 1):
-        rep = verify_family_expr(fam, n)
-        if not (rep.equal and rep.colour_count == colours):
-            cw_ok = False
-    return MeasureEntry(
-        measure="cw",
-        claimed=colours,
-        obtained=colours,
-        exact=None,
-        provenance="cw-expression",
-        verified=cw_ok,
-        seconds=time.perf_counter() - t0,
-        note=f"expression evaluates to the generator edge-for-edge with "
-        f"exactly {colours} colours for n in 1..{n_cert}",
     )
 
 
@@ -360,13 +348,15 @@ def run_report(
     generator, rows = _ROWS[fam]
     exact = cache(partial(measure, generator(n_exact), budget=budget))
     run = _Run(fam, n_exact, n_cert, budget, exact)
-    entries = [_game_entry(run, *row) for row in rows]
     return MeasureReport(
         family=fam.value,
         n_exact=n_exact,
         n_cert=n_cert,
-        entries=entries + [_cw_entry(fam, n_cert)],
-        reference_rows=_reference_rows(),
+        entries=[_entry(run, *row) for row in rows],
+        reference_rows=[
+            {"family": f, "claimed": dict(c), "provenance": "not-checked", "note": REFERENCE_NOTE}
+            for f, c in REFERENCE_ROWS.items()
+        ],
     )
 
 

@@ -171,6 +171,29 @@ class TestChaseStrategy:
         with pytest.raises(GraphError, match="got 'a'"):
             feedback_chase_strategy(gen_cycle(3), 1, anchors=("a",))
 
+    def test_anchors_may_be_an_iterator(self):
+        g = gen_switch_all(2)  # the chase needs its anchors from n=2 on
+        anchors = (g.id_of("r"), g.id_of("s"))
+        assert verify_ent_strategy(g, feedback_chase_strategy(g, 3, anchors=iter(anchors)), 3)
+
+    @pytest.mark.parametrize("k, shown", [("1", "'1'"), (1.0, "1.0"), (True, "True"), (-1, "-1")])
+    def test_cop_count_that_is_not_a_non_negative_int_rejected(self, k, shown):
+        g = gen_cycle(3)
+        with pytest.raises(GraphError, match=f"got {shown}$"):
+            verify_ent_strategy(g, lambda c, v: c, k)
+        with pytest.raises(GraphError, match=f"got {shown}$"):
+            feedback_chase_strategy(g, k)
+
+    def test_bool_vertex_in_a_cop_move_is_illegal(self):
+        # True would count as vertex 1: one cop entering 1 wins the 2-cycle
+        def strategy(c, v):
+            return frozenset({True}) if v == 1 else c
+
+        rep = verify_ent_strategy(gen_cycle(2), strategy, 1)
+        assert not rep.ok
+        assert rep.reason == "illegal cop move [] -> [True] against robber at 1"
+        assert verify_ent_strategy(gen_cycle(2), lambda c, v: frozenset({1}) if v == 1 else c, 1)
+
     def test_illegal_strategy_reported_with_position(self):
         g = gen_cycle(3)
 

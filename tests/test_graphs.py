@@ -90,6 +90,21 @@ class TestConstruction:
         with pytest.raises(GraphError, match="duplicate"):
             Graph(["a", "b"], [(0, 1), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "names, edge, shown",
+        [
+            (["a", "b"], ("0", 1), "('0', 1)"),
+            (["a"], (0.0, 0), "(0.0, 0)"),
+            (["a", "b"], (0, 1.0), "(0, 1.0)"),
+            (["a"], 5, "5"),
+            (["a"], (0, 0, 0), "(0, 0, 0)"),
+        ],
+    )
+    def test_edge_that_is_not_a_pair_of_int_ids_rejected_naming_it(self, names, edge, shown):
+        with pytest.raises(GraphError) as info:
+            Graph(names, [edge])
+        assert str(info.value) == f"edge {shown} must be a pair of vertex ids"
+
     def test_immutable(self):
         g = Graph(["a"], [])
         with pytest.raises(AttributeError):
@@ -213,6 +228,10 @@ class TestInducedSubgraph:
         keep = frozenset(range(g.vertex_count)) - {g.id_of("r"), g.id_of("s")}
         assert induced_subgraph(g, keep).vertex_count == 12
 
+    def test_non_int_id_rejected_naming_it(self):
+        with pytest.raises(GraphError, match="got 'a'"):
+            induced_subgraph(gen_cycle(3), ["a", 1])
+
 
 class TestIsAcyclic:
     def test_isolated_vertex(self):
@@ -280,8 +299,10 @@ class TestSerialization:
 
     def test_dangling_endpoint_rejected(self):
         doc = b'{"vertices":[{"id":0,"name":"x"}],"edges":[[0,1]]}'
-        with pytest.raises(GraphError, match="dangling"):
+        with pytest.raises(GraphError, match="dangling") as info:
             parse_graph(doc)
+        # the constructor's message: parse_graph leaves the range check to it
+        assert str(info.value) == "edge (0,1) has a dangling endpoint (vertex_count=1)"
 
     def test_sparse_ids_rejected(self):
         doc = b'{"vertices":[{"id":1,"name":"x"}],"edges":[]}'

@@ -150,6 +150,16 @@ class TestVisible:
         moves = {(0, 0): 0b01, (0, 1): 0b01}
         assert not replay_cop_strategy(two_cycle(), Variant.DAGW, 1, moves)
 
+    @pytest.mark.parametrize("cops, shown", [("2", "'2'"), (2.0, "2.0"), (True, "True")])
+    def test_replay_rejects_a_cop_count_that_is_not_an_int(self, cops, shown):
+        with pytest.raises(GraphError, match=f"got {shown}$"):
+            replay_cop_strategy(two_cycle(), Variant.DAGW, cops, {})
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_solvers_reject_a_bool_cop_count(self, variant):
+        with pytest.raises(GraphError, match="got True$"):
+            solve(two_cycle(), variant, True)
+
     def test_replay_rejects_a_cop_off_the_graph(self):
         # vertex 5 does not exist in a one-vertex graph
         moves = {(0, 0): 1 << 5, (1 << 5, 0): (1 << 5) | 1}

@@ -180,6 +180,58 @@ class TestBudgetStarvation:
             assert "budget" in e.note
             assert not e.verified and e.obtained is None and e.exact is None
 
+    # (measure, provenance, verified, obtained, exact, note) of every entry of
+    # run_report("switch-all", n_exact=1, n_cert=2, budget=b), pinned: which
+    # entries a starved budget downgrades, and how their notes read
+    _UNCHECKED = "state budget {b} exhausted before the entry could be checked"
+    _SPENT = "state budget {b} exhausted during the exact solve; "
+    _TW = (
+        "k-by-k bipartite witness embeds in the symmetric closure for k<=3, and "
+        "the measure of the standalone k-by-k graph is exactly k for k in {{2,3}}; "
+        "the witness order grows with n"
+    )
+    _KW = "the same 4-cop sweep replays cleared and monotone under inert semantics for n in 1..2"
+    _CW = ("cw", "cw-expression", True, 10, None, "expression evaluates to the generator "
+           "edge-for-edge with exactly 10 colours for n in 1..2")
+    _PINNED = {
+        5: [
+            ("tw", "not-checked", False, None, None, _UNCHECKED),
+            ("dpw", "not-checked", False, None, None, _UNCHECKED),
+            ("dagw", "not-checked", False, None, None, _UNCHECKED),
+            ("kw", "certificate", True, 4, None, _SPENT + _KW),
+            ("ent", "not-checked", False, None, None, _UNCHECKED),
+            _CW,
+        ],
+        50: [
+            ("tw", "witness-subgraph", True, None, None, _SPENT + _TW),
+            ("dpw", "not-checked", False, None, None, _UNCHECKED),
+            ("dagw", "not-checked", False, None, None, _UNCHECKED),
+            ("kw", "certificate", True, 4, None, _SPENT + _KW),
+            ("ent", "not-checked", False, None, None, _UNCHECKED),
+            _CW,
+        ],
+        200: [
+            ("tw", "witness-subgraph", True, None, None, _SPENT + _TW),
+            ("dpw", "certificate", True, 3, 1,
+             "4-cop sweep replays cleared and monotone for n in 1..2; "
+             "exact solve at n=1 confirms 4 cops win"),
+            ("dagw", "not-checked", False, None, None, _UNCHECKED),
+            ("kw", "certificate", True, 4, 2, _KW),
+            ("ent", "not-checked", False, None, None, _UNCHECKED),
+            _CW,
+        ],
+    }
+
+    @pytest.mark.parametrize("budget", sorted(_PINNED))
+    def test_starved_entries_are_pinned(self, budget):
+        rep = run_report("switch-all", n_exact=1, n_cert=2, budget=budget)
+        got = [
+            (e.measure, e.provenance, e.verified, e.obtained, e.exact, e.note)
+            for e in rep.entries
+        ]
+        want = [(*row[:5], row[5].format(b=budget)) for row in self._PINNED[budget]]
+        assert got == want
+
 
 class TestCrossChecks:
     def test_each_game_is_solved_once(self, monkeypatch):
@@ -228,6 +280,26 @@ class TestCrossChecks:
             "not-checked", False, None, None,
         )
         assert dpw.note == "state budget 50 exhausted before the entry could be checked"
+
+
+class TestClaimsAreChecked:
+    # each certificate's cop count, in the measure's offset, meets its claim
+    # exactly (dpw 4-1, dagw 4, kw 4, ent 3), so a claim one lower must fail
+    @pytest.mark.parametrize("name", ["dpw", "dagw", "kw", "ent", "cw"])
+    def test_lowered_claim_fails_exactly_that_entry(self, name, monkeypatch):
+        claims = CLAIMED_BOUNDS["switch-all"]
+        monkeypatch.setitem(claims, name, claims[name] - 1)
+        rep = run_report("switch-all", n_exact=1, n_cert=2)
+        assert [e.measure for e in rep.entries if not e.verified] == [name]
+        assert not rep.all_verified
+
+    def test_lowered_claim_makes_the_report_command_fail(self, monkeypatch, capsys):
+        monkeypatch.setitem(CLAIMED_BOUNDS["switch-all"], "kw", 3)
+        rc = main(["report", "--family", "switch-all", "--n-exact", "1", "--n-cert", "2"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
+        kw = next(e for e in doc["entries"] if e["measure"] == "kw")
+        assert (kw["claimed"], kw["obtained"], kw["verified"]) == (3, 3, False)
 
 
 class TestMeasureEntryValidation:
