@@ -24,7 +24,7 @@ __all__ = [
 import enum
 import math
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _is_id
 
 
 class FamilyId(enum.Enum):
@@ -37,7 +37,7 @@ class FamilyId(enum.Enum):
 
 
 def _positive(n: int, what: str) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not _is_id(n) or n < 1:
         raise GraphError(f"{what} must be a positive integer, got {n!r}")
 
 

@@ -54,6 +54,8 @@ class Graph:
                 u, w = e
                 if not (0 <= u < n and 0 <= w < n):
                     raise GraphError(f"edge ({u},{w}) has a dangling endpoint (vertex_count={n})")
+                if type(u) is bool or type(w) is bool:  # an int subclass the range passes
+                    raise GraphError(f"edge {e!r} must be a pair of vertex ids")
                 s = succ_sets[u]
                 if w in s:
                     raise GraphError(f"duplicate edge ({u},{w})")

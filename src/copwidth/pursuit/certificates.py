@@ -8,8 +8,9 @@ feedback-vertex chase strategy (the one that witnesses ent <= 3 for the
 switch-all family) and an exhaustive verifier that plays every robber reply
 against a given cop strategy; the visible-game strategy replay runs on the
 same depth-first search.  The replays step with the solvers' own rules
-from games.py: the sweep with the contamination update and monotonicity
-rule, the chase with the entanglement cop moves.
+from games.py: the sweep and the visible-game strategy with the one
+contamination update and monotonicity rule, the chase with the
+entanglement cop moves.
 
 Each family certificate is declared once, in `_CERTIFICATES`, with the
 (family, measure) bound it backs and its cop count; the report and
@@ -44,11 +45,11 @@ from ..graphs import (
     induced_subgraph,
     is_acyclic,
     mask_of,
+    reach_mask,
     sccs,
-    symmetric_closure,
 )
 from ..families import FamilyId, gen_switch_all
-from .games import Variant, _check_cops, contaminate, ent_moves, normalized_moves, robber_regions
+from .games import Variant, _check_cops, _visible_graph, contaminate, ent_moves, normalized_moves
 
 
 @dataclass(frozen=True)
@@ -384,29 +385,32 @@ def entanglement_is_one(graph: Graph) -> bool:
 
 def replay_cop_strategy(
     graph: Graph,
-    variant: Variant,
+    variant: Variant | str,
     cops: int,
     strategy_moves: dict[tuple[int, int], int],
     require_monotone: bool = True,
 ) -> bool:
-    """Replay a positional visible-game strategy against every robber reply.
+    """Replay a positional strategy of the visible game of `variant` (tw or
+    dagw) against every robber reply.
 
     True iff from every start the strategy stays defined, every move is
     legal (and monotone when required), and all plays end in capture without
     revisiting a position.  Legal moves and the robber's replies are the
-    solver's own rules, `normalized_moves` and `robber_regions`.
+    solver's own rules: `normalized_moves`, and `contaminate` from the
+    robber's region, whose monotonicity rule (R' a subset of R) is the
+    invisible games' one.
     """
     _check_cops(cops)
-    g = symmetric_closure(graph) if variant is Variant.TW else graph
+    g = _visible_graph(graph, variant)
 
     def replies(pos: tuple[int, int]) -> list | str:
         c, v = pos
         cp = strategy_moves.get(pos)
         if cp is None or cp not in normalized_moves(c, cops, g.full_mask):
             return "undefined or illegal cop move"
-        regions = robber_regions(g, c, v, (cp,), require_monotone)
-        if not regions:
+        moves, _ = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
+        if not moves:
             return "the robber reaches a vacated vertex"
-        return [(cp, w) for w in bits_of(regions[0][1])]
+        return [(cp, w) for w in bits_of(moves[0][1])]
 
     return _replay_positional([(0, v) for v in range(g.vertex_count)], replies) is None

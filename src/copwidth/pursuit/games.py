@@ -34,17 +34,14 @@ Each game rule has one home here:
 - `ent_moves`: the entanglement game's cop moves {stay, enter the robber's
   vertex with a spare cop, enter it and lift one cop}, used by
   solve_entanglement and by the chase replay in certificates.py;
-- `contaminate`: the invisible games' contamination update and their one
-  monotonicity rule (R' must be a subset of R), used by the placement
-  search and by the sweep replay in certificates.py;
+- `contaminate`: the one contamination update and monotonicity rule (R'
+  must be a subset of R) of the four placement games: for the invisible
+  games' contaminated set, in the placement search and the sweep replay,
+  and for the visible tw and dagw robber's region Reach_{G-C}(v), in
+  solve_visible and the strategy replay in certificates.py.  In the
+  entanglement game the region is the robber's successors outside C';
 - `_guard`: what that rule means for the contaminated-set search, the
   cleared vertices that must hold cops while a cop lands on a vertex of R;
-- `robber_regions`: the visible treewidth and DAG-width games' robber
-  step, the region R the robber can land in after a cop announcement C',
-  and their one monotonicity rule (the robber must not reach a vertex the
-  cops vacate); used by solve_visible and by the strategy replay in
-  certificates.py.  In the entanglement game R is simply the robber's
-  successors outside C';
 - `solve`: the one dispatch from a variant to its solver, by way of
   `_as_played`, which `measure_detailed` calls once per scan.
 
@@ -74,7 +71,6 @@ __all__ = [
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterable
 
 from ..graphs import (
@@ -117,6 +113,9 @@ class GameConfig:
     variant: Variant
     cops: int
     require_monotone: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))
 
 
 @dataclass(frozen=True)
@@ -228,15 +227,6 @@ def _solve_cop_game(
     return SolveOutcome(Winner.COPS, CopStrategy(moves), len(keys))
 
 
-def _placement_candidates(n: int, k: int) -> list[int]:
-    """Every placement mask of size <= k, ascending; the full-move universe."""
-    out = []
-    for size in range(k + 1):
-        for combo in combinations(range(n), size):
-            out.append(mask_of(combo))
-    return sorted(out)
-
-
 def normalized_moves(c: int, k: int, full: int) -> list[int]:
     """Normalized next placements from placement c with k cops on the
     vertices of `full`: stay (first), add a cop on a free vertex while one
@@ -274,8 +264,8 @@ def ent_moves(c: int, v: int, k: int) -> list[int]:
 def contaminate(
     graph: Graph, inert: bool, c: int, r: int, placements: Iterable[int], strict: bool
 ) -> tuple[list[tuple[int, int]], bool]:
-    """One contamination step of the invisible games from placement C with
-    contaminated set R, for each announced placement C':
+    """One contamination step from placement C with contaminated set R, for
+    each announced placement C':
 
         inert (KW):     R' = (R | Reach_{G-(C&C')}(R & C')) \\ C'
         restless (DPW): R' = Reach_{G-(C&C')}(R) \\ C'
@@ -284,6 +274,17 @@ def contaminate(
     in placement order, ending early at the first R' that is empty (a search
     is won there), and whether some move was not monotone.  With strict
     those moves are left out of the pairs.
+
+    Restless steps assume R is closed in G - C and disjoint from C, so a
+    move lifting no cop gives R' = R \\ C' without a search.  R' is closed
+    in G - C', so this holds for every state reached from (empty, all
+    vertices), and for the visible robber's region R = Reach_{G-C}(v).
+    With that R this is the visible games' robber step: his space
+    Reach_{G-(C&C')}(v) is Reach_{G-(C&C')}(R), he lands in R', and the
+    space meets a vacated vertex (C \\ C') iff R' grows.  A vacated vertex
+    in it is in R' but not in R, and a path to a vertex of R' outside R
+    runs through C, so through a vacated vertex.  Ending at an empty R' (a
+    capture) drops only moves of a cop node already won.
     """
     reach = reach_mask
     out = []
@@ -293,7 +294,7 @@ def contaminate(
             flee = r & cp
             rp = (r | reach(graph, c & cp, flee)) & ~cp if flee else r & ~cp
         else:
-            rp = reach(graph, c & cp, r) & ~cp
+            rp = reach(graph, c & cp, r) & ~cp if c & ~cp else r & ~cp
         if rp & ~r:
             grew = True
             if strict:
@@ -304,27 +305,13 @@ def contaminate(
     return out, grew
 
 
-def robber_regions(
-    graph: Graph, c: int, v: int, placements: Iterable[int], monotone: bool
-) -> list[tuple[int, int]]:
-    """The visible games' robber step from placement C with the robber on v,
-    for each announced placement C': while the cops move, the robber runs
-    in G - (C & C'), so it can reach
-
-        space = Reach_{G-(C&C')}({v})   and lands in   R = space \\ C'.
-
-    The move is monotone iff space meets no vertex the cops vacate (C \\ C').
-    Returns the pairs (C', R) in placement order; with monotone, the other
-    moves are left out.
-    """
-    reach = reach_mask
-    out = []
-    for cp in placements:
-        space = reach(graph, c & cp, 1 << v)
-        if monotone and space & c & ~cp:
-            continue
-        out.append((cp, space & ~cp))
-    return out
+def _visible_graph(graph: Graph, variant: Variant | str) -> Graph:
+    """The graph the visible game of `variant` is played on: the symmetric
+    closure for TW, the graph itself for DAGW."""
+    variant = Variant(variant)
+    if variant not in (Variant.TW, Variant.DAGW):
+        raise GraphError(f"the visible game expects variant tw or dagw, got {variant.value}")
+    return symmetric_closure(graph) if variant is Variant.TW else graph
 
 
 def solve_visible(
@@ -340,25 +327,24 @@ def solve_visible(
     given.  `solve` decides TW by the KW search on the closure instead, and
     this TW game is the independent reference it is tested against.  The
     cop moves are `normalized_moves`, or every placement of at most
-    config.cops cops with full_moves, and each leads by `robber_regions` to
-    the robber node (C', R) of `_solve_cop_game`.  With require_monotone,
-    cop moves that let the robber reach a vertex being vacated are pruned
-    (equivalently: such plays are awarded to the robber).
+    config.cops cops with full_moves, and each leads by `contaminate` from
+    the robber's region Reach_{G-C}(v) to the robber node (C', R') of
+    `_solve_cop_game`.  With require_monotone, moves that let the robber
+    reach a vertex being vacated are pruned (such plays are the robber's).
     """
-    if config.variant not in (Variant.TW, Variant.DAGW):
-        raise GraphError(f"solve_visible expects variant tw or dagw, got {config.variant.value}")
+    g = _visible_graph(graph, config.variant)
     _check_cops(config.cops, graph)
-    g = symmetric_closure(graph) if config.variant is Variant.TW else graph
     k = config.cops
     mono = config.require_monotone
-    full = g.full_mask
-    universe = _placement_candidates(g.vertex_count, k) if full_moves else None
+    n, full = g.vertex_count, g.full_mask
+    # full_moves: every placement of at most k cops, ascending
+    universe = [m for m in range(1 << n) if m.bit_count() <= k] if full_moves else None
 
     def regions(c: int, v: int) -> list[tuple[int, int]]:
         cands = universe if full_moves else normalized_moves(c, k, full)
-        return robber_regions(g, c, v, cands, mono)
+        return contaminate(g, False, c, reach_mask(g, c, 1 << v), cands, mono)[0]
 
-    return _solve_cop_game(g.vertex_count, regions, budget)
+    return _solve_cop_game(n, regions, budget)
 
 
 def _search_placements(
@@ -710,7 +696,7 @@ def _as_played(
 
 def solve(
     graph: Graph,
-    variant: Variant,
+    variant: Variant | str,
     k: int,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
@@ -725,7 +711,7 @@ def solve(
     whose monotone and non-monotone games have the same winner, nor to ENT,
     which has no monotonicity notion.
     """
-    graph, variant, require_monotone = _as_played(graph, variant, require_monotone)
+    graph, variant, require_monotone = _as_played(graph, Variant(variant), require_monotone)
     # the solvers are looked up as module globals at call time, so wrapped
     # bindings see every solve
     if variant is Variant.ENT:
@@ -738,7 +724,7 @@ def solve(
 
 def measure(
     graph: Graph,
-    variant: Variant,
+    variant: Variant | str,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
     require_monotone: bool = True,
@@ -761,7 +747,7 @@ def measure(
 
 def measure_detailed(
     graph: Graph,
-    variant: Variant,
+    variant: Variant | str,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
     require_monotone: bool = True,
@@ -770,6 +756,7 @@ def measure_detailed(
     scan.  The per-graph set-up is done once per scan: the symmetric closure
     for TW here, and the SCC masks of the contaminated-set search by
     `_scc_masks`, which keeps the last graph's."""
+    variant = Variant(variant)
     if graph.vertex_count == 0:
         return 0, 0
     g, played, mono = _as_played(graph, variant, require_monotone)

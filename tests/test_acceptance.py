@@ -28,12 +28,11 @@ from copwidth import (
     verify_family_expr,
     verify_sweep,
 )
-from copwidth.report_cli.report import (
-    _suite_acyclic_entanglement,
-    _suite_entanglement_one,
-    _suite_move_normalization,
-    _suite_width_inequality,
-)
+
+
+def suite(summary, name):
+    """The suite called name in a `run_property_suites` summary."""
+    return next(s for s in summary.suites if s.name == name)
 
 
 def test_01_generator_vertex_and_edge_counts():
@@ -117,33 +116,29 @@ def test_07_expressions_match_generators_with_fixed_colour_budgets():
     assert time.perf_counter() - t0 < 10
 
 
-def test_08_visible_and_inert_widths_stay_within_one_of_restless():
-    t0 = time.perf_counter()
-    result = _suite_width_inequality(seed=0)
+def test_08_visible_and_inert_widths_stay_within_one_of_restless(property_suites):
+    result = suite(property_suites, "width-inequality")
     assert result.cases == 200
     assert result.passed, result.failures[:3]
-    assert time.perf_counter() - t0 < 600
+    assert result.seconds < 600
 
 
-def test_09_entanglement_one_characterization_matches_the_game():
-    t0 = time.perf_counter()
-    result = _suite_entanglement_one(seed=0)
+def test_09_entanglement_one_characterization_matches_the_game(property_suites):
+    result = suite(property_suites, "entanglement-one")
     assert result.cases == 66166
     assert result.passed, result.failures[:3]
-    assert time.perf_counter() - t0 < 600
+    assert result.seconds < 600
 
 
-def test_10_acyclic_graphs_have_entanglement_zero():
-    t0 = time.perf_counter()
-    result = _suite_acyclic_entanglement(seed=0)
+def test_10_acyclic_graphs_have_entanglement_zero(property_suites):
+    result = suite(property_suites, "acyclic-entanglement")
     assert result.cases == 50
     assert result.passed, result.failures[:3]
-    assert time.perf_counter() - t0 < 60
+    assert result.seconds < 60
 
 
-def test_11_move_normalization_preserves_winners():
-    t0 = time.perf_counter()
-    result = _suite_move_normalization(seed=0)
+def test_11_move_normalization_preserves_winners(property_suites):
+    result = suite(property_suites, "move-normalization")
     assert result.cases == 100
     assert result.passed, result.failures[:3]
-    assert time.perf_counter() - t0 < 600
+    assert result.seconds < 600

@@ -175,6 +175,15 @@ class TestSmallShapes:
         assert sorted(g.edges()) == [(0, 1), (1, 2)]
         assert is_acyclic(g)
 
+    @pytest.mark.parametrize(
+        "gen", [gen_cycle, gen_path, gen_switch_all, gen_zadeh, gen_complete_bipartite]
+    )
+    def test_rejects_a_bool_n(self, gen):
+        # True is an int subclass and must not pass as n=1
+        args = (True, 1) if gen is gen_complete_bipartite else (True,)
+        with pytest.raises(GraphError, match="must be a positive integer, got True$"):
+            gen(*args)
+
 
 class TestRandom:
     def test_p_zero_edgeless(self):

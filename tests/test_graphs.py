@@ -98,6 +98,9 @@ class TestConstruction:
             (["a", "b"], (0, 1.0), "(0, 1.0)"),
             (["a"], 5, "5"),
             (["a"], (0, 0, 0), "(0, 0, 0)"),
+            # bool is an int subclass that the range check alone would pass
+            (["a", "b"], (True, 0), "(True, 0)"),
+            (["a", "b"], (0, False), "(0, False)"),
         ],
     )
     def test_edge_that_is_not_a_pair_of_int_ids_rejected_naming_it(self, names, edge, shown):

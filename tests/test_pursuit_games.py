@@ -28,7 +28,7 @@ from copwidth import (
     verify_ent_strategy,
     verify_sweep,
 )
-from copwidth.graphs import bits_of, mask_of, serialize_graph, symmetric_closure
+from copwidth.graphs import bits_of, mask_of, reach_mask, serialize_graph, symmetric_closure
 from copwidth.report_cli.report import _all_digraphs
 
 
@@ -165,6 +165,20 @@ class TestVisible:
         moves = {(0, 0): 1 << 5, (1 << 5, 0): (1 << 5) | 1}
         assert not replay_cop_strategy(Graph(["a"], []), Variant.DAGW, 2, moves)
 
+    def test_replay_plays_the_variant_it_names(self):
+        # one cop wins dagw on a single edge, but tw there needs two; a str
+        # variant replays the game its Variant does
+        g = Graph(["a", "b"], [(0, 1)])
+        moves = solve_visible(g, GameConfig(Variant.DAGW, 1)).witness.moves
+        for dagw, tw in ((Variant.DAGW, Variant.TW), ("dagw", "tw")):
+            assert replay_cop_strategy(g, dagw, 1, moves)
+            assert not replay_cop_strategy(g, tw, 1, moves)
+
+    @pytest.mark.parametrize("variant", [Variant.KW, Variant.DPW, Variant.ENT, "kw"])
+    def test_replay_rejects_a_variant_without_a_visible_game(self, variant):
+        with pytest.raises(GraphError, match="expects variant tw or dagw"):
+            replay_cop_strategy(two_cycle(), variant, 2, {})
+
     def test_full_moves_same_winner_spot_check(self):
         g = gen_random_digraph(4, 0.5, 99)
         for variant in (Variant.TW, Variant.DAGW):
@@ -174,6 +188,43 @@ class TestVisible:
                     solve_visible(g, cfg).winner
                     is solve_visible(g, cfg, full_moves=True).winner
                 )
+
+
+class TestVisibleRobberStep:
+    """The visible games step the robber by `contaminate` from his region
+    Reach_{G-C}(v); the reference is the rule that step replaced."""
+
+    def test_contaminate_from_the_region_is_the_robber_step(self):
+        # every placement C, robber vertex v outside C and announcement C':
+        # the robber runs in G - (C & C'), lands outside C', and the move is
+        # monotone iff his space meets no vacated vertex (C \ C')
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                full = g.full_mask
+                for c in range(full + 1):
+                    for v in bits_of(full & ~c):
+                        region = reach_mask(g, c, 1 << v)
+                        for cp in range(full + 1):
+                            space = reach_mask(g, c & cp, 1 << v)
+                            out, grew = games.contaminate(g, False, c, region, (cp,), False)
+                            assert out == [(cp, space & ~cp)], serialize_graph(g)
+                            assert grew == bool(space & c & ~cp), serialize_graph(g)
+
+    def test_restless_shortcut_matches_the_full_reach(self):
+        # for every R closed in G - C and disjoint from C, and every C': a
+        # move that lifts no cop skips the reach and must agree with it
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                full = g.full_mask
+                for c in range(full + 1):
+                    for r in range(full + 1):
+                        if r & c or reach_mask(g, c, r) != r:
+                            continue
+                        for cp in range(full + 1):
+                            rp = reach_mask(g, c & cp, r) & ~cp
+                            out, grew = games.contaminate(g, False, c, r, (cp,), False)
+                            assert out == [(cp, rp)], serialize_graph(g)
+                            assert grew == bool(rp & ~r), serialize_graph(g)
 
 
 class TestInvisible:
@@ -371,6 +422,16 @@ class TestMeasure:
         assert measure(g, Variant.KW) == 2
         assert measure(g, Variant.TW) == 4
         assert measure(g, Variant.ENT) == 1
+
+    def test_str_variant_reads_as_its_variant(self):
+        # dpw has the k-1 offset, so a str must be read before the offset too
+        g = gen_cycle(3)
+        assert measure(g, "kw") == measure(g, Variant.KW)
+        for variant in Variant:
+            assert measure_detailed(g, variant.value) == measure_detailed(g, variant)
+            assert solve(g, variant.value, 2).winner is solve(g, variant, 2).winner
+        assert GameConfig("dagw", 2) == GameConfig(Variant.DAGW, 2)
+        assert solve_visible(g, GameConfig("dagw", 2)).winner is Winner.COPS
 
     def test_detailed_counts_states(self):
         value, states = measure_detailed(gen_cycle(3), Variant.DAGW)

@@ -27,7 +27,7 @@ from copwidth import (
 )
 from copwidth import cliquewidth, families, graphs
 from copwidth.pursuit import certificates, games
-from copwidth.report_cli import report
+from copwidth.report_cli import cli, report
 from copwidth.report_cli.cli import build_parser, main
 
 # The modules that declare the public API, in the order copwidth.__all__ lists them.
@@ -531,8 +531,17 @@ class TestCliReport:
 
 
 class TestCliSuite:
-    def test_suites_pass_and_report_counts(self, capsys):
+    def test_suites_pass_and_report_counts(self, capsys, monkeypatch, property_suites):
+        # the suites themselves run once per session, in the shared fixture
+        seeds = []
+
+        def run(seed):
+            seeds.append(seed)
+            return property_suites
+
+        monkeypatch.setattr(cli, "run_property_suites", run)
         assert main(["suite", "--seed", "0"]) == 0
+        assert seeds == [0]
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True
         by_name = {s["name"]: s for s in doc["suites"]}
