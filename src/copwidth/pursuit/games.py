@@ -3,28 +3,31 @@ measures: treewidth (on the symmetric closure), DAG-width, Kelly-width
 (invisible inert robber), directed pathwidth (invisible robber) and
 entanglement.
 
-The visible-robber games of DAG-width and entanglement are solved by one
-backward induction, `_solve_cop_game`, over cop nodes (C, v) and robber
-nodes (C', R): the announced placement and the region the robber can land
-in, so announcements that leave the robber the same choices share a node.
-Treewidth is solved as the Kelly-width game on the symmetric closure
-(`_as_played`), since kw(G<->) = tw(G) + 1; the visible treewidth game on
-`_solve_cop_game` (`solve_visible`) stays as the independent reference it
-is tested against.  The invisible-robber games are one-player searches.  With
-monotone play the winner depends only on the contaminated set R, so the
-search runs over R alone, and each step clears one vertex whose guard fits
-beside it (`_search_contaminated`, after Hunter & Kreutzer's and Barat's
-elimination orderings).  That search solves each strongly connected
-component as its own subgame, since no guard reaches back into an earlier
-one, and the cops win iff they win every SCC.  For Kelly-width it also
-splits R into the weak components of G[R], independent subgames joined by
-an AND, because a vertex's guard depends only on its own component.  The
-directed-pathwidth guard N+(R) \\ R is shared by all of R, so that search
-stays linear.  The witness clears the SCCs in topological order, sources
-first, and the components one after another.  Non-monotone play is
-searched over (placement, contaminated set) states (`_search_placements`),
-which with strict pruning is also the reference the contaminated-set
-search is tested against.
+With monotone play the set R the robber may occupy decides the game, so
+one search, `_search_contaminated`, runs over R alone for four games.
+Each step clears a vertex u of R whose guard fits beside the cop on it,
+and what is left of R splits into parts, subgames that must all be won:
+
+- KW (after Hunter & Kreutzer): guard N+(Reach_{G[R]}(u)) \\ R, parts
+  the weak components of G[R \\ {u}];
+- DPW (after Barat): guard N+(R) \\ R, and R \\ {u} stays whole;
+- DAGW: R is the visible robber's region Reach_{G-C}(v), the guard is
+  DPW's, and the parts are the distinct robber regions of G[R \\ {u}] (the
+  (X, component) game of Berwanger et al., JCTB 2012, with X cut down to
+  the guard);
+- TW: the KW game on the symmetric closure (`_as_played`), since
+  kw(G<->) = tw(G) + 1.
+
+The search solves each strongly connected component as its own subgame.
+Its witness is a placement sequence, or for DAGW a positional cop
+strategy.  Entanglement is solved by a backward induction,
+`_solve_cop_game`, over cop nodes (C, v) and robber nodes (C', R): the
+announced placement and the region the robber can land in.  The
+reference engines, in one section at the end, play the games move by
+move: `_play_visible` the visible game on `_solve_cop_game`, and
+`_search_placements` the invisible games over (placement, contaminated
+set) states.  They decide full moves, non-monotone play and the visible
+TW game, and they are what the contaminated-set search is tested against.
 Positions are encoded as int bitmasks throughout.
 
 Each game rule has one home here:
@@ -38,16 +41,13 @@ Each game rule has one home here:
   must be a subset of R) of the four placement games: for the invisible
   games' contaminated set, in the placement search and the sweep replay,
   and for the visible tw and dagw robber's region Reach_{G-C}(v), in
-  solve_visible and the strategy replay in certificates.py.  In the
+  `_play_visible` and the strategy replay in certificates.py.  In the
   entanglement game the region is the robber's successors outside C';
-- `_guard`: what that rule means for the contaminated-set search, the
-  cleared vertices that must hold cops while a cop lands on a vertex of R;
+- `_guard` and `_parts`: what that rule means for the contaminated-set
+  search, the cleared vertices that must hold cops while a cop lands on a
+  vertex of R, and the subgames left after it;
 - `solve`: the one dispatch from a variant to its solver, by way of
   `_as_played`, which `measure_detailed` calls once per scan.
-
-`solve_visible(full_moves=True)` switches to arbitrary next placements and
-exists as the reference semantics for cross-checking the move normalization
-on small graphs.
 """
 
 from __future__ import annotations
@@ -324,66 +324,17 @@ def solve_visible(
     """Decide the visible-robber game (variant TW or DAGW) with config.cops cops.
 
     TW plays on the symmetric closure of the graph; DAGW on the graph as
-    given.  `solve` decides TW by the KW search on the closure instead, and
-    this TW game is the independent reference it is tested against.  The
-    cop moves are `normalized_moves`, or every placement of at most
-    config.cops cops with full_moves, and each leads by `contaminate` from
-    the robber's region Reach_{G-C}(v) to the robber node (C', R') of
-    `_solve_cop_game`.  With require_monotone, moves that let the robber
-    reach a vertex being vacated are pruned (such plays are the robber's).
+    given.  Monotone DAGW with normalized moves is searched over the
+    robber's regions (`_search_contaminated`); full_moves, non-monotone
+    DAGW and TW are played move by move (`_play_visible`), and this TW game
+    is the reference that `solve`'s TW is tested against.  The witness is a
+    `CopStrategy` for `replay_cop_strategy`.
     """
     g = _visible_graph(graph, config.variant)
     _check_cops(config.cops, graph)
-    k = config.cops
-    mono = config.require_monotone
-    n, full = g.vertex_count, g.full_mask
-    # full_moves: every placement of at most k cops, ascending
-    universe = [m for m in range(1 << n) if m.bit_count() <= k] if full_moves else None
-
-    def regions(c: int, v: int) -> list[tuple[int, int]]:
-        cands = universe if full_moves else normalized_moves(c, k, full)
-        return contaminate(g, False, c, reach_mask(g, c, 1 << v), cands, mono)[0]
-
-    return _solve_cop_game(n, regions, budget)
-
-
-def _search_placements(
-    graph: Graph, k: int, inert: bool, budget: int, strict: bool
-) -> SolveOutcome:
-    """The invisible games as a one-player search over states (placement C,
-    contaminated set R) from (empty, all vertices) on a nonempty graph.
-
-    Each normalized cop move updates R by `contaminate`, and the cops win iff
-    some placement sequence empties R; with strict, moves that are not
-    monotone are pruned.  solve_invisible uses it for non-monotone play, and
-    with strict it is the reference semantics of `_search_contaminated`.
-    The states are the (C, R) pairs visited; the witness is the placement
-    sequence found.
-    """
-    full = graph.full_mask
-    start = (0, full)
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        c, r = state
-        # staying put leaves (C, R) unchanged, so only real moves are tried
-        moves, _ = contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict)
-        for nxt in moves:  # (C', R'), also the key of the next state
-            if nxt[1] == 0:  # R' is empty: the sequence clears the graph
-                seq = [frozenset(bits_of(nxt[0]))]
-                node = state
-                while parent[node] is not None:
-                    seq.append(frozenset(bits_of(node[0])))
-                    node = parent[node]
-                seq.reverse()
-                return SolveOutcome(Winner.COPS, tuple(seq), len(parent))
-            if nxt not in parent:
-                if len(parent) >= budget:
-                    raise BudgetExceededError(budget)
-                parent[nxt] = state
-                stack.append(nxt)
-    return SolveOutcome(Winner.ROBBER, None, len(parent))
+    if config.variant is Variant.DAGW and config.require_monotone and not full_moves:
+        return _search_contaminated(g, config.cops, Variant.DAGW, budget)
+    return _play_visible(g, config.cops, config.require_monotone, full_moves, budget)
 
 
 def _spread(adj: tuple[int, ...], r: int, start: int) -> tuple[int, int]:
@@ -446,17 +397,29 @@ def _clearable(succ: tuple[int, ...], pred: tuple[int, ...], inert: bool, k: int
     return ok
 
 
-def _parts(nbr: tuple[int, ...] | None, r: int) -> list[int]:
-    """The independent subgames left by the contaminated set R: the weak
-    components of G[R] when nbr holds the in- and out-neighbours of each
-    vertex (KW), else R itself (DPW); none when R is empty."""
-    if nbr is None:
+def _parts(adj: tuple[int, ...] | None, back: tuple[int, ...] | None, r: int) -> list[int]:
+    """The independent subgames left by the contaminated set R, none when R
+    is empty: R itself (DPW) when adj is None; the weak components of G[R]
+    when adj holds the in- and out-neighbours of each vertex (KW); and with
+    successor and predecessor masks (adj, back), the distinct robber regions
+    Reach_{G[R]}(w) (DAGW).  The vertices of w's SCC in G[R] share w's
+    region, and they are the vertices of it that reach w.  The regions are
+    listed largest first, so the search, which takes the last part first,
+    asks about the smallest first: a larger region holding a lost one is
+    lost too, and a won one is reused in the larger searches.  That more
+    than halves the sets on the families (zadeh(3): 41,121 against 112,889
+    in vertex order)."""
+    if adj is None:
         return [r] if r else []
     out = []
-    while r:
-        part = _spread(nbr, r, r & -r)[0]
+    todo = r
+    while todo:
+        w = todo & -todo
+        part = _spread(adj, r, w)[0]
         out.append(part)
-        r ^= part
+        todo &= ~(_spread(back, part, w)[0] if back else part)
+    if back:
+        out.sort(key=int.bit_count, reverse=True)
     return out
 
 
@@ -492,9 +455,9 @@ def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return masks
 
 
-def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> SolveOutcome:
-    """The monotone invisible games as a search over contaminated sets R
-    alone, one subgame per SCC, on a nonempty graph.
+def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) -> SolveOutcome:
+    """The monotone games of KW, DPW and DAGW as a search over contaminated
+    sets R alone, one subgame per SCC.
 
     Proof sketch that R decides the game (Hunter & Kreutzer's elimination
     orderings for KW, Barat's for DPW):
@@ -513,9 +476,12 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
       so it is possible iff the guard has at most k - 1 vertices.  Lifting
       a boundary cop in DPW, or placing on u without its guard in KW, lets
       the robber onto a cleared vertex and is pruned.
+    - DAGW is the DPW game on the visible robber's region Reach_{G-C}(v):
+      every v in it is equivalent, as he reaches any of them before the
+      next cop lands, and he picks a region of G[R \\ {u}] once u is placed.
 
-    The game splits twice, as the Kelly-width and DAG-width games do
-    (Hunter & Kreutzer, TCS 2008; Berwanger et al., JCTB 2012):
+    The game splits into the parts of `_parts`, and by SCC (Hunter &
+    Kreutzer, TCS 2008; Berwanger et al., JCTB 2012):
 
     - By SCC.  No edge enters an SCC from a later one in `sccs` order, so
       while the SCCs before S are cleared and those after it contaminated,
@@ -535,7 +501,8 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
     - A clearable u with no in-neighbour in R \\ {u} is tried alone.  From
       R \\ {u} the cops can play any winning order from R with u's step
       left out: no later guard gains a vertex, since only u could be new
-      and nothing left in R enters u.
+      and nothing left in R enters u.  For DAGW each region of R \\ {u} is
+      then closed in G[R], and so won by R's u' or by its part holding it.
     - For KW, a vertex that reaches u in G[R] has a guard containing u's,
       and one that u reaches a guard inside u's, so one reach each way
       settles them all.
@@ -546,18 +513,19 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
     so it is never asked about while still open.  The states are the sets
     entered, summed over all SCCs, and the budget caps that sum.
 
-    The witness clears the SCCs in `sccs` order, sources first, and inside
-    each a won set R by its recorded u, then each part of R \\ {u} in
-    turn.  `_sweep_of` rebuilds the placements from these steps with the
-    guards of the whole graph, which equal the subgame guards: per step,
-    lift the cops outside the guard one at a time, place the missing
-    guard cops, then place u.  Each placement differs from the last by one
-    vertex and holds at most k cops, and the sequence replays cleared and
-    monotone.
+    The KW and DPW witness clears the SCCs in `sccs` order, sources first,
+    and inside each a won set R by its recorded u, then each part of
+    R \\ {u} in turn.  `_sweep_of` rebuilds the placements from these
+    steps with the guards of the whole graph, which equal the subgame
+    guards: per step, lift the cops outside the guard one at a time, place
+    the missing guard cops, then place u.  Each placement differs from the
+    last by one vertex and holds at most k cops, and the sequence replays
+    cleared and monotone.  The DAGW witness is `_strategy_of`'s.
     """
     scopes, succ, pred, nbr = _scc_masks(graph)
-    if not inert:
-        nbr = None
+    inert = variant is Variant.KW
+    rule = {Variant.KW: (nbr, None), Variant.DPW: (None, None), Variant.DAGW: (succ, pred)}
+    adj, back = rule[variant]
     won: dict[int, int] = {}
     # the open set R, its untried clearable vertices, the u being tried and
     # the parts of R \ {u} not yet known to be won; the root's parts are
@@ -582,7 +550,7 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
         if not u and todo:
             u = todo & -todo
             todo ^= u
-            parts = _parts(nbr, r ^ u)
+            parts = _parts(adj, back, r ^ u)
             continue
         if not stack:
             break
@@ -591,6 +559,8 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
         r, todo, u, parts = stack.pop()
     if not u:
         return SolveOutcome(Winner.ROBBER, None, len(won))
+    if variant is Variant.DAGW:
+        return SolveOutcome(Winner.COPS, _strategy_of(graph, scopes, succ, won), len(won))
     steps = []
     rest = graph.full_mask
     todo_sets = list(scopes[::-1])
@@ -599,7 +569,7 @@ def _search_contaminated(graph: Graph, k: int, inert: bool, budget: int) -> Solv
         u = won[r]
         steps.append((rest, u))
         rest ^= u
-        todo_sets += _parts(nbr, r ^ u)
+        todo_sets += _parts(adj, back, r ^ u)
     return SolveOutcome(Winner.COPS, _sweep_of(graph, inert, steps), len(won))
 
 
@@ -622,6 +592,31 @@ def _sweep_of(
         c |= u
         seq.append(c)
     return tuple(frozenset(bits_of(p)) for p in seq)
+
+
+def _strategy_of(
+    graph: Graph, scopes: tuple[int, ...], succ: tuple[int, ...], won: dict[int, int]
+) -> CopStrategy:
+    """The DAGW cop strategy on the positions (C, v) it reaches from every
+    start (0, v).  With R the robber's region in the SCC of v, it lifts a
+    cop outside R's guard, else places the cop `won` records for R.  Every
+    cop stands in his SCC, where he reaches only R and its guard, or in an
+    earlier one, so a lift is monotone; each R met is an SCC or a part of a
+    won region, and a lift only shrinks it."""
+    scope = {v: s for s in scopes for v in bits_of(s)}
+    moves: dict[tuple[int, int], int] = {}
+    todo = [(0, v) for v in range(graph.vertex_count)]
+    while todo:
+        pos = todo.pop()
+        if pos in moves:
+            continue
+        c, v = pos
+        r = _spread(succ, scope[v] & ~c, 1 << v)[0]
+        lift = c & ~_guard(succ, False, r, r)
+        cp = c ^ (lift & -lift) if lift else c | won[r]
+        moves[pos] = cp
+        todo += [(cp, w) for w in bits_of(reach_mask(graph, c, 1 << v) & ~cp)]
+    return CopStrategy(moves)
 
 
 def solve_invisible(
@@ -649,7 +644,7 @@ def solve_invisible(
     if graph.vertex_count == 0:
         return SolveOutcome(Winner.COPS, (), 0)
     if config.require_monotone:
-        return _search_contaminated(graph, k, inert, budget)
+        return _search_contaminated(graph, k, config.variant, budget)
     return _search_placements(graph, k, inert, budget, strict=False)
 
 
@@ -704,9 +699,10 @@ def solve(
 ) -> SolveOutcome:
     """Decide the game of `variant` with k cops by its solver.
 
-    TW is decided as the KW game on the symmetric closure (`_as_played`),
-    so its witness is a placement sequence on the closure that
-    `simulate_sweep` replays under KW rules; `solve_visible` stays the
+    DAGW goes to `solve_visible`, which searches the monotone game over the
+    robber's regions.  TW is decided as the KW game on the symmetric closure
+    (`_as_played`), so its witness is a placement sequence on the closure
+    that `simulate_sweep` replays under KW rules; `solve_visible` stays the
     independent reference for TW.  require_monotone does not apply to TW,
     whose monotone and non-monotone games have the same winner, nor to ENT,
     which has no monotonicity notion.
@@ -772,3 +768,65 @@ def measure_detailed(
 def _width(variant: Variant, k: int) -> int:
     """The variant's measure when k cops win: k-1 for TW and DPW, else k."""
     return k - 1 if variant in (Variant.TW, Variant.DPW) else k
+
+
+# -- reference engines: the games played move by move -----------------------
+
+
+def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool, budget: int) -> SolveOutcome:
+    """The visible game on g with k cops, move by move on `_solve_cop_game`.
+
+    The cop moves are `normalized_moves`, or every placement of at most k
+    cops with full_moves, and each leads by `contaminate` from the robber's
+    region Reach_{G-C}(v) to the robber node (C', R').  With mono, moves that
+    let the robber reach a vertex being vacated are pruned (such plays are
+    the robber's).
+    """
+    n, full = g.vertex_count, g.full_mask
+    # full_moves: every placement of at most k cops, ascending
+    universe = [m for m in range(1 << n) if m.bit_count() <= k] if full_moves else None
+
+    def regions(c: int, v: int) -> list[tuple[int, int]]:
+        cands = universe if full_moves else normalized_moves(c, k, full)
+        return contaminate(g, False, c, reach_mask(g, c, 1 << v), cands, mono)[0]
+
+    return _solve_cop_game(n, regions, budget)
+
+
+def _search_placements(
+    graph: Graph, k: int, inert: bool, budget: int, strict: bool
+) -> SolveOutcome:
+    """The invisible games as a one-player search over states (placement C,
+    contaminated set R) from (empty, all vertices) on a nonempty graph.
+
+    Each normalized cop move updates R by `contaminate`, and the cops win iff
+    some placement sequence empties R; with strict, moves that are not
+    monotone are pruned.  solve_invisible uses it for non-monotone play, and
+    with strict it is the reference semantics of `_search_contaminated`.
+    The states are the (C, R) pairs visited; the witness is the placement
+    sequence found.
+    """
+    full = graph.full_mask
+    start = (0, full)
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        c, r = state
+        # staying put leaves (C, R) unchanged, so only real moves are tried
+        moves, _ = contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict)
+        for nxt in moves:  # (C', R'), also the key of the next state
+            if nxt[1] == 0:  # R' is empty: the sequence clears the graph
+                seq = [frozenset(bits_of(nxt[0]))]
+                node = state
+                while parent[node] is not None:
+                    seq.append(frozenset(bits_of(node[0])))
+                    node = parent[node]
+                seq.reverse()
+                return SolveOutcome(Winner.COPS, tuple(seq), len(parent))
+            if nxt not in parent:
+                if len(parent) >= budget:
+                    raise BudgetExceededError(budget)
+                parent[nxt] = state
+                stack.append(nxt)
+    return SolveOutcome(Winner.ROBBER, None, len(parent))

@@ -486,10 +486,12 @@ def _suite_acyclic_entanglement(seed: int) -> SuiteResult:
 
 
 def _suite_move_normalization(seed: int) -> SuiteResult:
-    """Normalized and full-move visible solvers agree on 100 small digraphs.
+    """The visible games with normalized moves agree with full moves on 100
+    small digraphs, at every cop count up to the vertex count.
 
-    Checked for both visible variants at every cop count up to the vertex
-    count.
+    For tw both are played move by move; for dagw the normalized game is
+    the search over the robber's regions, so this also checks that search
+    against the game with every placement as a move.
     """
 
     def check(g):

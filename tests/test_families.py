@@ -119,6 +119,28 @@ class TestZadeh:
         assert g.has_edge(t, t)
 
 
+class TestEmbeddings:
+    """Each family instance sits inside the next one under the same vertex
+    names, so a measure at n bounds it from below at every larger n."""
+
+    @staticmethod
+    def named_edges(g):
+        return {(g.names[u], g.names[w]) for u, w in g.edges()}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_switch_all_is_an_induced_subgraph_of_the_next(self, n):
+        small, big = gen_switch_all(n), gen_switch_all(n + 1)
+        assert set(small.names) <= set(big.names)
+        kept = {(u, w) for u, w in self.named_edges(big) if {u, w} <= set(small.names)}
+        assert kept == self.named_edges(small)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zadeh_is_a_subgraph_of_the_next(self, n):
+        small, big = gen_zadeh(n), gen_zadeh(n + 1)
+        assert set(small.names) <= set(big.names)
+        assert self.named_edges(small) <= self.named_edges(big)
+
+
 class TestBipartiteAndWitness:
     def test_k11(self):
         g = gen_complete_bipartite(1, 1)

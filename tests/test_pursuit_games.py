@@ -92,6 +92,21 @@ def assert_tw_agrees(g):
             return
 
 
+def assert_dagw_agrees(g):
+    """The region search of monotone dagw decides like the visible game
+    played move by move with normalized monotone moves, at every k up to
+    the first win, and its winning strategy replays."""
+    for k in range(g.vertex_count + 1):
+        out = solve_visible(g, GameConfig(Variant.DAGW, k))
+        ref = games._play_visible(g, k, True, False, games.DEFAULT_STATE_BUDGET)
+        assert out.winner is ref.winner, f"k={k}: {serialize_graph(g)}"
+        if out.winner is Winner.COPS:
+            assert replay_cop_strategy(g, Variant.DAGW, k, out.witness.moves), (
+                f"k={k}: {serialize_graph(g)}"
+            )
+            return
+
+
 class TestVisible:
     def test_tw_k22(self):
         g = gen_complete_bipartite(2, 2)
@@ -305,6 +320,36 @@ class TestInvisible:
     def test_variant_guard(self):
         with pytest.raises(GraphError):
             solve_invisible(two_cycle(), GameConfig(Variant.TW, 1))
+
+
+class TestDagwOverRegions:
+    def test_agrees_with_the_visible_game_on_all_small_digraphs(self):
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                assert_dagw_agrees(g)
+
+    def test_agrees_with_the_visible_game_on_seeded_graphs(self):
+        # p from 0.15 to 0.45: sparse graphs split into several SCCs and
+        # regions, dense ones keep one SCC
+        for i in range(300):
+            assert_dagw_agrees(gen_random_digraph(4 + i % 5, 0.15 + 0.1 * (i % 4), 3000 + i))
+
+    @pytest.mark.parametrize(
+        "gen, value", [(gen_switch_all, 3), (gen_zadeh, 4)], ids=["switch_all_2", "zadeh_2"]
+    )
+    def test_family_value_at_n2(self, gen, value):
+        # the visible game built 84,721 and 1,309,322 nodes over these scans
+        g = gen(2)
+        got, states = measure_detailed(g, Variant.DAGW)
+        assert got == value and states < 10_000
+        out = solve_visible(g, GameConfig(Variant.DAGW, value))
+        assert replay_cop_strategy(g, Variant.DAGW, value, out.witness.moves)
+
+    def test_states_count_regions(self):
+        # two cops lose dagw on zadeh(1) after 72 regions over its SCCs,
+        # where the visible game built 3,034 nodes
+        out = solve_visible(gen_zadeh(1), GameConfig(Variant.DAGW, 2))
+        assert out.winner is Winner.ROBBER and out.states == 72
 
 
 class TestTreewidthAsKellyWidth:

@@ -215,7 +215,10 @@ class TestBudgetStarvation:
             ("dpw", "certificate", True, 3, 1,
              "4-cop sweep replays cleared and monotone for n in 1..2; "
              "exact solve at n=1 confirms 4 cops win"),
-            ("dagw", "not-checked", False, None, None, _UNCHECKED),
+            ("dagw", "certificate", True, 4, 2,
+             "bound carried over from the restless-sweep certificate: a monotone "
+             "open-loop clearing also wins the visible game with the same cop count; "
+             "cross-checked by an exact visible-game solve at n=1"),
             ("kw", "certificate", True, 4, 2, _KW),
             ("ent", "not-checked", False, None, None, _UNCHECKED),
             _CW,
@@ -264,7 +267,7 @@ class TestCrossChecks:
 
     def test_budget_for_the_exact_scan_verifies(self):
         # 3,000 states cover every solve of the dagw and ent scans, though
-        # not the 4-cop dagw or 3-cop ent game
+        # not the 3-cop ent game
         rep = run_report("switch-all", n_exact=1, n_cert=2, budget=3_000)
         by_measure = {e.measure: e for e in rep.entries}
         for name, exact in (("dagw", 2), ("ent", 1)):
