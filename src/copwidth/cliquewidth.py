@@ -32,6 +32,7 @@ __all__ = [
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Union as _U
 
 from .families import FamilyId, _positive, gen_switch_all, gen_zadeh
@@ -86,45 +87,34 @@ def _children(node: CwExpr) -> tuple[CwExpr, ...]:
 def eval_expr(expr: CwExpr) -> LabelledGraph:
     """Evaluate an expression to its coloured graph.
 
-    Union rejects duplicate vertex names; Connect adds all missing edges from
-    the src class to the dst class (all ordered pairs, including self-loops
-    when src = dst); Recolour with old = new is the identity.
+    Vertices are numbered in the order their ports appear, left to right, so
+    the vertices of any subtree are the ids numbered since evaluation entered
+    it.  Connect adds all missing edges from the src class to the dst class
+    (all ordered pairs, including self-loops when src = dst); Recolour with
+    old = new is the identity.  A vertex name used twice is rejected by
+    Graph ("duplicate vertex name").
     """
-    # iterative post-order; results are (names, colours, edge set) triples
-    results: list[tuple[list[str], list[str], set[tuple[int, int]]]] = []
-    stack: list[tuple[CwExpr, bool]] = [(expr, False)]
+    names: list[str] = []
+    cols: list[str] = []
+    edges: set[tuple[int, int]] = set()
+    # (node, -1) is still to enter; (node, start) is a Recolour or Connect
+    # whose child has been evaluated to the vertices start..
+    stack: list[tuple[CwExpr, int]] = [(expr, -1)]
     while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            for ch in reversed(_children(node)):
-                stack.append((ch, False))
-            continue
-        if isinstance(node, Port):
-            results.append(([node.name], [node.colour], set()))
-        elif isinstance(node, Union):
-            rn, rc, re = results.pop()
-            ln, lc, le = results.pop()
-            clash = set(ln) & set(rn)
-            if clash:
-                raise GraphError(f"union duplicates vertex name {sorted(clash)[0]!r}")
-            off = len(ln)
-            le.update((u + off, w + off) for u, w in re)
-            results.append((ln + rn, lc + rc, le))
+        node, start = stack.pop()
+        if start < 0:
+            if isinstance(node, Port):
+                names.append(node.name)
+                cols.append(node.colour)
+            elif not isinstance(node, Union):
+                stack.append((node, len(names)))
+            stack.extend((ch, -1) for ch in reversed(_children(node)))
         elif isinstance(node, Recolour):
-            names, cols, edges = results.pop()
-            cols = [node.new if c == node.old else c for c in cols]
-            results.append((names, cols, edges))
+            cols[start:] = [node.new if c == node.old else c for c in cols[start:]]
         else:  # Connect
-            names, cols, edges = results.pop()
-            src = [i for i, c in enumerate(cols) if c == node.src]
-            if node.src == node.dst:
-                edges.update((u, w) for u in src for w in src)
-            else:
-                dst = [i for i, c in enumerate(cols) if c == node.dst]
-                edges.update((u, w) for u in src for w in dst)
-            results.append((names, cols, edges))
-    names, cols, edges = results.pop()
+            src = [i for i, c in enumerate(cols[start:], start) if c == node.src]
+            dst = [i for i, c in enumerate(cols[start:], start) if c == node.dst]
+            edges.update(product(src, dst))
     return LabelledGraph(Graph(names, sorted(edges)), tuple(cols))
 
 
@@ -188,7 +178,7 @@ def sexpr(expr: CwExpr) -> str:
 
 
 def _check_atom(atom: str) -> None:
-    if not atom or any(ch in "()" or ch.isspace() for ch in atom):
+    if not isinstance(atom, str) or not atom or any(ch in "()" or ch.isspace() for ch in atom):
         raise GraphError(f"atom {atom!r} is not printable in S-expression form")
 
 
@@ -398,6 +388,12 @@ class CwVerifyReport:
         return self.equal
 
 
+def _name_edges(graph: Graph, keep: set[str]) -> set[tuple[str, str]]:
+    """The edges of graph between names in keep, as name pairs."""
+    names = graph.names
+    return {(names[u], names[w]) for u, w in graph.edges() if names[u] in keep and names[w] in keep}
+
+
 _BUILDERS = {
     FamilyId.SWITCH_ALL: (build_switch_all_expr, gen_switch_all),
     FamilyId.ZADEH: (build_zadeh_expr, gen_zadeh),
@@ -426,16 +422,8 @@ def verify_family_expr(
     for nm in sorted(want_names - built_names):
         issues.append(f"vertex {nm!r} missing from the expression")
     common = built_names & want_names
-    built_edges = {
-        (built.graph.names[u], built.graph.names[w])
-        for u, w in built.graph.edges()
-        if built.graph.names[u] in common and built.graph.names[w] in common
-    }
-    want_edges = {
-        (want.names[u], want.names[w])
-        for u, w in want.edges()
-        if want.names[u] in common and want.names[w] in common
-    }
+    built_edges = _name_edges(built.graph, common)
+    want_edges = _name_edges(want, common)
     missing = tuple(sorted(want_edges - built_edges))
     extra = tuple(sorted(built_edges - want_edges))
     return CwVerifyReport(

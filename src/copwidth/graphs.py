@@ -148,21 +148,27 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def reach_mask(graph: Graph, blocked_mask: int, sources_mask: int) -> int:
-    """Bitmask core of `reachable`; sources inside blocked contribute nothing."""
-    succ_masks = graph.succ_masks
-    seen = sources_mask & ~blocked_mask
-    frontier = seen
+def _spread(adj: tuple[int, ...], r: int, start: int) -> tuple[int, int]:
+    """The vertices of R that start, a subset of R, reaches along the
+    neighbour masks adj, and the union of adj over those vertices: with
+    successor masks, Reach_{G[R]}(start) and its out-neighbours."""
+    seen = frontier = start
+    out = 0
     while frontier:
         nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= succ_masks[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & ~blocked_mask & ~seen
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        out |= nxt
+        frontier = nxt & r & ~seen
         seen |= frontier
-    return seen
+    return seen, out
+
+
+def reach_mask(graph: Graph, blocked_mask: int, sources_mask: int) -> int:
+    """Bitmask core of `reachable`; sources inside blocked contribute nothing."""
+    return _spread(graph.succ_masks, ~blocked_mask, sources_mask & ~blocked_mask)[0]
 
 
 def reachable(graph: Graph, blocked: Iterable[int], sources: Iterable[int]) -> set[int]:

@@ -77,6 +77,7 @@ from ..graphs import (
     Graph,
     GraphError,
     _is_id,
+    _spread,
     bits_of,
     mask_of,
     reach_mask,
@@ -335,24 +336,6 @@ def solve_visible(
     if config.variant is Variant.DAGW and config.require_monotone and not full_moves:
         return _search_contaminated(g, config.cops, Variant.DAGW, budget)
     return _play_visible(g, config.cops, config.require_monotone, full_moves, budget)
-
-
-def _spread(adj: tuple[int, ...], r: int, start: int) -> tuple[int, int]:
-    """The vertices of R that start, a subset of R, reaches along the
-    neighbour masks adj, and the union of adj over those vertices: with
-    successor masks, Reach_{G[R]}(start) and its out-neighbours."""
-    seen = frontier = start
-    out = 0
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            nxt |= adj[b.bit_length() - 1]
-            frontier ^= b
-        out |= nxt
-        frontier = nxt & r & ~seen
-        seen |= frontier
-    return seen, out
 
 
 def _guard(succ: tuple[int, ...], inert: bool, r: int, u: int) -> int:

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Optional, Union
 from ..cliquewidth import verify_family_expr
 from ..families import (
     FamilyId,
+    _positive,
     gen_complete_bipartite,
     gen_random_dag,
     gen_random_digraph,
@@ -341,8 +342,8 @@ def run_report(
     report.
     """
     fam = FamilyId(family)
-    if n_exact < 1 or n_cert < 1:
-        raise GraphError("n_exact and n_cert must be at least 1")
+    _positive(n_exact, "n_exact")
+    _positive(n_cert, "n_cert")
     if fam not in _ROWS:
         raise GraphError(f"no bound row for family {fam.value!r}")
     generator, rows = _ROWS[fam]

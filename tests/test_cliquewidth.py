@@ -53,8 +53,16 @@ class TestEvalRules:
         assert r.graph.edge_count == 0
 
     def test_union_rejects_shared_names(self):
-        with pytest.raises(GraphError, match="u"):
+        with pytest.raises(GraphError, match="^duplicate vertex name 'u'$"):
             eval_expr(Union(Port("a", "u"), Port("b", "u")))
+
+    def test_vertices_numbered_in_port_order(self):
+        # the Connect's subtree is the suffix v, w of the numbering
+        inner = Connect("b", "c", Union(Port("b", "v"), Port("c", "w")))
+        r = eval_expr(Union(Port("a", "u"), inner))
+        assert r.graph.names == ("u", "v", "w")
+        assert list(r.graph.edges()) == [(1, 2)]
+        assert r.colours == ("a", "b", "c")
 
     def test_connect_two_ports(self):
         r = eval_expr(Connect("a", "b", Union(Port("a", "u"), Port("b", "v"))))
@@ -185,9 +193,10 @@ class TestSexpr:
         with pytest.raises(GraphError):
             parse_sexpr("(paint a b (port a u))")
 
-    @pytest.mark.parametrize("atom", ["a\rb", "a\x0bb", "a\xa0b", "a\u2028b"])
+    @pytest.mark.parametrize("atom", ["a\rb", "a\x0bb", "a\xa0b", "a\u2028b", 5, ("a",)])
     def test_whitespace_atoms_rejected(self, atom):
-        # parse_sexpr splits on every str.isspace() character
+        # parse_sexpr splits on every str.isspace() character and reads
+        # every atom back as a str
         for e in (Port(atom, "u"), Port("a", atom), Recolour(atom, "b", Port("a", "u"))):
             with pytest.raises(GraphError, match="not printable"):
                 sexpr(e)

@@ -325,6 +325,24 @@ class TestMeasureEntryValidation:
         assert rep.all_verified
 
 
+class TestRunReportSizes:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_cert": "2"}, "n_cert must be a positive integer, got '2'"),
+            ({"n_cert": True}, "n_cert must be a positive integer, got True"),
+            ({"n_cert": 2.5}, "n_cert must be a positive integer, got 2.5"),
+            ({"n_cert": 0}, "n_cert must be a positive integer, got 0"),
+            ({"n_exact": 1.0}, "n_exact must be a positive integer, got 1.0"),
+            ({"n_exact": 0}, "n_exact must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_size_names_its_argument(self, kwargs, message):
+        with pytest.raises(GraphError) as err:
+            run_report("zadeh", **kwargs)
+        assert str(err.value) == message
+
+
 class TestCliGen:
     def test_json_to_stdout(self, capsys):
         assert main(["gen", "--family", "switch-all", "--n", "1"]) == 0
