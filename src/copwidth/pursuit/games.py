@@ -20,15 +20,16 @@ and what is left of R splits into parts, subgames that must all be won:
 
 The search solves each strongly connected component as its own subgame.
 Its witness is a placement sequence, or for DAGW a positional cop
-strategy.  Entanglement is solved by a backward induction,
-`_solve_cop_game`, over cop nodes (C, v) and robber nodes (C', R): the
-announced placement and the region the robber can land in.  The
-reference engines, in one section at the end, play the games move by
-move: `_play_visible` the visible game on `_solve_cop_game`, and
-`_search_placements` the invisible games over (placement, contaminated
-set) states.  They decide full moves, non-monotone play and the visible
-TW game, and they are what the contaminated-set search is tested against.
-Positions are encoded as int bitmasks throughout.
+strategy.  Entanglement is solved on the fly by `_solve_cop_game`, which
+builds the game graph of cop nodes (C, v) and robber nodes (C', R), the
+announced placement and the region the robber can land in, breadth-first
+and stops once every start is won.  The reference engines, at the end,
+play the games move by move: `_play_visible` the visible game on
+`_solve_cop_game`, and `_search_placements` the invisible games over
+(placement, contaminated set) states.  They decide full moves,
+non-monotone play and the visible TW game, and they are what the
+contaminated-set search is tested against.  Positions are encoded as int
+bitmasks throughout.
 
 Each game rule has one home here:
 
@@ -69,7 +70,6 @@ __all__ = [
 ]
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -150,7 +150,7 @@ def _solve_cop_game(
     regions: Callable[[int, int], list[tuple[int, int]]],
     budget: int,
 ) -> SolveOutcome:
-    """Backward induction for a visible-robber game on n vertices.
+    """Decide a visible-robber game on n vertices on the fly.
 
     A cop node is (C, v), placement C with the robber on v, and the starts
     are (0, v) for every v: the robber chooses where to begin.  The game's
@@ -160,20 +160,31 @@ def _solve_cop_game(
     equal keys are one node, so announcements that leave the robber the
     same choices merge.  Cop nodes are won when some successor is won;
     robber nodes when all are (an empty R is a capture).  The cops win iff
-    every start is won, and the witness maps each won cop node to its C'.
+    every start is won.
+
+    The least fixed point is decided locally (Liu & Smolka, ICALP 1998):
+    nodes are expanded breadth-first, in the order they are built, and won
+    ones are not expanded.  A cop node with a successor already won, or a
+    robber node with none left that is not, is won there, and each win goes
+    straight back to the predecessors expanded so far.  The solve stops
+    once every start is won; if the queue runs out first, the robber can
+    stay on the nodes not won forever.  The witness maps each won cop node
+    to the C' of the successor that won it first, so every play ends.
 
     Every rule lists distinct placements C', and the w of a robber node are
     distinct bits, so each node's successors are distinct and are not
-    deduplicated here.  The
-    states are the nodes built; building more than `budget` raises
-    BudgetExceededError.
+    deduplicated here.  The states are the nodes built; building more than
+    `budget` raises BudgetExceededError.
     """
     # node ids by side, tables[is_cop]: a pair can be both a (C', R) and a (C, v)
     tables: tuple[dict, dict] = ({}, {})
     keys: list[tuple[int, int]] = []
     is_cop: list[bool] = []
     preds: list[list[int]] = []
-    pending: list[int] = []
+    pending: list[int] = []  # a robber node's successors not yet won
+    won: list[bool] = []
+    moves: dict[tuple[int, int], int] = {}
+    starts = 0  # the starts won
 
     def intern(key: tuple[int, int], cop: bool) -> int:
         nid = tables[cop].get(key)
@@ -185,45 +196,48 @@ def _solve_cop_game(
             keys.append(key)
             is_cop.append(cop)
             preds.append([])
+            pending.append(0)
+            won.append(False)
         return nid
 
     for v in range(n):
         intern((0, v), True)
-    # phase 1: materialize the reachable game graph, with keys as the queue
-    nid = 0
-    while nid < len(keys):
+    for nid, (c, x) in enumerate(keys):  # keys is the queue, and grows
+        if starts == n:
+            break
+        if won[nid]:
+            continue
         if is_cop[nid]:
-            succs = [intern(rk, False) for rk in regions(*keys[nid])]
+            ready = []
+            for rk in regions(c, x):
+                sid = intern(rk, False)
+                if won[sid]:
+                    moves[c, x] = rk[0]
+                    ready = [nid]
+                    break
+                preds[sid].append(nid)
         else:
-            cp, r = keys[nid]
-            succs = [intern((cp, w), True) for w in bits_of(r)]
-        for sid in succs:
-            preds[sid].append(nid)
-        pending.append(len(succs))
-        nid += 1
-    # phase 2: propagate wins backwards from captured robber nodes
-    won = [False] * len(keys)
-    moves: dict[tuple[int, int], int] = {}
-    ready: deque[int] = deque(
-        i for i in range(len(keys)) if not is_cop[i] and pending[i] == 0
-    )
-    for i in ready:
-        won[i] = True
-    while ready:
-        nid = ready.popleft()
-        for p in preds[nid]:
-            if won[p]:
-                continue
-            if is_cop[p]:
+            for w in bits_of(x):
+                sid = intern((c, w), True)
+                if not won[sid]:
+                    preds[sid].append(nid)
+                    pending[nid] += 1
+            ready = [] if pending[nid] else [nid]
+        won[nid] = bool(ready)
+        for i in ready:  # grows as the win propagates
+            starts += i < n
+            for p in preds[i]:
+                if won[p]:
+                    continue
+                if is_cop[p]:
+                    moves[keys[p]] = keys[i][0]
+                else:
+                    pending[p] -= 1
+                    if pending[p]:
+                        continue
                 won[p] = True
-                moves[keys[p]] = keys[nid][0]
                 ready.append(p)
-            else:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    won[p] = True
-                    ready.append(p)
-    if not all(won[:n]):
+    if starts < n:
         return SolveOutcome(Winner.ROBBER, None, len(keys))
     return SolveOutcome(Winner.COPS, CopStrategy(moves), len(keys))
 

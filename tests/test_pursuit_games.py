@@ -1,5 +1,7 @@
 """Game solvers: frozen small-instance oracles, witnesses, and consistency."""
 
+from itertools import combinations
+
 import pytest
 
 import copwidth.pursuit.games as games
@@ -74,6 +76,43 @@ def assert_searches_agree(g):
                 rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
                 assert rep.cleared and rep.monotone, f"{variant.value} k={k}: {serialize_graph(g)}"
                 break
+
+
+def ent_cops_win(g, k):
+    """The entanglement game decided naively: grow the cops' won positions
+    (C, v), over every placement C of at most k cops and robber vertex v
+    outside C, to a fixpoint.  (C, v) is won when some announcement C' (C;
+    C + v with a spare cop; C + v less one placed cop) leaves every robber
+    move v -> w with w outside C' on a won position; no such move is a
+    capture.  The cops win iff (empty, v) is won for every v."""
+    vs = range(g.vertex_count)
+    positions = [
+        (frozenset(c), v) for size in range(k + 1) for c in combinations(vs, size) for v in vs if v not in c
+    ]
+    won = set()
+    grew = True
+    while grew:
+        grew = False
+        for c, v in positions:
+            if (c, v) in won:
+                continue
+            entered = c | {v}
+            announcements = [c] + ([entered] if len(c) < k else []) + [entered - {u} for u in c]
+            if any(all((cp, w) in won for w in g.succs[v] if w not in cp) for cp in announcements):
+                won.add((c, v))
+                grew = True
+    return all((frozenset(), v) in won for v in vs)
+
+
+def assert_ent_witness_replays(g, k, out):
+    """The entanglement witness of a cops' win replays as a chase strategy."""
+    moves = out.witness.moves
+
+    def strategy(placement, robber):
+        return frozenset(bits_of(moves[(mask_of(placement), robber)]))
+
+    rep = verify_ent_strategy(g, strategy, k)
+    assert rep.ok, f"k={k}: {rep.reason}: {serialize_graph(g)}"
 
 
 def assert_tw_agrees(g):
@@ -423,17 +462,40 @@ class TestEntanglement:
         assert out.winner is Winner.COPS
 
     @pytest.mark.parametrize(
-        "g", [gen_cycle(4), gen_switch_all(1), gen_zadeh(1)], ids=["cycle4", "switch_all1", "zadeh1"]
+        "g",
+        [gen_cycle(4), gen_switch_all(1), gen_zadeh(1), gen_zadeh(2)]
+        + [gen_random_digraph(5 + i % 3, 0.4, 300 + i) for i in range(4)],
+        ids=["cycle4", "switch_all1", "zadeh1", "zadeh2", "rand0", "rand1", "rand2", "rand3"],
     )
     def test_witness_replays_as_chase_strategy(self, g):
+        # the witness covers the won part of a partly built game graph
         k = measure(g, Variant.ENT)
-        moves = solve_entanglement(g, k).witness.moves
+        assert_ent_witness_replays(g, k, solve_entanglement(g, k))
 
-        def strategy(placement, robber):
-            return frozenset(bits_of(moves[(mask_of(placement), robber)]))
+    def test_zadeh3_four_cops_win_within_the_default_budget(self):
+        # the solve stops once every start is won: 139,849 nodes, where the
+        # whole reachable game graph runs past the 5M budget
+        g = gen_zadeh(3)
+        out = solve_entanglement(g, 4)
+        assert out.winner is Winner.COPS
+        assert_ent_witness_replays(g, 4, out)
 
-        rep = verify_ent_strategy(g, strategy, k)
-        assert rep.ok, rep.reason
+    def test_states_stop_once_every_start_is_won(self):
+        # bounds, not counts: the whole reachable game graphs of these scans
+        # have 130,287 and 2,538 nodes on zadeh(2) and zadeh(1)
+        for g, width, bound in ((gen_zadeh(1), 2, 1_300), (gen_zadeh(2), 3, 30_000)):
+            value, states = measure_detailed(g, Variant.ENT)
+            assert value == width and states < bound
+
+    def test_matches_the_naive_fixpoint(self):
+        graphs = [g for n in range(1, 4) for g in _all_digraphs(n)]
+        graphs += [gen_random_digraph(4 + i % 2, 0.4 + 0.15 * (i % 3), 1100 + i) for i in range(20)]
+        for g in graphs:
+            for k in range(g.vertex_count + 1):
+                out = solve_entanglement(g, k)
+                assert (out.winner is Winner.COPS) == ent_cops_win(g, k), f"k={k}: {serialize_graph(g)}"
+                if out.winner is Winner.COPS:
+                    assert_ent_witness_replays(g, k, out)
 
 
 class TestMeasure:

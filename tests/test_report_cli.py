@@ -266,8 +266,8 @@ class TestCrossChecks:
             assert measure(g, variant) <= CLAIMED_BOUNDS["switch-all"][variant.value]
 
     def test_budget_for_the_exact_scan_verifies(self):
-        # 3,000 states cover every solve of the dagw and ent scans, though
-        # not the 3-cop ent game
+        # 3,000 states cover every solve of the dagw and ent scans; the
+        # 3-cop ent game, which the scan does not play, builds 1,048 nodes
         rep = run_report("switch-all", n_exact=1, n_cert=2, budget=3_000)
         by_measure = {e.measure: e for e in rep.entries}
         for name, exact in (("dagw", 2), ("ent", 1)):
