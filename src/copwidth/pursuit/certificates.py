@@ -3,7 +3,9 @@ verification for the entanglement game.
 
 A SweepCertificate is an open-loop placement sequence; verify_sweep replays
 it under either invisible-game semantics and reports whether it clears the
-graph and whether it ever recontaminates.  The entanglement side provides a
+graph and whether it ever recontaminates.  The switch-all sweep is declared
+as its clearing order, and the solvers' `_sweep_of` places the guards along
+it, so its cop count is measured.  The entanglement side provides a
 feedback-vertex chase strategy (the one that witnesses ent <= 3 for the
 switch-all family) and an exhaustive verifier that plays every robber reply
 against a given cop strategy; the visible-game strategy replay runs on the
@@ -49,7 +51,9 @@ from ..graphs import (
     sccs,
 )
 from ..families import FamilyId, gen_switch_all
-from .games import Variant, _check_cops, _visible_graph, contaminate, ent_moves, normalized_moves
+from .games import (
+    Variant, _check_cops, _sweep_of, _visible_graph, contaminate, ent_moves, normalized_moves
+)
 
 
 @dataclass(frozen=True)
@@ -153,45 +157,23 @@ def verify_sweep(
 
 
 def dpw_sweep_certificate_switch_all(n: int) -> SweepCertificate:
-    """The 4-cop clearing sequence for the switch-all family.
-
-    Two cops park on r and s for the whole sweep.  Per layer i the third cop
-    holds e_i while the fourth sweeps d_i, g_i, f_i, h_i, k_i (g before f:
-    clearing f first would recontaminate it through the edge g->f once the
-    cop leaves).  Afterwards x is cleared, then the arm/chain pairs
-    a_j, t_j descend from j=2n to 1, and c is swept last.  Verifies cleanly
-    under both the restless and the inert semantics.
+    """The clearing sequence for the switch-all family, declared as its
+    clearing order: r, s; then e_i, d_i, g_i, f_i, h_i, k_i for i = 1..n
+    (g before f, as g -> f); then x; then a_j, t_j for j = 2n..1; then c.
+    `_sweep_of` places the restless guards N+(R) \\ R along it, so the
+    sequence replays cleared and monotone under both the restless and the
+    inert semantics, and its cop count is its largest placement: 4.
     """
     g = gen_switch_all(n)
-    cur: set[int] = set()
-    seq: list[frozenset[int]] = []
-
-    def move(add: str | None = None, remove: str | None = None) -> None:
-        if add is not None:
-            cur.add(g.id_of(add))
-        if remove is not None:
-            cur.discard(g.id_of(remove))
-        seq.append(frozenset(cur))
-
-    move(add="r")
-    move(add="s")
+    names = ["r", "s"]
     for i in range(1, n + 1):
-        move(add=f"e{i}")
-        if i > 1:
-            move(remove=f"e{i - 1}")
-        for name in (f"d{i}", f"g{i}", f"f{i}", f"h{i}", f"k{i}"):
-            move(add=name)
-            move(remove=name)
-    move(add="x")
-    move(remove=f"e{n}")
-    move(remove="x")
+        names += [f"{v}{i}" for v in "edgfhk"]
+    names.append("x")
     for j in range(2 * n, 0, -1):
-        move(add=f"a{j}")
-        move(remove=f"a{j}")
-        move(add=f"t{j}")
-        move(remove=f"t{j}")
-    move(add="c")
-    return SweepCertificate(cops=4, placements=tuple(seq))
+        names += [f"a{j}", f"t{j}"]
+    names.append("c")
+    placements = _sweep_of(g, False, [1 << g.id_of(v) for v in names])
+    return SweepCertificate(max(map(len, placements)), placements)
 
 
 @dataclass(frozen=True)
@@ -259,12 +241,15 @@ def feedback_chase_strategy(
     return strategy
 
 
+_CHASE_COPS = 3  # the switch-all chase: a cop on each of r and s, one chasing
+
+
 def ent_strategy_switch_all(n: int) -> Callable[[frozenset[int], int], frozenset[int]]:
     """The 3-cop entanglement strategy for the switch-all family: park on r
     and s, then chase through the rest of the graph, whose non-trivial
     components are the pairs {d_i, e_i} and the self-loop vertex x."""
     g = gen_switch_all(n)
-    return feedback_chase_strategy(g, 3, anchors=(g.id_of("r"), g.id_of("s")))
+    return feedback_chase_strategy(g, _CHASE_COPS, anchors=(g.id_of("r"), g.id_of("s")))
 
 
 _REPEATS = "the robber can force an infinite play (position repeats)"
@@ -359,7 +344,8 @@ def _sweep_replay(semantics: Variant, n: int) -> tuple[int, SweepReport]:
 
 
 def _chase_replay(n: int) -> tuple[int, EntVerifyReport]:
-    return 3, verify_ent_strategy(gen_switch_all(n), ent_strategy_switch_all(n), 3)
+    rep = verify_ent_strategy(gen_switch_all(n), ent_strategy_switch_all(n), _CHASE_COPS)
+    return _CHASE_COPS, rep
 
 
 # (family, measure) -> replay(n): the certificate that backs the bound, as its

@@ -510,14 +510,12 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     so it is never asked about while still open.  The states are the sets
     entered, summed over all SCCs, and the budget caps that sum.
 
-    The KW and DPW witness clears the SCCs in `sccs` order, sources first,
-    and inside each a won set R by its recorded u, then each part of
-    R \\ {u} in turn.  `_sweep_of` rebuilds the placements from these
-    steps with the guards of the whole graph, which equal the subgame
-    guards: per step, lift the cops outside the guard one at a time, place
-    the missing guard cops, then place u.  Each placement differs from the
-    last by one vertex and holds at most k cops, and the sequence replays
-    cleared and monotone.  The DAGW witness is `_strategy_of`'s.
+    The KW and DPW witness is a clearing order: the SCCs in `sccs` order,
+    sources first, and inside each a won set R by its recorded u, then each
+    part of R \\ {u} in turn.  `_sweep_of` turns the order into placements
+    with the guards of the whole graph, which equal the subgame guards, so
+    each placement holds at most k cops.  The DAGW witness is
+    `_strategy_of`'s.
     """
     scopes, succ, pred, nbr = _scc_masks(graph)
     inert = variant is Variant.KW
@@ -558,37 +556,47 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
         return SolveOutcome(Winner.ROBBER, None, len(won))
     if variant is Variant.DAGW:
         return SolveOutcome(Winner.COPS, _strategy_of(graph, scopes, succ, won), len(won))
-    steps = []
-    rest = graph.full_mask
+    order = []
     todo_sets = list(scopes[::-1])
     while todo_sets:
         r = todo_sets.pop()
-        u = won[r]
-        steps.append((rest, u))
-        rest ^= u
-        todo_sets += _parts(adj, back, r ^ u)
-    return SolveOutcome(Winner.COPS, _sweep_of(graph, inert, steps), len(won))
+        order.append(won[r])
+        todo_sets += _parts(adj, back, r ^ won[r])
+    return SolveOutcome(Winner.COPS, _sweep_of(graph, inert, order), len(won))
 
 
-def _sweep_of(
-    graph: Graph, inert: bool, steps: list[tuple[int, int]]
-) -> tuple[frozenset[int], ...]:
-    """The placement sequence that clears u from R for each step (R, u) in
-    turn, R the contaminated set of the whole graph, one vertex changed per
-    placement (see `_search_contaminated`)."""
+def _sweep_of(graph: Graph, inert: bool, order: list[int]) -> tuple[frozenset[int], ...]:
+    """The placement sequence that clears the single-bit masks of `order`,
+    every vertex once, in turn.  Before u is cleared the contaminated set R
+    is u and the rest of the order; per u, lift the cops outside u's guard
+    (`_guard`) one at a time, place the missing guard cops, then place u.
+    Each placement changes one vertex, the one on u is its guard plus u,
+    and the sequence replays cleared and monotone.  As R is a suffix of the
+    order, the restless guard N+(R) \\ R comes from one backward running
+    union, not from a `_guard` call per step, which is quadratic."""
+    succ = graph.succ_masks
+    outs = []
+    out = 0
+    for u in reversed(order):
+        out |= succ[u.bit_length() - 1]
+        outs.append(out)
     seq = []
     c = 0
-    for r, u in steps:
-        guard = _guard(graph.succ_masks, inert, r, u)
+    held = set()  # c as a set of vertices
+    r = graph.full_mask
+    for u, out in zip(order, reversed(outs)):
+        guard = _guard(succ, True, r, u) if inert else out & ~r
         for b in bits_of(c & ~guard):
-            c ^= 1 << b
-            seq.append(c)
+            held.discard(b)
+            seq.append(frozenset(held))
         for b in bits_of(guard & ~c):
-            c |= 1 << b
-            seq.append(c)
-        c |= u
-        seq.append(c)
-    return tuple(frozenset(bits_of(p)) for p in seq)
+            held.add(b)
+            seq.append(frozenset(held))
+        held.add(u.bit_length() - 1)
+        seq.append(frozenset(held))
+        c = guard | u
+        r ^= u
+    return tuple(seq)
 
 
 def _strategy_of(

@@ -344,6 +344,7 @@ def run_report(
     fam = FamilyId(family)
     _positive(n_exact, "n_exact")
     _positive(n_cert, "n_cert")
+    _positive(budget, "budget")
     if fam not in _ROWS:
         raise GraphError(f"no bound row for family {fam.value!r}")
     generator, rows = _ROWS[fam]

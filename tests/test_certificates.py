@@ -133,11 +133,16 @@ class TestFamilySweep:
         for p in cert.placements[:-1]:
             assert g.id_of("c") not in p
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [*range(1, 9), 16, 32])
     def test_budget_four_everywhere(self, n):
+        g = gen_switch_all(n)
         cert = dpw_sweep_certificate_switch_all(n)
-        assert cert.cops == 4
-        assert all(len(p) <= 4 for p in cert.placements)
+        assert cert.cops == 4 == max(len(p) for p in cert.placements)
+        # the declared clearing order, as the order of first placements
+        order = ["r", "s"] + [f"{v}{i}" for i in range(1, n + 1) for v in "edgfhk"]
+        order += ["x"] + [f"{v}{j}" for j in range(2 * n, 0, -1) for v in "at"] + ["c"]
+        first = dict.fromkeys(g.name_of(v) for p in cert.placements for v in p)
+        assert list(first) == order
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("semantics", [Variant.DPW, Variant.KW])

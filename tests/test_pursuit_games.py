@@ -1,6 +1,7 @@
 """Game solvers: frozen small-instance oracles, witnesses, and consistency."""
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -30,7 +31,9 @@ from copwidth import (
     verify_ent_strategy,
     verify_sweep,
 )
-from copwidth.graphs import bits_of, mask_of, reach_mask, serialize_graph, symmetric_closure
+from copwidth.graphs import (
+    bits_of, induced_subgraph, mask_of, reach_mask, serialize_graph, symmetric_closure
+)
 from copwidth.report_cli.report import _all_digraphs
 
 
@@ -361,6 +364,44 @@ class TestInvisible:
             solve_invisible(two_cycle(), GameConfig(Variant.TW, 1))
 
 
+def assert_sweep_of(g, order):
+    """The placements `_sweep_of` builds along a clearing order change one
+    vertex each, hold exactly u's guard when they land on u, and replay
+    cleared and monotone: restless guards under dpw and kw, inert guards
+    under kw."""
+    for inert, semantics in ((False, Variant.DPW), (False, Variant.KW), (True, Variant.KW)):
+        placements = games._sweep_of(g, inert, order)
+        cert = SweepCertificate(g.vertex_count, placements)  # one vertex per step
+        shown = f"{semantics.value} inert={inert} order={order}: {serialize_graph(g)}"
+        rep = verify_sweep(g, cert, semantics)
+        assert rep.cleared and rep.monotone, shown
+        masks = [mask_of(p) for p in placements]
+        r = g.full_mask
+        for u in order:
+            landed = next(p for p in masks if p & u)
+            assert landed == games._guard(g.succ_masks, inert, r, u) | u, shown
+            r ^= u
+
+
+class TestSweepOf:
+    """`_sweep_of` on clearing orders other than the solvers' own."""
+
+    def test_every_order_on_all_small_digraphs(self):
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                for order in permutations([1 << v for v in range(n)]):
+                    assert_sweep_of(g, list(order))
+
+    def test_shuffled_orders_on_seeded_graphs(self):
+        rng = random.Random(0)
+        for i in range(300):
+            g = gen_random_digraph(4 + i % 5, 0.2 + 0.1 * (i % 4), 1300 + i)
+            order = [1 << v for v in range(g.vertex_count)]
+            for _ in range(5):
+                rng.shuffle(order)
+                assert_sweep_of(g, order)
+
+
 class TestDagwOverRegions:
     def test_agrees_with_the_visible_game_on_all_small_digraphs(self):
         for n in range(1, 4):
@@ -544,6 +585,28 @@ class TestMeasure:
         value, states = measure_detailed(gen_cycle(3), Variant.DAGW)
         assert value == 2
         assert states > 0
+
+
+class TestSubgraphMonotonicity:
+    """Deleting an edge or a vertex never raises any of the five measures:
+    a cop strategy on G plays on a subgraph H, where the robber's options
+    are a subset of his options in G."""
+
+    def test_deletion_never_raises_a_measure(self):
+        graphs = [g for n in range(1, 4) for g in _all_digraphs(n)]
+        graphs += [gen_random_digraph(4 + i % 3, 0.2 + 0.1 * (i % 4), 1700 + i) for i in range(60)]
+        for g in graphs:
+            names = [g.name_of(v) for v in range(g.vertex_count)]
+            edges = g.edges()
+            subgraphs = [Graph(names, edges[:i] + edges[i + 1:]) for i in range(len(edges))]
+            subgraphs += [
+                induced_subgraph(g, [w for w in range(g.vertex_count) if w != v])
+                for v in range(g.vertex_count)
+            ]
+            for variant in Variant:
+                value = measure(g, variant)
+                for h in subgraphs:
+                    assert measure(h, variant) <= value, f"{variant.value}: {serialize_graph(h)}"
 
 
 class TestBudget:

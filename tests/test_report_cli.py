@@ -335,6 +335,10 @@ class TestRunReportSizes:
             ({"n_cert": 0}, "n_cert must be a positive integer, got 0"),
             ({"n_exact": 1.0}, "n_exact must be a positive integer, got 1.0"),
             ({"n_exact": 0}, "n_exact must be a positive integer, got 0"),
+            ({"budget": True}, "budget must be a positive integer, got True"),
+            ({"budget": "5"}, "budget must be a positive integer, got '5'"),
+            ({"budget": 2.5}, "budget must be a positive integer, got 2.5"),
+            ({"budget": 0}, "budget must be a positive integer, got 0"),
         ],
     )
     def test_bad_size_names_its_argument(self, kwargs, message):
