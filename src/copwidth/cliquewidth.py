@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Union as _U
 
-from .families import FamilyId, _positive, gen_switch_all, gen_zadeh
-from .graphs import Graph, GraphError
+from .families import FamilyId, gen_switch_all, gen_zadeh
+from .graphs import Graph, GraphError, _positive
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,10 @@ def colours_used(expr: CwExpr) -> int:
     return len(colour_set(expr))
 
 
+class _Text(str):
+    """Output pending on sexpr's stack, told apart from any node or str."""
+
+
 def sexpr(expr: CwExpr) -> str:
     """Single-line S-expression form; bit-exact for goldens.
 
@@ -150,9 +154,10 @@ def sexpr(expr: CwExpr) -> str:
     """
     out: list[str] = []
     stack: list = [expr]
+    close, gap = _Text(")"), _Text(" ")
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if isinstance(item, _Text):
             out.append(item)
             continue
         if isinstance(item, Port):
@@ -161,17 +166,17 @@ def sexpr(expr: CwExpr) -> str:
             out.append(f"(port {item.colour} {item.name})")
         elif isinstance(item, Union):
             out.append("(union ")
-            stack.extend([")", item.right, " ", item.left])
+            stack.extend([close, item.right, gap, item.left])
         elif isinstance(item, Recolour):
             for atom in (item.old, item.new):
                 _check_atom(atom)
             out.append(f"(recolour {item.old} {item.new} ")
-            stack.extend([")", item.child])
+            stack.extend([close, item.child])
         elif isinstance(item, Connect):
             for atom in (item.src, item.dst):
                 _check_atom(atom)
             out.append(f"(connect {item.src} {item.dst} ")
-            stack.extend([")", item.child])
+            stack.extend([close, item.child])
         else:
             raise GraphError(f"not a cliquewidth expression node: {item!r}")
     return "".join(out)
@@ -184,6 +189,8 @@ def _check_atom(atom: str) -> None:
 
 def parse_sexpr(text: str) -> CwExpr:
     """Inverse of sexpr."""
+    if not isinstance(text, str):
+        raise GraphError(f"expression text must be a str, got {text!r}")
     # \s in a str pattern matches exactly where str.isspace() holds (every code
     # point checked on Python 3.11): the characters sexpr keeps out of atoms
     tokens = re.findall(r"[()]|[^()\s]+", text)

@@ -24,7 +24,7 @@ __all__ = [
 import enum
 import math
 
-from .graphs import Graph, GraphError, _is_id
+from .graphs import Graph, GraphError, _is_id, _positive
 
 
 class FamilyId(enum.Enum):
@@ -34,11 +34,6 @@ class FamilyId(enum.Enum):
     DIRECTED_CYCLE = "cycle"
     DIRECTED_PATH = "path"
     RANDOM_DIGRAPH = "random"
-
-
-def _positive(n: int, what: str) -> None:
-    if not _is_id(n) or n < 1:
-        raise GraphError(f"{what} must be a positive integer, got {n!r}")
 
 
 def gen_switch_all(n: int) -> Graph:
@@ -221,17 +216,19 @@ def _splitmix64(state: int) -> tuple[int, int]:
 def _seeded_graph(v: int, p: float, seed: int, upward: bool) -> Graph:
     """The one drawing loop of the seeded generators, on vertices v0..v_{v-1}.
 
-    Checks that v is a positive integer and p lies in [0, 1].  The PRNG is
-    splitmix64 seeded with `seed` mod 2^64.  The ordered pairs (u, w) with
-    u != w (only u < w when `upward`) are drawn in lexicographic order, u
-    major and w minor; each pair consumes exactly one 64-bit output, and is
-    an edge iff the output's top 53 bits, read as a double in [0, 1), are
-    below p.  The scheme is fixed so corpora are reproducible across
-    implementations.
+    Checks that v is a positive integer, p an int or float in [0, 1] and
+    seed an integer, none a bool.  The PRNG is splitmix64 seeded with `seed`
+    mod 2^64.  The ordered pairs (u, w) with u != w (only u < w when
+    `upward`) are drawn in lexicographic order, u major and w minor; each
+    pair consumes exactly one 64-bit output, and is an edge iff the output's
+    top 53 bits, read as a double in [0, 1), are below p.  The scheme is
+    fixed so corpora are reproducible across implementations.
     """
     _positive(v, "v")
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"edge probability must be in [0,1], got {p!r}")
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        raise GraphError(f"edge probability p must be a number in [0,1], got {p!r}")
+    if not _is_id(seed):
+        raise GraphError(f"seed must be an integer, got {seed!r}")
     state = seed & _M64
     edges = []
     for u in range(v):

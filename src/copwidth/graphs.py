@@ -5,7 +5,9 @@ generators and the cliquewidth evaluator.  Vertices are identified by ids
 0..vertex_count-1 and carry unique non-empty names.  Self-loops are allowed;
 duplicate edges are rejected.  Successor lists are kept sorted, and each
 vertex additionally exposes its successor set as an int bitmask because the
-solvers spend nearly all their time in reachability queries.
+solvers spend nearly all their time in reachability queries.  The structural
+queries (reachability, SCCs, acyclicity) run on these masks within a
+vertex-set mask, with no subgraph built.
 """
 
 from __future__ import annotations
@@ -190,61 +192,45 @@ def symmetric_closure(graph: Graph) -> Graph:
     return Graph(graph.names, sorted(edges))
 
 
-def sccs(graph: Graph) -> list[list[int]]:
-    """Strongly connected components in topological order of the condensation.
+def _components(succ: tuple[int, ...], within: int) -> list[int]:
+    """The SCC masks of G[within], found and ordered as `sccs` describes."""
+    pred = [0] * len(succ)
+    finished = []
+    unseen = within
+    while unseen:
+        stack = [unseen & -unseen]
+        unseen ^= stack[0]
+        while stack:
+            v = stack[-1].bit_length() - 1
+            nxt = succ[v] & unseen
+            if nxt:
+                stack.append(nxt & -nxt)
+                unseen ^= stack[-1]
+            else:
+                for w in bits_of(succ[v] & within):
+                    pred[w] |= stack[-1]
+                finished.append(v)
+                stack.pop()
+    comps = []
+    for v in reversed(finished):  # `within` now holds the vertices not yet placed
+        if within >> v & 1:
+            comps.append(_spread(pred, within, 1 << v)[0])
+            within ^= comps[-1]
+    return comps
 
-    Iterative Tarjan; components are emitted in reverse topological order and
-    the final list is reversed, so every edge goes within a component or from
-    an earlier to a later one.  Vertices within a component are sorted.
+
+def sccs(graph: Graph) -> list[list[int]]:
+    """Strongly connected components in topological order of the condensation:
+    every edge goes within a component or from an earlier to a later one.
+
+    Two passes on the masks (Sharir 1981): a depth-first search, roots and
+    successors ascending, lists the vertices as they finish; then each
+    vertex not yet placed, latest-finished first, takes the unplaced
+    vertices that reach it.  That is Tarjan's order on the same search,
+    reversed: Tarjan emits a component when its first-visited vertex, the
+    last member to finish, finishes.  Each lists its vertices ascending.
     """
-    n = graph.vertex_count
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # explicit DFS stack: (vertex, iterator position into succs)
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            succ = graph.succs[v]
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
-                if index[w] == -1:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    out.reverse()
-    return out
+    return [list(bits_of(c)) for c in _components(graph.succ_masks, graph.full_mask)]
 
 
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
@@ -258,15 +244,20 @@ def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     return Graph(names, edges)
 
 
+def _is_acyclic(succ: tuple[int, ...], within: int) -> bool:
+    """True iff G[within] has no directed cycle, a self-loop counting as one:
+    strip its sinks until nothing is left or no sink remains."""
+    while within:
+        sinks = mask_of(v for v in bits_of(within) if not succ[v] & within)
+        if not sinks:
+            return False
+        within ^= sinks
+    return True
+
+
 def is_acyclic(graph: Graph) -> bool:
     """True iff no directed cycle; a self-loop counts as a cycle."""
-    for comp in sccs(graph):
-        if len(comp) > 1:
-            return False
-        v = comp[0]
-        if graph.succ_masks[v] >> v & 1:
-            return False
-    return True
+    return _is_acyclic(graph.succ_masks, graph.full_mask)
 
 
 def serialize_graph(graph: Graph) -> bytes:
@@ -281,6 +272,11 @@ def serialize_graph(graph: Graph) -> bytes:
 def _is_id(x) -> bool:
     # JSON booleans decode to bool, a subclass of int, so true would pass as 1
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive(n: int, what: str) -> None:
+    if not _is_id(n) or n < 1:
+        raise GraphError(f"{what} must be a positive integer, got {n!r}")
 
 
 def parse_graph(data: bytes | str) -> Graph:

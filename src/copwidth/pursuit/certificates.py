@@ -42,13 +42,13 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 from ..graphs import (
     Graph,
     GraphError,
+    _components,
+    _is_acyclic,
     _is_id,
     bits_of,
-    induced_subgraph,
     is_acyclic,
     mask_of,
     reach_mask,
-    sccs,
 )
 from ..families import FamilyId, gen_switch_all
 from .games import (
@@ -189,11 +189,11 @@ class EntVerifyReport:
         return self.ok
 
 
-def _feedback_vertex(graph: Graph, comp: Sequence[int]) -> Optional[int]:
-    """The lowest vertex of the strongly connected component comp whose
-    removal leaves the rest of comp acyclic, or None if there is none."""
-    for v in sorted(comp):
-        if is_acyclic(induced_subgraph(graph, [w for w in comp if w != v])):
+def _feedback_vertex(graph: Graph, comp: int) -> Optional[int]:
+    """The lowest vertex of the strongly connected component with mask comp
+    whose removal leaves G[comp] acyclic, or None if there is none."""
+    for v in bits_of(comp):
+        if _is_acyclic(graph.succ_masks, comp & ~(1 << v)):
             return v
     return None
 
@@ -208,23 +208,20 @@ def feedback_chase_strategy(
     when he sits on the designated feedback vertex of a non-trivial strongly
     connected component of the graph minus the anchors.
 
-    The designated feedback vertex of a component is its lowest-id vertex
-    whose removal makes the component acyclic; components without one simply
-    never trigger a chase move (the strategy then cannot win and verification
-    will say so).
+    The components are found on the masks of G minus the anchors, and a
+    component's designated vertex is its `_feedback_vertex`; components
+    without one simply never trigger a chase move (the strategy then cannot
+    win and verification will say so).
     """
     _check_cops(k)
     anchor_set = frozenset(anchors)
-    rest = list(bits_of(graph.full_mask & ~graph._mask(anchor_set)))
-    sub = induced_subgraph(graph, rest)
-    to_full = {i: v for i, v in enumerate(rest)}
+    succ = graph.succ_masks
     target: dict[int, int] = {}
-    for comp in sccs(sub):
-        nontrivial = len(comp) > 1 or sub.succ_masks[comp[0]] >> comp[0] & 1
-        fv = _feedback_vertex(sub, comp) if nontrivial else None
+    for comp in _components(succ, graph.full_mask & ~graph._mask(anchor_set)):
+        fv = None if _is_acyclic(succ, comp) else _feedback_vertex(graph, comp)
         if fv is not None:
-            for w in comp:
-                target[to_full[w]] = to_full[fv]
+            for w in bits_of(comp):
+                target[w] = fv
 
     def strategy(placement: frozenset[int], robber: int) -> frozenset[int]:
         if robber in anchor_set and robber not in placement:
@@ -361,12 +358,9 @@ _CERTIFICATES = {
 def entanglement_is_one(graph: Graph) -> bool:
     """True iff the graph has a cycle and every strongly connected component
     contains a vertex whose removal makes that component acyclic."""
-    if is_acyclic(graph):
-        return False
-    # loop-free singletons are vacuous; a self-loop empties on removal
-    return all(
-        len(comp) == 1 or _feedback_vertex(graph, comp) is not None for comp in sccs(graph)
-    )
+    # a loop-free singleton empties on removal, and so does a self-loop
+    comps = _components(graph.succ_masks, graph.full_mask)
+    return not is_acyclic(graph) and all(_feedback_vertex(graph, c) is not None for c in comps)
 
 
 def replay_cop_strategy(

@@ -77,6 +77,7 @@ from ..graphs import (
     Graph,
     GraphError,
     _is_id,
+    _positive,
     _spread,
     bits_of,
     mask_of,
@@ -347,6 +348,7 @@ def solve_visible(
     """
     g = _visible_graph(graph, config.variant)
     _check_cops(config.cops, graph)
+    _positive(budget, "budget")
     if config.variant is Variant.DAGW and config.require_monotone and not full_moves:
         return _search_contaminated(g, config.cops, Variant.DAGW, budget)
     return _play_visible(g, config.cops, config.require_monotone, full_moves, budget)
@@ -443,9 +445,8 @@ def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
         scopes.append(scope)
         for v in comp:
             succ[v] = graph.succ_masks[v] & scope
-            for w in graph.succs[v]:
-                if scope >> w & 1:
-                    pred[w] |= 1 << v
+            for w in bits_of(succ[v]):
+                pred[w] |= 1 << v
     nbr = [s | p for s, p in zip(succ, pred)]
     masks = (tuple(scopes), tuple(succ), tuple(pred), tuple(nbr))
     _last_scc_masks = (graph, masks)
@@ -644,6 +645,7 @@ def solve_invisible(
     if config.variant not in (Variant.KW, Variant.DPW):
         raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
     _check_cops(config.cops, graph)
+    _positive(budget, "budget")
     k = config.cops
     inert = config.variant is Variant.KW
     if graph.vertex_count == 0:
@@ -670,6 +672,7 @@ def solve_entanglement(
     here.
     """
     _check_cops(k, graph)
+    _positive(budget, "budget")
     succ = graph.succ_masks
 
     def regions(c: int, v: int) -> list[tuple[int, int]]:

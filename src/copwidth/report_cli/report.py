@@ -35,7 +35,6 @@ from typing import Callable, Iterable, Optional, Union
 from ..cliquewidth import verify_family_expr
 from ..families import (
     FamilyId,
-    _positive,
     gen_complete_bipartite,
     gen_random_dag,
     gen_random_digraph,
@@ -43,7 +42,7 @@ from ..families import (
     gen_zadeh,
     lemma_bipartite_witness,
 )
-from ..graphs import Graph, GraphError, serialize_graph, symmetric_closure
+from ..graphs import Graph, GraphError, _positive, serialize_graph, symmetric_closure
 from ..pursuit.certificates import _CERTIFICATES, entanglement_is_one
 from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,

@@ -201,6 +201,22 @@ class TestSexpr:
             with pytest.raises(GraphError, match="not printable"):
                 sexpr(e)
 
+    @pytest.mark.parametrize(
+        "e",
+        [Connect("a", "b", "x"), Recolour("a", "b", ")"), Union(Port("a", "u"), " ")],
+        ids=["connect", "recolour", "union"],
+    )
+    def test_str_child_rejected_as_a_node(self, e):
+        # a str child is no node, even one that reads as sexpr's own output
+        for fn in (sexpr, eval_expr, colours_used):
+            with pytest.raises(GraphError, match="not a cliquewidth expression node"):
+                fn(e)
+
+    @pytest.mark.parametrize("text", [b"(port a u)", None], ids=["bytes", "none"])
+    def test_parse_rejects_non_str(self, text):
+        with pytest.raises(GraphError, match="expression text must be a str"):
+            parse_sexpr(text)
+
     @given(st.lists(st.sampled_from(SEXPR_TOKENS)).map("".join))
     def test_parse_fuzz(self, text):
         try:

@@ -1,5 +1,7 @@
 """Family generators: hand-enumerated adjacency oracles and shape contracts."""
 
+import re
+
 import pytest
 
 from copwidth import (
@@ -223,6 +225,30 @@ class TestRandom:
     def test_no_self_loops(self):
         g = gen_random_digraph(7, 0.9, 5)
         assert all(u != w for u, w in g.edges())
+
+    @pytest.mark.parametrize("gen", [gen_random_digraph, gen_random_dag])
+    @pytest.mark.parametrize(
+        "p, seed, message",
+        [
+            ("0.3", 1, "p must be a number in [0,1], got '0.3'"),
+            (True, 1, "p must be a number in [0,1], got True"),
+            (None, 1, "p must be a number in [0,1], got None"),
+            (1.5, 1, "p must be a number in [0,1], got 1.5"),
+            (float("nan"), 1, "p must be a number in [0,1], got nan"),
+            (0.3, "1", "seed must be an integer, got '1'"),
+            (0.3, 1.5, "seed must be an integer, got 1.5"),
+            (0.3, None, "seed must be an integer, got None"),
+            (0.3, True, "seed must be an integer, got True"),
+        ],
+    )
+    def test_bad_argument_named(self, gen, p, seed, message):
+        with pytest.raises(GraphError, match=re.escape(message) + "$"):
+            gen(5, p, seed)
+
+    def test_int_p_and_negative_seed(self):
+        assert gen_random_digraph(4, 1, 7).edge_count == 12
+        assert gen_random_dag(4, 0, 7).edge_count == 0
+        assert gen_random_digraph(6, 0.5, -1) == gen_random_digraph(6, 0.5, 2**64 - 1)
 
     def test_dag_is_acyclic(self):
         for seed in range(10):

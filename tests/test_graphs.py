@@ -9,7 +9,9 @@ from copwidth import (
     Graph,
     GraphError,
     gen_cycle,
+    gen_random_digraph,
     gen_switch_all,
+    gen_zadeh,
     induced_subgraph,
     is_acyclic,
     parse_graph,
@@ -19,6 +21,7 @@ from copwidth import (
     symmetric_closure,
     to_dot,
 )
+from copwidth.report_cli.report import _all_digraphs
 
 
 def small_graphs(max_n=5):
@@ -212,6 +215,38 @@ class TestSccs:
                 index[v] = i
         for u, w in g.edges():
             assert index[u] <= index[w]
+
+
+    def test_components_are_the_mutual_reach_classes(self):
+        # all 530 digraphs with at most 3 vertices, then 200 seeded ones on 4-12
+        graphs = [g for n in range(1, 4) for g in _all_digraphs(n)]
+        graphs += [gen_random_digraph(4 + i % 9, (0.1, 0.2, 0.3, 0.5)[i % 4], i) for i in range(200)]
+        for g in graphs:
+            n = g.vertex_count
+            comps = sccs(g)
+            assert sorted(v for comp in comps for v in comp) == list(range(n))
+            assert all(comp == sorted(comp) for comp in comps)
+            reach = [reachable(g, [], [v]) for v in range(n)]
+            index = {v: i for i, comp in enumerate(comps) for v in comp}
+            for u in range(n):
+                for w in range(n):
+                    assert (index[u] == index[w]) == (w in reach[u] and u in reach[w])
+            assert all(index[u] <= index[w] for u, w in g.edges())
+            # a cycle is a vertex that one of its successors reaches
+            has_cycle = any(v in reachable(g, [], g.successors(v)) for v in range(n))
+            assert is_acyclic(g) is not has_cycle, serialize_graph(g)
+
+    # Pinned as Tarjan's algorithm returned them: the component order fixes
+    # the order of the contaminated-set search, so its witnesses and the
+    # state counts of a losing k.
+    def test_switch_all_2_pinned(self):
+        assert sccs(gen_switch_all(2)) == [list(range(1, 22)), [22], [23], [0]]
+
+    def test_zadeh_2_pinned(self):
+        assert sccs(gen_zadeh(2)) == [
+            [0, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 23, 24, 25, 26, 27],
+            [9], [28], [2], [22], [1],
+        ]
 
 
 class TestInducedSubgraph:

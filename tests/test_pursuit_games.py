@@ -1,6 +1,7 @@
 """Game solvers: frozen small-instance oracles, witnesses, and consistency."""
 
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -644,6 +645,15 @@ class TestBudget:
         k, out = first_win(g, variant)
         rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
         assert rep.cleared and rep.monotone
+
+    @pytest.mark.parametrize("budget", ["5", None, True, 2.5, 0, -1], ids=repr)
+    def test_bad_budget_rejected_by_every_solver(self, budget):
+        # measure reaches all three solvers: kw, dpw and tw solve_invisible,
+        # dagw solve_visible, ent solve_entanglement
+        message = re.escape(f"budget must be a positive integer, got {budget!r}") + "$"
+        for variant in Variant:
+            with pytest.raises(GraphError, match=message):
+                measure(gen_cycle(3), variant, budget=budget)
 
     @pytest.mark.parametrize("mono", [True, False], ids=["monotone", "non_monotone"])
     def test_invisible_exhaustion_carries_the_budget(self, mono):
