@@ -115,7 +115,7 @@ def eval_expr(expr: CwExpr) -> LabelledGraph:
             src = [i for i, c in enumerate(cols[start:], start) if c == node.src]
             dst = [i for i, c in enumerate(cols[start:], start) if c == node.dst]
             edges.update(product(src, dst))
-    return LabelledGraph(Graph(names, sorted(edges)), tuple(cols))
+    return LabelledGraph(Graph(names, edges), tuple(cols))
 
 
 def colour_set(expr: CwExpr) -> frozenset[str]:

@@ -3,11 +3,13 @@
 The graph type is the shared substrate for the game solvers, the family
 generators and the cliquewidth evaluator.  Vertices are identified by ids
 0..vertex_count-1 and carry unique non-empty names.  Self-loops are allowed;
-duplicate edges are rejected.  Successor lists are kept sorted, and each
-vertex additionally exposes its successor set as an int bitmask because the
-solvers spend nearly all their time in reachability queries.  The structural
-queries (reachability, SCCs, acyclicity) run on these masks within a
-vertex-set mask, with no subgraph built.
+duplicate edges are rejected.  Adjacency is stored once, as one successor and
+one predecessor int bitmask per vertex, because the solvers spend nearly all
+their time in reachability queries; successor tuples and edge lists are read
+off the masks in ascending id order.  The structural queries (reachability,
+SCCs, acyclicity) run on these masks within a vertex-set mask, with no
+subgraph built, and the symmetric closure and induced subgraphs are built
+from them.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ class GraphError(ValueError):
 
 class Graph:
     """A finite directed graph; immutable once constructed.  The constructor
-    checks that each edge is a new pair of int vertex ids in 0..n-1."""
+    checks that each edge is a new pair of int vertex ids in 0..n-1.  Its
+    adjacency is `succ_masks` and its transpose `pred_masks`: bit w of
+    succ_masks[u] and bit u of pred_masks[w] are set iff (u, w) is an edge."""
 
-    __slots__ = ("names", "succs", "succ_masks", "_ids")
+    __slots__ = ("names", "succ_masks", "pred_masks", "_ids")
 
     def __init__(self, names: Iterable[str], edges: Iterable[tuple[int, int]]):
         names = tuple(names)
@@ -49,8 +53,8 @@ class Graph:
                 raise GraphError(f"duplicate vertex name {nm!r}")
             ids[nm] = i
         n = len(names)
-        succ_sets: list[set[int]] = [set() for _ in range(n)]
-        succ_masks = [0] * n
+        succ = [0] * n
+        pred = [0] * n
         for e in edges:
             try:
                 u, w = e
@@ -58,19 +62,18 @@ class Graph:
                     raise GraphError(f"edge ({u},{w}) has a dangling endpoint (vertex_count={n})")
                 if type(u) is bool or type(w) is bool:  # an int subclass the range passes
                     raise GraphError(f"edge {e!r} must be a pair of vertex ids")
-                s = succ_sets[u]
-                if w in s:
+                if succ[u] >> w & 1:
                     raise GraphError(f"duplicate edge ({u},{w})")
-                s.add(w)
-                succ_masks[u] |= 1 << w
+                succ[u] |= 1 << w
+                pred[w] |= 1 << u
             except GraphError:
                 raise
             except (TypeError, ValueError):
                 # from the range check (str), the index or shift (float) or the unpacking
                 raise GraphError(f"edge {e!r} must be a pair of vertex ids") from None
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "succs", tuple(tuple(sorted(s)) for s in succ_sets))
-        object.__setattr__(self, "succ_masks", tuple(succ_masks))
+        object.__setattr__(self, "succ_masks", tuple(succ))
+        object.__setattr__(self, "pred_masks", tuple(pred))
         object.__setattr__(self, "_ids", ids)
 
     def __setattr__(self, name, value):
@@ -82,7 +85,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.succs)
+        return sum(m.bit_count() for m in self.succ_masks)
 
     @property
     def full_mask(self) -> int:
@@ -90,8 +93,7 @@ class Graph:
         return (1 << len(self.names)) - 1
 
     def successors(self, v: int) -> tuple[int, ...]:
-        self._check(v)
-        return self.succs[v]
+        return tuple(bits_of(self.succ_masks[self._check(v)]))
 
     def has_edge(self, u: int, w: int) -> bool:
         self._check(u)
@@ -100,7 +102,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges, sorted lexicographically."""
-        return [(u, w) for u in range(len(self.names)) for w in self.succs[u]]
+        return [(u, w) for u, m in enumerate(self.succ_masks) for w in bits_of(m)]
 
     def id_of(self, name: str) -> int:
         try:
@@ -126,10 +128,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.names == other.names and self.succs == other.succs
+        return self.names == other.names and self.succ_masks == other.succ_masks
 
     def __hash__(self) -> int:
-        return hash((self.names, self.succs))
+        return hash((self.names, self.succ_masks))
 
     def __repr__(self) -> str:
         return f"Graph({len(self.names)} vertices, {self.edge_count} edges)"
@@ -184,17 +186,13 @@ def reachable(graph: Graph, blocked: Iterable[int], sources: Iterable[int]) -> s
 
 def symmetric_closure(graph: Graph) -> Graph:
     """Same vertices, edge set E union reversed E."""
-    edges = set()
-    for u in range(graph.vertex_count):
-        for w in graph.succs[u]:
-            edges.add((u, w))
-            edges.add((w, u))
-    return Graph(graph.names, sorted(edges))
+    sym = [s | p for s, p in zip(graph.succ_masks, graph.pred_masks)]
+    return Graph(graph.names, [(u, w) for u, m in enumerate(sym) for w in bits_of(m)])
 
 
-def _components(succ: tuple[int, ...], within: int) -> list[int]:
+def _components(graph: Graph, within: int) -> list[int]:
     """The SCC masks of G[within], found and ordered as `sccs` describes."""
-    pred = [0] * len(succ)
+    succ = graph.succ_masks
     finished = []
     unseen = within
     while unseen:
@@ -207,14 +205,12 @@ def _components(succ: tuple[int, ...], within: int) -> list[int]:
                 stack.append(nxt & -nxt)
                 unseen ^= stack[-1]
             else:
-                for w in bits_of(succ[v] & within):
-                    pred[w] |= stack[-1]
                 finished.append(v)
                 stack.pop()
     comps = []
     for v in reversed(finished):  # `within` now holds the vertices not yet placed
         if within >> v & 1:
-            comps.append(_spread(pred, within, 1 << v)[0])
+            comps.append(_spread(graph.pred_masks, within, 1 << v)[0])
             within ^= comps[-1]
     return comps
 
@@ -230,23 +226,21 @@ def sccs(graph: Graph) -> list[list[int]]:
     reversed: Tarjan emits a component when its first-visited vertex, the
     last member to finish, finishes.  Each lists its vertices ascending.
     """
-    return [list(bits_of(c)) for c in _components(graph.succ_masks, graph.full_mask)]
+    return [list(bits_of(c)) for c in _components(graph, graph.full_mask)]
 
 
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph on `keep`, re-indexed densely preserving relative id order."""
-    kept = set(keep)
-    for v in kept:
-        graph._check(v)
-    remap = {v: i for i, v in enumerate(sorted(kept))}  # in ascending id order
-    names = [graph.names[v] for v in remap]
-    edges = [(i, remap[w]) for u, i in remap.items() for w in graph.succs[u] if w in remap]
-    return Graph(names, edges)
+    kept = graph._mask(keep)
+    remap = {v: i for i, v in enumerate(bits_of(kept))}
+    edges = [(i, remap[w]) for u, i in remap.items() for w in bits_of(graph.succ_masks[u] & kept)]
+    return Graph([graph.names[v] for v in remap], edges)
 
 
-def _is_acyclic(succ: tuple[int, ...], within: int) -> bool:
+def _is_acyclic(graph: Graph, within: int) -> bool:
     """True iff G[within] has no directed cycle, a self-loop counting as one:
     strip its sinks until nothing is left or no sink remains."""
+    succ = graph.succ_masks
     while within:
         sinks = mask_of(v for v in bits_of(within) if not succ[v] & within)
         if not sinks:
@@ -257,7 +251,7 @@ def _is_acyclic(succ: tuple[int, ...], within: int) -> bool:
 
 def is_acyclic(graph: Graph) -> bool:
     """True iff no directed cycle; a self-loop counts as a cycle."""
-    return _is_acyclic(graph.succ_masks, graph.full_mask)
+    return _is_acyclic(graph, graph.full_mask)
 
 
 def serialize_graph(graph: Graph) -> bytes:

@@ -193,7 +193,7 @@ def _feedback_vertex(graph: Graph, comp: int) -> Optional[int]:
     """The lowest vertex of the strongly connected component with mask comp
     whose removal leaves G[comp] acyclic, or None if there is none."""
     for v in bits_of(comp):
-        if _is_acyclic(graph.succ_masks, comp & ~(1 << v)):
+        if _is_acyclic(graph, comp & ~(1 << v)):
             return v
     return None
 
@@ -215,10 +215,9 @@ def feedback_chase_strategy(
     """
     _check_cops(k)
     anchor_set = frozenset(anchors)
-    succ = graph.succ_masks
     target: dict[int, int] = {}
-    for comp in _components(succ, graph.full_mask & ~graph._mask(anchor_set)):
-        fv = None if _is_acyclic(succ, comp) else _feedback_vertex(graph, comp)
+    for comp in _components(graph, graph.full_mask & ~graph._mask(anchor_set)):
+        fv = None if _is_acyclic(graph, comp) else _feedback_vertex(graph, comp)
         if fv is not None:
             for w in bits_of(comp):
                 target[w] = fv
@@ -359,7 +358,7 @@ def entanglement_is_one(graph: Graph) -> bool:
     """True iff the graph has a cycle and every strongly connected component
     contains a vertex whose removal makes that component acyclic."""
     # a loop-free singleton empties on removal, and so does a self-loop
-    comps = _components(graph.succ_masks, graph.full_mask)
+    comps = _components(graph, graph.full_mask)
     return not is_acyclic(graph) and all(_feedback_vertex(graph, c) is not None for c in comps)
 
 

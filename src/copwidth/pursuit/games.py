@@ -76,13 +76,12 @@ from typing import Callable, Iterable
 from ..graphs import (
     Graph,
     GraphError,
+    _components,
     _is_id,
     _positive,
     _spread,
     bits_of,
-    mask_of,
     reach_mask,
-    sccs,
     symmetric_closure,
 )
 
@@ -439,14 +438,11 @@ def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
         return masks
     succ = [0] * graph.vertex_count
     pred = [0] * graph.vertex_count
-    scopes = []
-    for comp in sccs(graph):
-        scope = mask_of(comp)
-        scopes.append(scope)
-        for v in comp:
+    scopes = _components(graph, graph.full_mask)
+    for scope in scopes:
+        for v in bits_of(scope):
             succ[v] = graph.succ_masks[v] & scope
-            for w in bits_of(succ[v]):
-                pred[w] |= 1 << v
+            pred[v] = graph.pred_masks[v] & scope
     nbr = [s | p for s, p in zip(succ, pred)]
     masks = (tuple(scopes), tuple(succ), tuple(pred), tuple(nbr))
     _last_scc_masks = (graph, masks)
@@ -761,6 +757,7 @@ def measure_detailed(
     for TW here, and the SCC masks of the contaminated-set search by
     `_scc_masks`, which keeps the last graph's."""
     variant = Variant(variant)
+    _positive(budget, "budget")
     if graph.vertex_count == 0:
         return 0, 0
     g, played, mono = _as_played(graph, variant, require_monotone)

@@ -1,6 +1,7 @@
 """Core graph type: construction, reachability, SCCs, serialization."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +123,47 @@ class TestConstruction:
         assert g1 == g2
         assert hash(g1) == hash(g2)
         assert g1 != Graph(["a", "b"], [(1, 0)])
+
+
+def edge_lists():
+    """(n, edges) for every digraph with at most 3 vertices, then 200 seeded
+    ones on 4-8 vertices; edges in lexicographic order."""
+    for n in range(4):
+        for m in range(1 << (n * n)):
+            yield n, [(u, w) for u in range(n) for w in range(n) if m >> (u * n + w) & 1]
+    rng = random.Random(19)
+    for i in range(200):
+        n, p = 4 + i % 5, (0.2, 0.35, 0.5)[i % 3]
+        yield n, [(u, w) for u in range(n) for w in range(n) if rng.random() < p]
+
+
+class TestMaskAdjacency:
+    def test_masks_match_an_edge_list_oracle(self):
+        rng = random.Random(7)
+        for n, edges in edge_lists():
+            names = [f"v{i}" for i in range(n)]
+            shuffled = rng.sample(edges, len(edges))
+            g = Graph(names, shuffled)
+            shown = (n, shuffled)
+            edge_set = set(edges)
+            for u in range(n):
+                for w in range(n):
+                    has = (u, w) in edge_set
+                    assert bool(g.succ_masks[u] >> w & 1) is has, shown
+                    assert bool(g.pred_masks[w] >> u & 1) is has, shown
+            assert g.edges() == edges and g.edge_count == len(edges), shown
+            for v in range(n):
+                assert g.successors(v) == tuple(w for u, w in edges if u == v), shown
+            assert symmetric_closure(g).edges() == sorted(edge_set | {(w, u) for u, w in edges})
+            keep = [v for v in range(n) if rng.random() < 0.6]
+            index = {v: i for i, v in enumerate(keep)}
+            h = induced_subgraph(g, rng.sample(keep, len(keep)))
+            assert h.names == tuple(names[v] for v in keep), shown
+            assert h.edges() == [(index[u], index[w]) for u, w in edges if u in index and w in index]
+            again = Graph(names, rng.sample(edges, len(edges)))
+            assert again == g and hash(again) == hash(g), shown
+            if edges:
+                assert Graph(names, shuffled[1:]) != g, shown
 
 
 class TestReachable:

@@ -102,7 +102,7 @@ def ent_cops_win(g, k):
                 continue
             entered = c | {v}
             announcements = [c] + ([entered] if len(c) < k else []) + [entered - {u} for u in c]
-            if any(all((cp, w) in won for w in g.succs[v] if w not in cp) for cp in announcements):
+            if any(all((cp, w) in won for w in g.successors(v) if w not in cp) for cp in announcements):
                 won.add((c, v))
                 grew = True
     return all((frozenset(), v) in won for v in vs)
@@ -465,20 +465,20 @@ class TestTreewidthAsKellyWidth:
 
 
     def test_scan_builds_the_per_graph_set_up_once(self, monkeypatch):
-        calls = {"symmetric_closure": 0, "sccs": 0}
+        calls = {"symmetric_closure": 0, "_components": 0}
         for name in calls:
 
-            def counted(graph, _name=name, _fn=getattr(games, name)):
+            def counted(*args, _name=name, _fn=getattr(games, name)):
                 calls[_name] += 1
-                return _fn(graph)
+                return _fn(*args)
 
             monkeypatch.setattr(games, name, counted)
         g = gen_zadeh(1)
         assert measure(g, Variant.TW) == 3
-        assert calls == {"symmetric_closure": 1, "sccs": 1}
+        assert calls == {"symmetric_closure": 1, "_components": 1}
         # the kw and dpw scans of one graph share its SCC masks
         assert (measure(g, Variant.KW), measure(g, Variant.DPW)) == (3, 2)
-        assert calls == {"symmetric_closure": 1, "sccs": 2}
+        assert calls == {"symmetric_closure": 1, "_components": 2}
 
 
 class TestEntanglement:
@@ -649,11 +649,13 @@ class TestBudget:
     @pytest.mark.parametrize("budget", ["5", None, True, 2.5, 0, -1], ids=repr)
     def test_bad_budget_rejected_by_every_solver(self, budget):
         # measure reaches all three solvers: kw, dpw and tw solve_invisible,
-        # dagw solve_visible, ent solve_entanglement
+        # dagw solve_visible, ent solve_entanglement; the empty graph, which
+        # no solver sees, is checked as well
         message = re.escape(f"budget must be a positive integer, got {budget!r}") + "$"
-        for variant in Variant:
-            with pytest.raises(GraphError, match=message):
-                measure(gen_cycle(3), variant, budget=budget)
+        for g in (gen_cycle(3), Graph([], [])):
+            for variant in Variant:
+                with pytest.raises(GraphError, match=message):
+                    measure(g, variant, budget=budget)
 
     @pytest.mark.parametrize("mono", [True, False], ids=["monotone", "non_monotone"])
     def test_invisible_exhaustion_carries_the_budget(self, mono):
