@@ -274,11 +274,10 @@ def _replay_positional(
             if processed:
                 colour[pos] = BLACK
                 continue
-            state = colour.get(pos, WHITE)
-            if state is BLACK:
+            # never GREY here: one on the current play is caught when pushed,
+            # and an older entry lies below its marker, so it pops BLACK
+            if colour.get(pos, WHITE) is BLACK:
                 continue
-            if state is GREY:
-                return _REPEATS, pos
             colour[pos] = GREY
             stack.append((pos, True))
             children = replies(pos)

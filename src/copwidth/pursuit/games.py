@@ -15,7 +15,7 @@ and what is left of R splits into parts, subgames that must all be won:
   DPW's, and the parts are the distinct robber regions of G[R \\ {u}] (the
   (X, component) game of Berwanger et al., JCTB 2012, with X cut down to
   the guard);
-- TW: the KW game on the symmetric closure (`_as_played`), since
+- TW: the KW game on the symmetric closure (`solve`), since
   kw(G<->) = tw(G) + 1.
 
 The search solves each strongly connected component as its own subgame.
@@ -47,8 +47,10 @@ Each game rule has one home here:
 - `_guard` and `_parts`: what that rule means for the contaminated-set
   search, the cleared vertices that must hold cops while a cop lands on a
   vertex of R, and the subgames left after it;
-- `solve`: the one dispatch from a variant to its solver, by way of
-  `_as_played`, which `measure_detailed` calls once per scan.
+- `solve`: the one dispatch from a variant to its solver.  What a solve
+  derives from the graph alone, the symmetric closure (`_closure`) and
+  the SCC masks (`_scc_masks`), is cached for the last graph, so the
+  solves of one `measure_detailed` scan build it once.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
 ]
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -163,12 +166,13 @@ def _solve_cop_game(
     every start is won.
 
     The least fixed point is decided locally (Liu & Smolka, ICALP 1998):
-    nodes are expanded breadth-first, in the order they are built, and won
-    ones are not expanded.  A cop node with a successor already won, or a
-    robber node with none left that is not, is won there, and each win goes
-    straight back to the predecessors expanded so far.  The solve stops
-    once every start is won; if the queue runs out first, the robber can
-    stay on the nodes not won forever.  The witness maps each won cop node
+    nodes are expanded breadth-first, in the order they are built, each
+    once.  A cop node with a successor already won, or a robber node with
+    none left that is not, is won there, and each win goes straight back to
+    the predecessors expanded so far; as only those are in `preds`, no node
+    is won before it is expanded.  The solve stops once every start is won;
+    if the queue runs out first, the robber can stay on the nodes not won
+    forever.  The witness maps each won cop node
     to the C' of the successor that won it first, so every play ends.
 
     Every rule lists distinct placements C', and the w of a robber node are
@@ -205,8 +209,6 @@ def _solve_cop_game(
     for nid, (c, x) in enumerate(keys):  # keys is the queue, and grows
         if starts == n:
             break
-        if won[nid]:
-            continue
         if is_cop[nid]:
             ready = []
             for rk in regions(c, x):
@@ -326,7 +328,13 @@ def _visible_graph(graph: Graph, variant: Variant | str) -> Graph:
     variant = Variant(variant)
     if variant not in (Variant.TW, Variant.DAGW):
         raise GraphError(f"the visible game expects variant tw or dagw, got {variant.value}")
-    return symmetric_closure(graph) if variant is Variant.TW else graph
+    return _closure(graph) if variant is Variant.TW else graph
+
+
+@functools.lru_cache(maxsize=1)
+def _closure(graph: Graph) -> Graph:
+    """The symmetric closure TW is played on, kept for the last graph."""
+    return symmetric_closure(graph)
 
 
 def solve_visible(
@@ -334,23 +342,22 @@ def solve_visible(
     config: GameConfig,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
-    full_moves: bool = False,
 ) -> SolveOutcome:
     """Decide the visible-robber game (variant TW or DAGW) with config.cops cops.
 
     TW plays on the symmetric closure of the graph; DAGW on the graph as
-    given.  Monotone DAGW with normalized moves is searched over the
-    robber's regions (`_search_contaminated`); full_moves, non-monotone
-    DAGW and TW are played move by move (`_play_visible`), and this TW game
-    is the reference that `solve`'s TW is tested against.  The witness is a
-    `CopStrategy` for `replay_cop_strategy`.
+    given.  Monotone DAGW is searched over the robber's regions
+    (`_search_contaminated`); non-monotone DAGW and TW are played move by
+    move (`_play_visible`), and this TW game is the reference that
+    `solve`'s TW is tested against.  The witness is a `CopStrategy` for
+    `replay_cop_strategy`.
     """
     g = _visible_graph(graph, config.variant)
     _check_cops(config.cops, graph)
     _positive(budget, "budget")
-    if config.variant is Variant.DAGW and config.require_monotone and not full_moves:
+    if config.variant is Variant.DAGW and config.require_monotone:
         return _search_contaminated(g, config.cops, Variant.DAGW, budget)
-    return _play_visible(g, config.cops, config.require_monotone, full_moves, budget)
+    return _play_visible(g, config.cops, config.require_monotone, False, budget)
 
 
 def _guard(succ: tuple[int, ...], inert: bool, r: int, u: int) -> int:
@@ -421,21 +428,13 @@ def _parts(adj: tuple[int, ...] | None, back: tuple[int, ...] | None, r: int) ->
     return out
 
 
-# the last graph `_scc_masks` was asked about, and its masks
-_last_scc_masks: tuple = (None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """The set-up of `_search_contaminated`, which depends on the graph
     alone: the SCC masks in `sccs` order, and each vertex's successor,
     predecessor and neighbour (successor or predecessor) masks within its
-    SCC.  The masks of the last graph asked about are kept, so the solves
-    of one cop-count scan, and the kw and dpw scans of one graph, build
-    them once."""
-    global _last_scc_masks
-    last, masks = _last_scc_masks
-    if last is graph:
-        return masks
+    SCC.  Kept for the last graph, so one scan's solves, and the kw and dpw
+    scans of one graph, build them once."""
     succ = [0] * graph.vertex_count
     pred = [0] * graph.vertex_count
     scopes = _components(graph, graph.full_mask)
@@ -444,9 +443,7 @@ def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
             succ[v] = graph.succ_masks[v] & scope
             pred[v] = graph.pred_masks[v] & scope
     nbr = [s | p for s, p in zip(succ, pred)]
-    masks = (tuple(scopes), tuple(succ), tuple(pred), tuple(nbr))
-    _last_scc_masks = (graph, masks)
-    return masks
+    return tuple(scopes), tuple(succ), tuple(pred), tuple(nbr)
 
 
 def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) -> SolveOutcome:
@@ -642,8 +639,7 @@ def solve_invisible(
         raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
     _check_cops(config.cops, graph)
     _positive(budget, "budget")
-    k = config.cops
-    inert = config.variant is Variant.KW
+    k, inert = config.cops, config.variant is Variant.KW
     if graph.vertex_count == 0:
         return SolveOutcome(Winner.COPS, (), 0)
     if config.require_monotone:
@@ -677,22 +673,6 @@ def solve_entanglement(
     return _solve_cop_game(graph.vertex_count, regions, budget)
 
 
-def _as_played(
-    graph: Graph, variant: Variant, require_monotone: bool
-) -> tuple[Graph, Variant, bool]:
-    """The graph, variant and monotonicity the game of `variant` is solved
-    with.  TW is played as the monotone KW game on the symmetric closure
-    with the same cop count: kw(G<->) = tw(G) + 1 (Hunter & Kreutzer, TCS
-    2008).  On a symmetric graph the KW guard of u, the cleared neighbours
-    of u's component of G[R], is the set Q(R \\ {u}, u) of the treewidth
-    elimination-ordering search of Bodlaender et al. (TALG 2012).  Monotone
-    and non-monotone tw coincide (Seymour & Thomas, JCTB 1993), so TW is
-    searched monotone whatever require_monotone says."""
-    if variant is Variant.TW:
-        return symmetric_closure(graph), Variant.KW, True
-    return graph, variant, require_monotone
-
-
 def solve(
     graph: Graph,
     variant: Variant | str,
@@ -704,14 +684,20 @@ def solve(
     """Decide the game of `variant` with k cops by its solver.
 
     DAGW goes to `solve_visible`, which searches the monotone game over the
-    robber's regions.  TW is decided as the KW game on the symmetric closure
-    (`_as_played`), so its witness is a placement sequence on the closure
-    that `simulate_sweep` replays under KW rules; `solve_visible` stays the
-    independent reference for TW.  require_monotone does not apply to TW,
-    whose monotone and non-monotone games have the same winner, nor to ENT,
-    which has no monotonicity notion.
+    robber's regions.  TW is the monotone KW game on the symmetric closure
+    with the same cop count: kw(G<->) = tw(G) + 1 (Hunter & Kreutzer, TCS
+    2008), and on a symmetric graph the KW guard of u, the cleared
+    neighbours of u's component of G[R], is the set Q(R \\ {u}, u) of the
+    treewidth elimination-ordering search of Bodlaender et al. (TALG 2012).
+    A TW witness is a placement sequence on the closure that
+    `simulate_sweep` replays under KW rules; `solve_visible` stays the
+    independent reference for TW.  require_monotone applies neither to TW,
+    whose monotone and non-monotone games have the same winner (Seymour &
+    Thomas, JCTB 1993), nor to ENT, which has no monotonicity notion.
     """
-    graph, variant, require_monotone = _as_played(graph, Variant(variant), require_monotone)
+    variant = Variant(variant)
+    if variant is Variant.TW:
+        graph, variant, require_monotone = _closure(graph), Variant.KW, True
     # the solvers are looked up as module globals at call time, so wrapped
     # bindings see every solve
     if variant is Variant.ENT:
@@ -753,17 +739,15 @@ def measure_detailed(
     require_monotone: bool = True,
 ) -> tuple[int, int]:
     """measure() plus the total game states explored across the cop-count
-    scan.  The per-graph set-up is done once per scan: the symmetric closure
-    for TW here, and the SCC masks of the contaminated-set search by
-    `_scc_masks`, which keeps the last graph's."""
+    scan, which solves k = 0, 1, ... until the cops win.  Its solves share
+    the per-graph set-up that `solve` caches for the last graph."""
     variant = Variant(variant)
     _positive(budget, "budget")
     if graph.vertex_count == 0:
         return 0, 0
-    g, played, mono = _as_played(graph, variant, require_monotone)
     total = 0
     for k in range(graph.vertex_count + 1):
-        out = solve(g, played, k, budget=budget, require_monotone=mono)
+        out = solve(graph, variant, k, budget=budget, require_monotone=require_monotone)
         total += out.states
         if out.winner is Winner.COPS:
             return _width(variant, k), total

@@ -50,6 +50,8 @@ from ..pursuit.games import (
     GameConfig,
     Variant,
     Winner,
+    _play_visible,
+    _visible_graph,
     _width,
     measure,
     solve,
@@ -497,10 +499,10 @@ def _suite_move_normalization(seed: int) -> SuiteResult:
 
     def check(g):
         for variant in (Variant.TW, Variant.DAGW):
+            played_on = _visible_graph(g, variant)
             for k in range(g.vertex_count + 1):
-                cfg = GameConfig(variant, k)
-                fast = solve_visible(g, cfg).winner
-                full = solve_visible(g, cfg, full_moves=True).winner
+                fast = solve_visible(g, GameConfig(variant, k)).winner
+                full = _play_visible(played_on, k, True, True, DEFAULT_STATE_BUDGET).winner
                 if fast is not full:
                     yield f"{variant.value} at k={k}: normalized {fast.value} vs full {full.value}"
 

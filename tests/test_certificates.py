@@ -39,6 +39,11 @@ class TestSweepCertificateType:
         with pytest.raises(GraphError):
             SweepCertificate(-1, ())
 
+    @pytest.mark.parametrize("placement", [{0}, (0,), [0]], ids=["set", "tuple", "list"])
+    def test_placement_must_be_a_frozenset(self, placement):
+        with pytest.raises(GraphError, match="placement 1 must be a frozenset of vertex ids"):
+            SweepCertificate(2, (frozenset({0}), placement))
+
     def test_non_int_budget_rejected_naming_it(self):
         with pytest.raises(GraphError, match="got '2'"):
             SweepCertificate("2", ())

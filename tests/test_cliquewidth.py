@@ -151,6 +151,14 @@ class TestBuilders:
         with pytest.raises((GraphError, ValueError)):
             verify_family_expr("bipartite", 1)
 
+    def test_unknown_and_missing_names_are_reported(self):
+        rep = verify_family_expr("zadeh", 1, expr=Port("a", "zz"))
+        assert not rep.equal
+        assert rep.name_issues == (
+            "unknown vertex name 'zz' produced by the expression",
+            *(f"vertex {nm!r} missing from the expression" for nm in sorted(gen_zadeh(1).names)),
+        )
+
 
 class TestSexpr:
     def test_port_golden(self):

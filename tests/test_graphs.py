@@ -78,6 +78,10 @@ class TestConstruction:
         g = Graph(["x"], [(0, 0)])
         assert g.has_edge(0, 0)
 
+    def test_unknown_name_rejected(self):
+        with pytest.raises(GraphError, match="unknown vertex name 'c'"):
+            Graph(["a", "b"], [(0, 1)]).id_of("c")
+
     def test_duplicate_name_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             Graph(["a", "a"], [])
@@ -383,6 +387,14 @@ class TestSerialization:
             parse_graph(doc)
         # the constructor's message: parse_graph leaves the range check to it
         assert str(info.value) == "edge (0,1) has a dangling endpoint (vertex_count=1)"
+
+    @pytest.mark.parametrize(
+        "entry", [b'{"name":"x"}', b'{"id":0}', b'"x"'], ids=["no-id", "no-name", "not-an-object"]
+    )
+    def test_vertex_entry_without_id_or_name_rejected(self, entry):
+        doc = b'{"vertices":[' + entry + b'],"edges":[]}'
+        with pytest.raises(GraphError, match="vertex entry 0 must have 'id' and 'name'"):
+            parse_graph(doc)
 
     def test_sparse_ids_rejected(self):
         doc = b'{"vertices":[{"id":1,"name":"x"}],"edges":[]}'

@@ -241,11 +241,10 @@ class TestVisible:
         g = gen_random_digraph(4, 0.5, 99)
         for variant in (Variant.TW, Variant.DAGW):
             for k in range(5):
-                cfg = GameConfig(variant, k)
-                assert (
-                    solve_visible(g, cfg).winner
-                    is solve_visible(g, cfg, full_moves=True).winner
+                full = games._play_visible(
+                    games._visible_graph(g, variant), k, True, True, games.DEFAULT_STATE_BUDGET
                 )
+                assert solve_visible(g, GameConfig(variant, k)).winner is full.winner
 
 
 class TestVisibleRobberStep:
@@ -286,6 +285,12 @@ class TestVisibleRobberStep:
 
 
 class TestInvisible:
+    @pytest.mark.parametrize("variant", [Variant.KW, Variant.DPW])
+    @pytest.mark.parametrize("mono", [True, False])
+    def test_empty_graph_cops_win_at_once(self, variant, mono):
+        out = solve_invisible(Graph([], []), GameConfig(variant, 0, mono))
+        assert (out.winner, out.witness, out.states) == (Winner.COPS, (), 0)
+
     def test_kw_self_loop_one_cop(self):
         g = Graph(["v"], [(0, 0)])
         out = solve_invisible(g, GameConfig(Variant.KW, 1))
@@ -465,6 +470,10 @@ class TestTreewidthAsKellyWidth:
 
 
     def test_scan_builds_the_per_graph_set_up_once(self, monkeypatch):
+        # the caches are keyed by graph equality, so an earlier solve of an
+        # equal graph would already hold the set-up
+        games._closure.cache_clear()
+        games._scc_masks.cache_clear()
         calls = {"symmetric_closure": 0, "_components": 0}
         for name in calls:
 

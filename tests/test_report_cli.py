@@ -18,11 +18,15 @@ from copwidth import (
     MeasureEntry,
     MeasureReport,
     REFERENCE_NOTE,
+    SolveOutcome,
     Variant,
     Winner,
+    gen_random_dag,
+    gen_random_digraph,
     gen_switch_all,
     measure,
     run_report,
+    serialize_graph,
     solve,
 )
 from copwidth import cliquewidth, families, graphs
@@ -235,6 +239,18 @@ class TestBudgetStarvation:
         want = [(*row[:5], row[5].format(b=budget)) for row in self._PINNED[budget]]
         assert got == want
 
+    def test_exact_solve_rows_exhausted_in_the_solve_are_not_checked(self):
+        # zadeh's dpw, dagw, kw and ent rows rest on the exact solve alone
+        rep = run_report("zadeh", n_exact=1, n_cert=2, budget=5)
+        assert rep.all_verified
+        by_measure = {e.measure: e for e in rep.entries}
+        for name in ("dpw", "dagw", "kw", "ent"):
+            e = by_measure[name]
+            assert (e.provenance, e.verified, e.obtained, e.exact, e.note) == (
+                "not-checked", False, None, None,
+                "state budget 5 exhausted during the exact solve",
+            )
+
 
 class TestCrossChecks:
     def test_each_game_is_solved_once(self, monkeypatch):
@@ -346,6 +362,58 @@ class TestRunReportSizes:
             run_report("zadeh", **kwargs)
         assert str(err.value) == message
 
+    def test_family_without_a_bound_row_rejected(self):
+        with pytest.raises(GraphError, match="no bound row for family 'cycle'"):
+            run_report("cycle")
+
+
+class TestSuiteFailures:
+    """A suite whose check is made to disagree reports each failing case
+    with the serialized graph, and does not pass."""
+
+    @staticmethod
+    def assert_failed(res, first_graph, detail):
+        doc = res.to_dict()
+        assert doc["passed"] is False and not res.passed
+        assert doc["failures"][0] == {
+            "graph": serialize_graph(first_graph).decode("ascii"),
+            "detail": detail,
+        }
+
+    def test_width_inequality(self, monkeypatch):
+        values = {Variant.DPW: 0, Variant.DAGW: 2, Variant.KW: 2}
+        monkeypatch.setattr(report, "measure", lambda g, variant: values[variant])
+        res = report._suite_width_inequality(0)
+        assert len(res.failures) == 2 * res.cases == 400
+        self.assert_failed(res, gen_random_digraph(1, 0.15, 0), "dagw 2 > dpw 0 + 1")
+        assert res.failures[1]["detail"] == "kw 2 > dpw 0 + 1"
+
+    def test_entanglement_one(self, monkeypatch):
+        # the exhaustive part cut to the two one-vertex digraphs per size
+        one_vertex = report._all_digraphs
+        monkeypatch.setattr(report, "_all_digraphs", lambda n: one_vertex(1))
+        real = report.entanglement_is_one
+        monkeypatch.setattr(report, "entanglement_is_one", lambda g: not real(g))
+        res = report._suite_entanglement_one(0)
+        assert len(res.failures) == res.cases == 4 * 2 + 100
+        first = next(one_vertex(1))
+        self.assert_failed(res, first, "characterization True but game False")
+
+    def test_acyclic_entanglement(self, monkeypatch):
+        monkeypatch.setattr(report, "measure", lambda g, variant: 1)
+        res = report._suite_acyclic_entanglement(0)
+        assert len(res.failures) == res.cases == 50
+        self.assert_failed(res, gen_random_dag(1, 0.4, 0), "acyclic graph measured ent 1")
+
+    def test_move_normalization(self, monkeypatch):
+        lost = SolveOutcome(Winner.ROBBER, None, 0)
+        monkeypatch.setattr(report, "_play_visible", lambda *args: lost)
+        res = report._suite_move_normalization(0)
+        # the first graph is one vertex, where one cop wins both games
+        self.assert_failed(
+            res, gen_random_digraph(1, 0.35, 0), "tw at k=1: normalized cops vs full robber"
+        )
+
 
 class TestCliGen:
     def test_json_to_stdout(self, capsys):
@@ -371,6 +439,12 @@ class TestCliGen:
     def test_bad_n_exits_nonzero(self, capsys):
         assert main(["gen", "--family", "cycle", "--n", "0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_random_draws_from_the_seed(self, capsys):
+        argv = ["gen", "--family", "random", "--n", "5", "--p", "0.5", "--seed", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.strip() == serialize_graph(gen_random_digraph(5, 0.5, 3)).decode("ascii")
 
 
 class TestCliSolve:
