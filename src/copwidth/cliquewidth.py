@@ -25,12 +25,9 @@ __all__ = [
     "colour_set",
     "colours_used",
     "eval_expr",
-    "parse_sexpr",
-    "sexpr",
     "verify_family_expr",
 ]
 
-import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Union as _U
@@ -138,108 +135,6 @@ def colour_set(expr: CwExpr) -> frozenset[str]:
 def colours_used(expr: CwExpr) -> int:
     """Number of distinct colour labels appearing anywhere in the tree."""
     return len(colour_set(expr))
-
-
-class _Text(str):
-    """Output pending on sexpr's stack, told apart from any node or str."""
-
-
-def sexpr(expr: CwExpr) -> str:
-    """Single-line S-expression form; bit-exact for goldens.
-
-    Shapes: (port COLOUR NAME), (union E1 E2), (recolour OLD NEW E),
-    (connect SRC DST E).  Colour and name atoms must not contain parentheses
-    or any character for which str.isspace() holds, since parse_sexpr
-    splits on those.
-    """
-    out: list[str] = []
-    stack: list = [expr]
-    close, gap = _Text(")"), _Text(" ")
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Text):
-            out.append(item)
-            continue
-        if isinstance(item, Port):
-            for atom in (item.colour, item.name):
-                _check_atom(atom)
-            out.append(f"(port {item.colour} {item.name})")
-        elif isinstance(item, Union):
-            out.append("(union ")
-            stack.extend([close, item.right, gap, item.left])
-        elif isinstance(item, Recolour):
-            for atom in (item.old, item.new):
-                _check_atom(atom)
-            out.append(f"(recolour {item.old} {item.new} ")
-            stack.extend([close, item.child])
-        elif isinstance(item, Connect):
-            for atom in (item.src, item.dst):
-                _check_atom(atom)
-            out.append(f"(connect {item.src} {item.dst} ")
-            stack.extend([close, item.child])
-        else:
-            raise GraphError(f"not a cliquewidth expression node: {item!r}")
-    return "".join(out)
-
-
-def _check_atom(atom: str) -> None:
-    if not isinstance(atom, str) or not atom or any(ch in "()" or ch.isspace() for ch in atom):
-        raise GraphError(f"atom {atom!r} is not printable in S-expression form")
-
-
-def parse_sexpr(text: str) -> CwExpr:
-    """Inverse of sexpr."""
-    if not isinstance(text, str):
-        raise GraphError(f"expression text must be a str, got {text!r}")
-    # \s in a str pattern matches exactly where str.isspace() holds (every code
-    # point checked on Python 3.11): the characters sexpr keeps out of atoms
-    tokens = re.findall(r"[()]|[^()\s]+", text)
-    # shift-reduce over nested lists
-    stack: list[list] = []
-    result: CwExpr | None = None
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise GraphError("unbalanced ')' in expression text")
-            items = stack.pop()
-            node = _build_node(items)
-            if stack:
-                stack[-1].append(node)
-            elif result is None:
-                result = node
-            else:
-                raise GraphError("more than one top-level expression")
-        else:
-            if not stack:
-                raise GraphError(f"stray atom {tok!r} outside any expression")
-            stack[-1].append(tok)
-    if stack:
-        raise GraphError("unbalanced '(' in expression text")
-    if result is None:
-        raise GraphError("empty expression text")
-    return result
-
-
-def _build_node(items: list) -> CwExpr:
-    if not items or not isinstance(items[0], str):
-        raise GraphError("expression node must start with an operator keyword")
-    op, *args = items
-    if op == "port":
-        if len(args) != 2 or not all(isinstance(a, str) for a in args):
-            raise GraphError("port expects (port COLOUR NAME)")
-        return Port(args[0], args[1])
-    if op == "union":
-        if len(args) != 2 or any(isinstance(a, str) for a in args):
-            raise GraphError("union expects (union E1 E2)")
-        return Union(args[0], args[1])
-    if op in ("recolour", "connect"):
-        if len(args) != 3 or not (isinstance(args[0], str) and isinstance(args[1], str)) or isinstance(args[2], str):
-            usage = "OLD NEW" if op == "recolour" else "SRC DST"
-            raise GraphError(f"{op} expects ({op} {usage} E)")
-        return (Recolour if op == "recolour" else Connect)(*args)
-    raise GraphError(f"unknown expression operator {op!r}")
 
 
 # ---------------------------------------------------------------------------

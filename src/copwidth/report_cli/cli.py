@@ -50,6 +50,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_gen(args) -> int:
     fam = args.family
+    # --k, --p and --seed read None when not given; each belongs to one family
+    for flag, owner in (("k", "bipartite"), ("p", "random"), ("seed", "random")):
+        if getattr(args, flag) is not None and fam != owner:
+            raise ValueError(f"--{flag} does not apply to family {fam!r}")
     if fam == "switch-all":
         g = gen_switch_all(args.n)
     elif fam == "zadeh":
@@ -61,7 +65,7 @@ def _cmd_gen(args) -> int:
     elif fam == "path":
         g = gen_path(args.n)
     else:
-        g = gen_random_digraph(args.n, args.p, args.seed)
+        g = gen_random_digraph(args.n, 0.3 if args.p is None else args.p, args.seed or 0)
     if args.format == "json":
         _emit(serialize_graph(g).decode("ascii"), args.out)
     else:
@@ -156,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="second side for bipartite (default: n)")
-    p.add_argument("--p", type=float, default=0.3, help="edge probability for random")
-    p.add_argument("--seed", type=int, default=0, help="seed for random")
+    p.add_argument("--p", type=float, help="edge probability for random (default: 0.3)")
+    p.add_argument("--seed", type=int, help="seed for random (default: 0)")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_gen)

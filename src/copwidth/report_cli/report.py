@@ -421,17 +421,18 @@ def _run_suite(name: str, graphs: Iterable[Graph], check) -> SuiteResult:
 
 
 def _suite_width_inequality(seed: int) -> SuiteResult:
-    """dagw <= dpw+1 and kw <= dpw+1 on 200 seeded digraphs with <= 6 vertices."""
+    """dagw, kw <= dpw+1 and dagw, kw <= tw+1 on 200 seeded digraphs with <= 6
+    vertices.  The tw bounds: G is a subgraph of its symmetric closure G<->,
+    both measures are subgraph-monotone, and kw(G<->) = dagw(G<->) = tw + 1."""
     probs = (0.15, 0.3, 0.5)
 
     def check(g):
-        dpw = measure(g, Variant.DPW)
-        dagw = measure(g, Variant.DAGW)
-        kw = measure(g, Variant.KW)
-        if dagw > dpw + 1:
-            yield f"dagw {dagw} > dpw {dpw} + 1"
-        if kw > dpw + 1:
-            yield f"kw {kw} > dpw {dpw} + 1"
+        dagw, kw = measure(g, Variant.DAGW), measure(g, Variant.KW)
+        for bound in (Variant.DPW, Variant.TW):
+            b = measure(g, bound)
+            for name, w in (("dagw", dagw), ("kw", kw)):
+                if w > b + 1:
+                    yield f"{name} {w} > {bound.value} {b} + 1"
 
     graphs = (
         gen_random_digraph(1 + i % 6, probs[(i // 6) % len(probs)], seed * 1009 + i)

@@ -1,4 +1,4 @@
-"""Colouring-expression calculus: evaluation rules, builders, serialization."""
+"""Colouring-expression calculus: evaluation rules, colour accounting, builders."""
 
 import itertools
 
@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from copwidth import (
     Connect,
+    FamilyId,
     GraphError,
     Port,
     Recolour,
@@ -16,19 +17,9 @@ from copwidth import (
     colour_set,
     colours_used,
     eval_expr,
-    gen_switch_all,
     gen_zadeh,
-    parse_sexpr,
-    sexpr,
     verify_family_expr,
 )
-
-
-# parentheses, letters, operator heads (so that some draws parse) and every
-# whitespace character (none lies above U+3000)
-SEXPR_TOKENS = ["(", ")", "a", "b", "(port a b)", "(union", "(recolour a b", "(connect a b"] + [
-    chr(c) for c in range(0x3001) if chr(c).isspace()
-]
 
 
 def edge_names(result):
@@ -93,6 +84,51 @@ class TestEvalRules:
         r = eval_expr(Recolour("a", "b", Union(Port("a", "u"), Port("c", "v"))))
         assert colour_map(r) == {"u": "b", "v": "c"}
 
+    def test_connect_reaches_only_its_subtree(self):
+        # u has colour a but lies outside the Connect, so it gets no edge
+        r = eval_expr(Union(Port("a", "u"), Connect("a", "b", Union(Port("a", "v"), Port("b", "w")))))
+        assert edge_names(r) == {("v", "w")}
+
+    def test_connect_sees_the_recoloured_class(self):
+        r = eval_expr(Connect("b", "c", Recolour("a", "b", Union(Port("a", "u"), Port("c", "v")))))
+        assert edge_names(r) == {("u", "v")}
+
+    @pytest.mark.parametrize("atom", ["a\rb", "a\x0bb", "a\xa0b", "a\u2028b"])
+    def test_whitespace_atoms_kept_verbatim(self, atom):
+        # names and colours are opaque strings: whitespace inside them is kept
+        r = eval_expr(Connect(atom, atom, Union(Port(atom, atom), Port("b", "v"))))
+        assert colour_map(r) == {atom: atom, "v": "b"}
+        assert edge_names(r) == {(atom, atom)}
+        assert colour_set(Recolour(atom, "b", Port(atom, "u"))) == frozenset({atom, "b"})
+
+    @pytest.mark.parametrize("name", [5, ("a",), ""], ids=["int", "tuple", "empty"])
+    def test_non_str_or_empty_name_rejected(self, name):
+        with pytest.raises(GraphError, match="^vertex 1 has an empty or non-string name$"):
+            eval_expr(Union(Port("a", "u"), Port("a", name)))
+
+    @pytest.mark.parametrize("fn", [eval_expr, colour_set], ids=["eval_expr", "colour_set"])
+    def test_deep_nesting_needs_no_recursion(self, fn):
+        # ten thousand levels, far past the default recursion limit
+        e = Port("a", "u")
+        for i in range(5000):
+            e = Recolour("a", "b", Connect("a", "a", e))
+        if fn is eval_expr:
+            r = fn(e)
+            assert r.colours == ("b",) and edge_names(r) == {("u", "u")}
+        else:
+            assert fn(e) == frozenset({"a", "b"})
+
+    @pytest.mark.parametrize(
+        "e",
+        [Connect("a", "b", "x"), Recolour("a", "b", ")"), Union(Port("a", "u"), " ")],
+        ids=["connect", "recolour", "union"],
+    )
+    def test_str_child_rejected_as_a_node(self, e):
+        # a str child is no node, even one that could pass for a name or colour
+        for fn in (eval_expr, colours_used, colour_set):
+            with pytest.raises(GraphError, match="not a cliquewidth expression node"):
+                fn(e)
+
 
 class TestColourAccounting:
     def test_single_port(self):
@@ -147,6 +183,27 @@ class TestBuilders:
         assert not rep.equal
         assert rep.missing_edges
 
+    @pytest.mark.parametrize("builder", [build_switch_all_expr, build_zadeh_expr])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_builders_reject_non_positive_n(self, builder, n):
+        with pytest.raises(GraphError, match=f"^n must be a positive integer, got {n}$"):
+            builder(n)
+
+    def test_report_counts_colours_and_is_truthy_when_equal(self):
+        rep = verify_family_expr(FamilyId.ZADEH, 2)
+        assert rep and rep.equal
+        assert rep.colour_count == colours_used(build_zadeh_expr(2)) == 9
+
+    def test_extra_connect_fails_with_extra_edges(self):
+        # every pair among the spent vertices: nothing missing, only extras
+        whole = build_switch_all_expr(1)
+        spent = {nm for nm, c in colour_map(eval_expr(whole)).items() if c == "spent"}
+        rep = verify_family_expr("switch-all", 1, expr=Connect("spent", "spent", whole))
+        assert not rep
+        assert not rep.missing_edges and not rep.name_issues
+        assert rep.extra_edges
+        assert {nm for edge in rep.extra_edges for nm in edge} <= spent
+
     def test_unknown_family_rejected(self):
         with pytest.raises((GraphError, ValueError)):
             verify_family_expr("bipartite", 1)
@@ -160,81 +217,8 @@ class TestBuilders:
         )
 
 
-class TestSexpr:
-    def test_port_golden(self):
-        assert sexpr(Port("a", "u")) == "(port a u)"
-
-    def test_nested_golden(self):
-        e = Connect("a", "b", Union(Port("a", "u"), Port("b", "v")))
-        assert sexpr(e) == "(connect a b (union (port a u) (port b v)))"
-
-    def test_recolour_golden(self):
-        assert sexpr(Recolour("a", "b", Port("a", "u"))) == "(recolour a b (port a u))"
-
-    def test_parse_round_trip_builders(self):
-        for e in (build_switch_all_expr(1), build_zadeh_expr(1)):
-            assert parse_sexpr(sexpr(e)) == e
-
-    def test_parse_rejects_bad_arity(self):
-        with pytest.raises(GraphError):
-            parse_sexpr("(union (port a u))")
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("(recolour a (port a u))", "recolour expects (recolour OLD NEW E)"),
-            ("(recolour a b c)", "recolour expects (recolour OLD NEW E)"),
-            ("(connect a b (port a u) (port b v))", "connect expects (connect SRC DST E)"),
-            ("(connect (port a u) b (port b v))", "connect expects (connect SRC DST E)"),
-        ],
-    )
-    def test_relabel_arity_messages(self, text, message):
-        with pytest.raises(GraphError) as err:
-            parse_sexpr(text)
-        assert str(err.value) == message
-
-    def test_parse_rejects_trailing_junk(self):
-        with pytest.raises(GraphError):
-            parse_sexpr("(port a u) (port b v)")
-
-    def test_parse_rejects_unknown_operator(self):
-        with pytest.raises(GraphError):
-            parse_sexpr("(paint a b (port a u))")
-
-    @pytest.mark.parametrize("atom", ["a\rb", "a\x0bb", "a\xa0b", "a\u2028b", 5, ("a",)])
-    def test_whitespace_atoms_rejected(self, atom):
-        # parse_sexpr splits on every str.isspace() character and reads
-        # every atom back as a str
-        for e in (Port(atom, "u"), Port("a", atom), Recolour(atom, "b", Port("a", "u"))):
-            with pytest.raises(GraphError, match="not printable"):
-                sexpr(e)
-
-    @pytest.mark.parametrize(
-        "e",
-        [Connect("a", "b", "x"), Recolour("a", "b", ")"), Union(Port("a", "u"), " ")],
-        ids=["connect", "recolour", "union"],
-    )
-    def test_str_child_rejected_as_a_node(self, e):
-        # a str child is no node, even one that reads as sexpr's own output
-        for fn in (sexpr, eval_expr, colours_used):
-            with pytest.raises(GraphError, match="not a cliquewidth expression node"):
-                fn(e)
-
-    @pytest.mark.parametrize("text", [b"(port a u)", None], ids=["bytes", "none"])
-    def test_parse_rejects_non_str(self, text):
-        with pytest.raises(GraphError, match="expression text must be a str"):
-            parse_sexpr(text)
-
-    @given(st.lists(st.sampled_from(SEXPR_TOKENS)).map("".join))
-    def test_parse_fuzz(self, text):
-        try:
-            e = parse_sexpr(text)
-        except GraphError:
-            return
-        assert parse_sexpr(sexpr(e)) == e
-
-
-def expr_shapes(colours=st.sampled_from("abc")):
+def expr_shapes():
+    colours = st.sampled_from("abc")
     return st.recursive(
         st.tuples(st.just("port"), colours),
         lambda kids: st.one_of(
@@ -283,11 +267,12 @@ class TestExpressionAlgebra:
         assert colour_map(lr) == colour_map(rl)
         assert edge_names(lr) == edge_names(rl)
 
-    @given(expr_shapes(st.sampled_from("abc") | st.text()))
-    def test_sexpr_round_trip(self, shape):
+    @given(expr_shapes())
+    def test_one_vertex_per_port(self, shape):
         e = realize(shape, itertools.count())
-        try:
-            text = sexpr(e)
-        except GraphError:
-            return
-        assert parse_sexpr(text) == e
+        assert eval_expr(e).graph.vertex_count == str(shape).count("'port'")
+
+    @given(expr_shapes())
+    def test_final_colours_lie_in_colour_set(self, shape):
+        e = realize(shape, itertools.count())
+        assert set(eval_expr(e).colours) <= colour_set(e)

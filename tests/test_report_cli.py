@@ -381,12 +381,20 @@ class TestSuiteFailures:
         }
 
     def test_width_inequality(self, monkeypatch):
-        values = {Variant.DPW: 0, Variant.DAGW: 2, Variant.KW: 2}
+        values = {Variant.TW: 1, Variant.DPW: 0, Variant.DAGW: 2, Variant.KW: 2}
         monkeypatch.setattr(report, "measure", lambda g, variant: values[variant])
         res = report._suite_width_inequality(0)
         assert len(res.failures) == 2 * res.cases == 400
         self.assert_failed(res, gen_random_digraph(1, 0.15, 0), "dagw 2 > dpw 0 + 1")
         assert res.failures[1]["detail"] == "kw 2 > dpw 0 + 1"
+
+    def test_width_inequality_against_tw(self, monkeypatch):
+        values = {Variant.TW: 0, Variant.DPW: 1, Variant.DAGW: 2, Variant.KW: 2}
+        monkeypatch.setattr(report, "measure", lambda g, variant: values[variant])
+        res = report._suite_width_inequality(0)
+        assert len(res.failures) == 2 * res.cases == 400
+        self.assert_failed(res, gen_random_digraph(1, 0.15, 0), "dagw 2 > tw 0 + 1")
+        assert res.failures[1]["detail"] == "kw 2 > tw 0 + 1"
 
     def test_entanglement_one(self, monkeypatch):
         # the exhaustive part cut to the two one-vertex digraphs per size
@@ -445,6 +453,18 @@ class TestCliGen:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.strip() == serialize_graph(gen_random_digraph(5, 0.5, 3)).decode("ascii")
+
+
+    @pytest.mark.parametrize(
+        "family, flag",
+        [("cycle", "--k"), ("switch-all", "--k"), ("random", "--k"), ("path", "--p"),
+         ("bipartite", "--p"), ("zadeh", "--seed"), ("cycle", "--seed")],
+    )
+    def test_flag_the_family_does_not_take_exits_nonzero(self, family, flag, capsys):
+        assert main(["gen", "--family", family, "--n", "3", flag, "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} does not apply to family {family!r}\n"
 
 
 class TestCliSolve:
@@ -670,8 +690,8 @@ class TestModuleEntryPoint:
 
 
 def test_public_api_names_resolve():
-    assert len(copwidth.__all__) == 67
-    assert len(set(copwidth.__all__)) == 67
+    assert len(copwidth.__all__) == 65
+    assert len(set(copwidth.__all__)) == 65
     assert [n for n in copwidth.__all__ if not hasattr(copwidth, n)] == []
 
 
@@ -700,4 +720,4 @@ def test_public_names_are_defined_where_declared(module):
 def test_package_all_concatenates_the_module_lists():
     declared = [name for module in PUBLIC_MODULES for name in module.__all__]
     assert copwidth.__all__ == declared + ["__version__"]
-    assert len(copwidth.__all__) == 67
+    assert len(copwidth.__all__) == 65
