@@ -739,19 +739,46 @@ def measure_detailed(
     require_monotone: bool = True,
 ) -> tuple[int, int]:
     """measure() plus the total game states explored across the cop-count
-    scan, which solves k = 0, 1, ... until the cops win.  Its solves share
-    the per-graph set-up that `solve` caches for the last graph."""
+    scan, which solves k = 0, 1, ... until the cops win; for TW from one cop
+    more than the closure's minor-min-width (`_tw_lower_bound`, Bodlaender &
+    Koster 2011), as no fewer win.  Its solves share the per-graph set-up
+    that `solve` caches for the last graph."""
     variant = Variant(variant)
     _positive(budget, "budget")
     if graph.vertex_count == 0:
         return 0, 0
     total = 0
-    for k in range(graph.vertex_count + 1):
+    start = _tw_lower_bound(graph) + 1 if variant is Variant.TW else 0
+    for k in range(start, graph.vertex_count + 1):
         out = solve(graph, variant, k, budget=budget, require_monotone=require_monotone)
         total += out.states
         if out.winner is Winner.COPS:
             return _width(variant, k), total
     raise AssertionError("a full placement always wins; unreachable")
+
+
+def _tw_lower_bound(graph: Graph) -> int:
+    """Least-c minor-min-width of the symmetric closure, self-loops dropped
+    (Bodlaender & Koster, "Treewidth computations II. Lower bounds", Inf.
+    Comput. 209, 2011): contract a vertex of least degree into the neighbour
+    it shares the fewest neighbours with, and keep the largest least degree.
+    That is at most tw: a minor's tw is no larger, and at least its least
+    degree."""
+    adj = {v: m & ~(1 << v) for v, m in enumerate(_closure(graph).succ_masks)}
+    bound = 0
+    while len(adj) > 1:
+        v = min(adj, key=lambda x: adj[x].bit_count())
+        nv = adj.pop(v)
+        bound = max(bound, nv.bit_count())
+        for w in bits_of(nv):
+            adj[w] ^= 1 << v
+        if nv:
+            u = min(bits_of(nv), key=lambda w: (adj[w] & nv).bit_count())
+            rest = nv & ~(1 << u)
+            adj[u] |= rest
+            for w in bits_of(rest):
+                adj[w] |= 1 << u
+    return bound
 
 
 def _width(variant: Variant, k: int) -> int:

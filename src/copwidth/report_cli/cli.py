@@ -54,6 +54,10 @@ def _cmd_gen(args) -> int:
     for flag, owner in (("k", "bipartite"), ("p", "random"), ("seed", "random")):
         if getattr(args, flag) is not None and fam != owner:
             raise ValueError(f"--{flag} does not apply to family {fam!r}")
+    # checked here so the error names the flag, not the generator's parameter
+    for flag, value in (("n", args.n), ("k", args.k)):
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be a positive integer, got {value}")
     if fam == "switch-all":
         g = gen_switch_all(args.n)
     elif fam == "zadeh":

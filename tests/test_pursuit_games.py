@@ -122,7 +122,9 @@ def assert_ent_witness_replays(g, k, out):
 def assert_tw_agrees(g):
     """solve decides tw, as kw on the symmetric closure, like the visible
     treewidth game, monotone and not, at every k up to the first win; the
-    winning sweep replays on the closure under kw rules within k cops."""
+    winning sweep replays on the closure under kw rules within k cops; and
+    the scan of measure, which starts at the minor-min-width bound, never
+    skips that win: the bound is at most k - 1, the measure exactly k - 1."""
     for k in range(g.vertex_count + 1):
         out = solve(g, Variant.TW, k)
         for mono in (True, False):
@@ -132,6 +134,8 @@ def assert_tw_agrees(g):
             rep = simulate_sweep(symmetric_closure(g), out.witness, Variant.KW)
             assert rep.cleared and rep.monotone, f"k={k}: {serialize_graph(g)}"
             assert all(len(p) <= k for p in out.witness), f"k={k}: {serialize_graph(g)}"
+            assert games._tw_lower_bound(g) <= k - 1, f"k={k}: {serialize_graph(g)}"
+            assert measure(g, Variant.TW) == k - 1, f"k={k}: {serialize_graph(g)}"
             return
 
 
@@ -468,6 +472,23 @@ class TestTreewidthAsKellyWidth:
         assert rep.cleared and rep.monotone
         assert all(len(p) <= value + 1 for p in out.witness)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lower_bound_on_the_families(self, n):
+        # least-c minor-min-width meets tw on both families, so the scan
+        # starts at the winning k
+        assert games._tw_lower_bound(gen_switch_all(n)) == n + 3
+        assert games._tw_lower_bound(gen_zadeh(n)) == n + 2
+
+    @pytest.mark.parametrize(
+        "gen, n, value, most",
+        [(gen_switch_all, 2, 5, 1_000), (gen_switch_all, 3, 6, 10_000), (gen_zadeh, 3, 5, 10_000)],
+        ids=["switch_all_2", "switch_all_3", "zadeh_3"],
+    )
+    def test_family_scan_starts_at_the_lower_bound(self, gen, n, value, most):
+        # from k = 0 the scans took 69,857, 2,033,176 and 1,102,024 sets;
+        # from the bound they solve the winning k alone (163, 3,604, 1,490)
+        got, states = measure_detailed(gen(n), Variant.TW, budget=10_000)
+        assert got == value and states < most
 
     def test_scan_builds_the_per_graph_set_up_once(self, monkeypatch):
         # the caches are keyed by graph equality, so an earlier solve of an
@@ -631,9 +652,10 @@ class TestBudget:
             measure(gen_switch_all(2), Variant.DAGW, budget=10)
 
     def test_tw_of_switch_all_fits_a_small_budget(self):
-        # the kw search on the symmetric closure takes 2,037 sets over the scan
-        value, states = measure_detailed(gen_switch_all(1), Variant.TW, budget=5_000)
-        assert value == 4 and states < 5_000
+        # the kw search on the symmetric closure takes 17 sets: the scan
+        # starts at the winning k (2,037 sets from k = 0)
+        value, states = measure_detailed(gen_switch_all(1), Variant.TW, budget=100)
+        assert value == 4 and states < 100
 
     def test_kw_of_zadeh_fits_a_small_budget(self):
         # the unsplit contaminated-set search lost two cops after 27,344

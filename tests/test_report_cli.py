@@ -206,7 +206,7 @@ class TestBudgetStarvation:
             ("ent", "not-checked", False, None, None, _UNCHECKED),
             _CW,
         ],
-        50: [
+        10: [
             ("tw", "witness-subgraph", True, None, None, _SPENT + _TW),
             ("dpw", "not-checked", False, None, None, _UNCHECKED),
             ("dagw", "not-checked", False, None, None, _UNCHECKED),
@@ -214,8 +214,16 @@ class TestBudgetStarvation:
             ("ent", "not-checked", False, None, None, _UNCHECKED),
             _CW,
         ],
+        50: [
+            ("tw", "witness-subgraph", True, None, 4, _TW),
+            ("dpw", "not-checked", False, None, None, _UNCHECKED),
+            ("dagw", "not-checked", False, None, None, _UNCHECKED),
+            ("kw", "certificate", True, 4, None, _SPENT + _KW),
+            ("ent", "not-checked", False, None, None, _UNCHECKED),
+            _CW,
+        ],
         200: [
-            ("tw", "witness-subgraph", True, None, None, _SPENT + _TW),
+            ("tw", "witness-subgraph", True, None, 4, _TW),
             ("dpw", "certificate", True, 3, 1,
              "4-cop sweep replays cleared and monotone for n in 1..2; "
              "exact solve at n=1 confirms 4 cops win"),
@@ -447,6 +455,19 @@ class TestCliGen:
     def test_bad_n_exits_nonzero(self, capsys):
         assert main(["gen", "--family", "cycle", "--n", "0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [(["bipartite", "--n", "2", "--k", "0"], "--k", 0),
+         (["bipartite", "--n", "0"], "--n", 0),
+         (["random", "--n", "-1"], "--n", -1)],
+    )
+    def test_bad_size_names_the_flag(self, argv, flag, value, capsys):
+        # the generators' own checks would name their parameters (b, a, v)
+        assert main(["gen", "--family", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be a positive integer, got {value}\n"
 
     def test_random_draws_from_the_seed(self, capsys):
         argv = ["gen", "--family", "random", "--n", "5", "--p", "0.5", "--seed", "3"]
