@@ -126,9 +126,10 @@ def simulate_sweep(
     first_bad: Optional[int] = None
     steps = 0
     for step, placement in enumerate(placements):
-        [(c, r)], grew = contaminate(graph, inert, c, r, (graph._mask(placement),), strict=False)
-        if grew and first_bad is None:
+        [(c, rp)] = contaminate(graph, inert, c, r, (graph._mask(placement),), strict=False)
+        if rp & ~r and first_bad is None:
             first_bad = step
+        r = rp
         steps += 1
     monotone = first_bad is None
     return SweepReport(
@@ -215,17 +216,17 @@ def feedback_chase_strategy(
     """
     _check_cops(k)
     anchor_set = frozenset(anchors)
-    target: dict[int, int] = {}
-    for comp in _components(graph, graph.full_mask & ~graph._mask(anchor_set)):
-        fv = None if _is_acyclic(graph, comp) else _feedback_vertex(graph, comp)
-        if fv is not None:
-            for w in bits_of(comp):
-                target[w] = fv
+    # None stands for the components without one, and no robber sits there
+    feedback = {
+        _feedback_vertex(graph, comp)
+        for comp in _components(graph, graph.full_mask & ~graph._mask(anchor_set))
+        if not _is_acyclic(graph, comp)
+    }
 
     def strategy(placement: frozenset[int], robber: int) -> frozenset[int]:
         if robber in anchor_set and robber not in placement:
             return placement | {robber}
-        if target.get(robber) == robber:
+        if robber in feedback:
             # one chase cop total: relocate it if placed, else commit a spare
             chasers = sorted(placement - anchor_set)
             if chasers:
@@ -386,7 +387,7 @@ def replay_cop_strategy(
         cp = strategy_moves.get(pos)
         if cp is None or cp not in normalized_moves(c, cops, g.full_mask):
             return "undefined or illegal cop move"
-        moves, _ = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
+        moves = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
         if not moves:
             return "the robber reaches a vacated vertex"
         return [(cp, w) for w in bits_of(moves[0][1])]

@@ -280,7 +280,7 @@ def ent_moves(c: int, v: int, k: int) -> list[int]:
 
 def contaminate(
     graph: Graph, inert: bool, c: int, r: int, placements: Iterable[int], strict: bool
-) -> tuple[list[tuple[int, int]], bool]:
+) -> list[tuple[int, int]]:
     """One contamination step from placement C with contaminated set R, for
     each announced placement C':
 
@@ -289,8 +289,8 @@ def contaminate(
 
     A move is monotone iff R' is a subset of R.  Returns the pairs (C', R')
     in placement order, ending early at the first R' that is empty (a search
-    is won there), and whether some move was not monotone.  With strict
-    those moves are left out of the pairs.
+    is won there).  With strict the moves that are not monotone are left
+    out.
 
     Restless steps assume R is closed in G - C and disjoint from C, so a
     move lifting no cop gives R' = R \\ C' without a search.  R' is closed
@@ -305,21 +305,18 @@ def contaminate(
     """
     reach = reach_mask
     out = []
-    grew = False
     for cp in placements:
         if inert:
             flee = r & cp
             rp = (r | reach(graph, c & cp, flee)) & ~cp if flee else r & ~cp
         else:
             rp = reach(graph, c & cp, r) & ~cp if c & ~cp else r & ~cp
-        if rp & ~r:
-            grew = True
-            if strict:
-                continue
+        if strict and rp & ~r:
+            continue
         out.append((cp, rp))
         if not rp:
             break
-    return out, grew
+    return out
 
 
 def _visible_graph(graph: Graph, variant: Variant | str) -> Graph:
@@ -804,7 +801,7 @@ def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool, budget: int) -
 
     def regions(c: int, v: int) -> list[tuple[int, int]]:
         cands = universe if full_moves else normalized_moves(c, k, full)
-        return contaminate(g, False, c, reach_mask(g, c, 1 << v), cands, mono)[0]
+        return contaminate(g, False, c, reach_mask(g, c, 1 << v), cands, mono)
 
     return _solve_cop_game(n, regions, budget)
 
@@ -829,9 +826,9 @@ def _search_placements(
     while stack:
         state = stack.pop()
         c, r = state
-        # staying put leaves (C, R) unchanged, so only real moves are tried
-        moves, _ = contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict)
-        for nxt in moves:  # (C', R'), also the key of the next state
+        # staying put leaves (C, R) unchanged, so only real moves are tried;
+        # each (C', R') is also the key of the next state
+        for nxt in contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict):
             if nxt[1] == 0:  # R' is empty: the sequence clears the graph
                 seq = [frozenset(bits_of(nxt[0]))]
                 node = state

@@ -26,7 +26,7 @@ from ..families import (
     gen_switch_all,
     gen_zadeh,
 )
-from ..graphs import GraphError, parse_graph, serialize_graph, to_dot
+from ..graphs import parse_graph, serialize_graph, to_dot
 from ..pursuit.certificates import _CERTIFICATES, SweepReport
 from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
@@ -48,26 +48,30 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _check_positive(args, *names: str) -> None:
+    """Checked here so the error names the flag, not the library's parameter;
+    a flag that was not given reads None."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            unit = "state count" if name == "budget" else "integer"
+            raise ValueError(f"--{name.replace('_', '-')} must be a positive {unit}, got {value}")
+
+
+_SIZED = {"switch-all": gen_switch_all, "zadeh": gen_zadeh, "cycle": gen_cycle, "path": gen_path}
+
+
 def _cmd_gen(args) -> int:
     fam = args.family
     # --k, --p and --seed read None when not given; each belongs to one family
     for flag, owner in (("k", "bipartite"), ("p", "random"), ("seed", "random")):
         if getattr(args, flag) is not None and fam != owner:
             raise ValueError(f"--{flag} does not apply to family {fam!r}")
-    # checked here so the error names the flag, not the generator's parameter
-    for flag, value in (("n", args.n), ("k", args.k)):
-        if value is not None and value < 1:
-            raise ValueError(f"--{flag} must be a positive integer, got {value}")
-    if fam == "switch-all":
-        g = gen_switch_all(args.n)
-    elif fam == "zadeh":
-        g = gen_zadeh(args.n)
+    _check_positive(args, "n", "k")
+    if fam in _SIZED:
+        g = _SIZED[fam](args.n)
     elif fam == "bipartite":
         g = gen_complete_bipartite(args.n, args.k if args.k is not None else args.n)
-    elif fam == "cycle":
-        g = gen_cycle(args.n)
-    elif fam == "path":
-        g = gen_path(args.n)
     else:
         g = gen_random_digraph(args.n, 0.3 if args.p is None else args.p, args.seed or 0)
     if args.format == "json":
@@ -77,42 +81,27 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise ValueError(f"--budget must be a positive state count, got {budget}")
-
-
 def _cmd_solve(args) -> int:
-    _check_budget(args.budget)
+    _check_positive(args, "budget")
     with open(args.graph, "rb") as fh:
         g = parse_graph(fh.read())
     variant = Variant(args.measure)
-    mono = not args.non_monotone
+    opts = {"budget": args.budget, "require_monotone": not args.non_monotone}
     t0 = time.perf_counter()
+    result = {"measure": variant.value}
     if args.k is None:
-        value, states = measure_detailed(
-            g, variant, budget=args.budget, require_monotone=mono
-        )
-        result = {
-            "measure": variant.value,
-            "value": value,
-            "states_explored": states,
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
+        result["value"], states = measure_detailed(g, variant, **opts)
     else:
-        out = solve(g, variant, args.k, budget=args.budget, require_monotone=mono)
-        result = {
-            "measure": variant.value,
-            "k": args.k,
-            "winner": out.winner.value,
-            "states_explored": out.states,
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
+        out = solve(g, variant, args.k, **opts)
+        result |= {"k": args.k, "winner": out.winner.value}
+        states = out.states
+    result |= {"states_explored": states, "seconds": round(time.perf_counter() - t0, 3)}
     print(json.dumps(result))
     return 0
 
 
 def _cmd_certify(args) -> int:
+    _check_positive(args, "n")
     cops, rep = _CERTIFICATES[FamilyId(args.family), Variant(args.measure)](args.n)
     if isinstance(rep, SweepReport):
         shown = ("steps", "cleared", "monotone", "step_of_first_violation", "ok")
@@ -124,20 +113,18 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_cw_verify(args) -> int:
+    _check_positive(args, "n")
     rep = verify_family_expr(args.family, args.n)
     print(json.dumps({"family": args.family, "n": args.n, **asdict(rep)}, indent=2))
     return 0 if rep.equal else 1
 
 
 def _cmd_report(args) -> int:
-    _check_budget(args.budget)
-    rep = run_report(
-        args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget
-    )
+    _check_positive(args, "budget", "n_exact", "n_cert")
+    rep = run_report(args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget)
     text = rep.to_json()
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _emit(text + "\n", args.json)
     print(text)
     return 0 if rep.all_verified else 1
 
@@ -215,10 +202,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: state budget exceeded ({exc.budget} states)", file=sys.stderr)
-        return 1
-    except (GraphError, OSError, ValueError) as exc:
+    # a GraphError is a ValueError; a BudgetExceededError words its own message
+    except (BudgetExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

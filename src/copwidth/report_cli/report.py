@@ -104,10 +104,10 @@ class MeasureEntry:
     claimed is the documented upper bound: an integer, "unbounded" when the
     measure grows without limit on the family, or "unknown" when no bound is
     recorded.  obtained is the bound this run established (None when the
-    entry only witnesses unboundedness or was not checked).  exact is the
-    exact value at the small instance n_exact when the budget allowed
-    computing it; exact values below the claimed bound refine it and are not
-    discrepancies.
+    entry only witnesses unboundedness, failed or was not checked).  exact
+    is the exact value at the small instance n_exact when the budget
+    allowed computing it; exact values below the claimed bound refine it
+    and are not discrepancies.
     """
 
     measure: str
@@ -177,7 +177,7 @@ class _Run:
     n_cert: int
     budget: int
     exact: Callable[[Variant], int]  # measure on the family at n_exact, solved once
-    _certified: dict = field(default_factory=dict)
+    replays: Callable[[Variant], list]  # certificate replays for n in 1..n_cert, run once
 
     def exact_within_claim(self, name: str) -> bool:
         """The claimed bound's cop count wins at n_exact: measure reports each
@@ -189,13 +189,9 @@ class _Run:
         cop count, in the offset of measure `name`, is within that measure's
         claim.  The replays are linear-time and budget-free, and run once per
         key, so the dpw and dagw entries share one replay set."""
-        if key not in self._certified:
-            replay = _CERTIFICATES[self.family, key]
-            self._certified[key] = [replay(n) for n in range(1, self.n_cert + 1)]
         claim = CLAIMED_BOUNDS[self.family.value][name]
         return all(
-            rep.ok and _width(Variant(name), cops) <= claim
-            for cops, rep in self._certified[key]
+            rep.ok and _width(Variant(name), cops) <= claim for cops, rep in self.replays(key)
         )
 
 
@@ -299,12 +295,11 @@ def _entry(run: _Run, name: str, provenance: str, check, note: str) -> MeasureEn
     """
     t0 = time.perf_counter()
     claimed = CLAIMED_BOUNDS[run.family.value][name]
-    obtained = claimed if isinstance(claimed, int) else None
     exact = None
     try:
         verified = check is None or check(run)
     except BudgetExceededError as exc:
-        provenance, obtained, verified = "not-checked", None, False
+        provenance, verified = "not-checked", False
         note = f"state budget {exc.budget} exhausted before the entry could be checked"
     else:
         note = note.format(n_exact=run.n_exact, n_cert=run.n_cert, claimed=claimed)
@@ -313,13 +308,13 @@ def _entry(run: _Run, name: str, provenance: str, check, note: str) -> MeasureEn
         except BudgetExceededError:
             spent = f"state budget {run.budget} exhausted during the exact solve"
             if check is None:
-                provenance, obtained, verified, note = "not-checked", None, False, spent
+                provenance, verified, note = "not-checked", False, spent
             else:
                 note = f"{spent}; {note}"
     return MeasureEntry(
         measure=name,
         claimed=claimed,
-        obtained=obtained,
+        obtained=claimed if verified and isinstance(claimed, int) else None,
         exact=exact,
         provenance=provenance,
         verified=verified,
@@ -350,7 +345,8 @@ def run_report(
         raise GraphError(f"no bound row for family {fam.value!r}")
     generator, rows = _ROWS[fam]
     exact = cache(partial(measure, generator(n_exact), budget=budget))
-    run = _Run(fam, n_exact, n_cert, budget, exact)
+    replays = cache(lambda key: [_CERTIFICATES[fam, key](n) for n in range(1, n_cert + 1)])
+    run = _Run(fam, n_exact, n_cert, budget, exact, replays)
     return MeasureReport(
         family=fam.value,
         n_exact=n_exact,

@@ -5,6 +5,8 @@ import ast
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +320,7 @@ class TestClaimsAreChecked:
         monkeypatch.setitem(claims, name, claims[name] - 1)
         rep = run_report("switch-all", n_exact=1, n_cert=2)
         assert [e.measure for e in rep.entries if not e.verified] == [name]
+        assert {e.measure: e for e in rep.entries}[name].obtained is None
         assert not rep.all_verified
 
     def test_lowered_claim_makes_the_report_command_fail(self, monkeypatch, capsys):
@@ -326,7 +329,16 @@ class TestClaimsAreChecked:
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         kw = next(e for e in doc["entries"] if e["measure"] == "kw")
-        assert (kw["claimed"], kw["obtained"], kw["verified"]) == (3, 3, False)
+        assert (kw["claimed"], kw["obtained"], kw["verified"]) == (3, None, False)
+
+    @pytest.mark.parametrize("name", ["dpw", "kw", "ent"])
+    def test_note_names_the_certificate_cop_count(self, name):
+        # "4-cop sweep", "confirms 3 cops win": each count written in a note
+        # is the one its certificate replay returns
+        rows = {row[0]: row for row in report._ROWS[copwidth.FamilyId.SWITCH_ALL][1]}
+        counts = re.findall(r"(\d+)-cop|confirms (\d+) cops", rows[name][3])
+        cops, _ = certificates._CERTIFICATES[copwidth.FamilyId.SWITCH_ALL, Variant(name)](1)
+        assert counts and all(int(a or b) == cops for a, b in counts)
 
 
 class TestMeasureEntryValidation:
@@ -486,6 +498,30 @@ class TestCliGen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag} does not apply to family {family!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["certify", "--measure", "dpw", "--family", "switch-all", "--n"], "--n"),
+     (["cw", "verify", "--family", "zadeh", "--n"], "--n"),
+     (["report", "--family", "switch-all", "--n-exact"], "--n-exact"),
+     (["report", "--family", "switch-all", "--n-cert"], "--n-cert")],
+)
+def test_bad_size_names_the_flag(argv, flag, capsys):
+    # the library's own checks would name its parameters (n, n_exact, n_cert)
+    assert main([*argv, "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be a positive integer, got 0\n"
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("copwidth ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestCliSolve:
