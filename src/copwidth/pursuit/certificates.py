@@ -9,7 +9,10 @@ it, so its cop count is measured.  The entanglement side provides a
 feedback-vertex chase strategy (the one that witnesses ent <= 3 for the
 switch-all family) and an exhaustive verifier that plays every robber reply
 against a given cop strategy; the visible-game strategy replay runs on the
-same depth-first search.  The replays step with the solvers' own rules
+same depth-first search.  That search keeps one pair of robber-vertex masks
+per placement (the positions on the current play, and those finished), so a
+cop move is checked against all of the robber's replies by two mask
+operations.  The replays step with the solvers' own rules
 from games.py: the sweep and the visible-game strategy with the one
 contamination update and monotonicity rule, the chase with the
 entanglement cop moves.
@@ -253,43 +256,61 @@ _REPEATS = "the robber can force an infinite play (position repeats)"
 
 
 def _replay_positional(
-    starts: Iterable[Hashable], replies: Callable[[Hashable], list | str]
-) -> Optional[tuple[str, Hashable]]:
+    start: Hashable, robbers: int, replies: Callable[[Hashable, int], tuple[Hashable, int] | str]
+) -> Optional[tuple[str, tuple[Hashable, int]]]:
     """Play a positional cop strategy against every robber reply.
 
-    Depth-first from every start position.  A position is (placement, robber
-    vertex) with the cops to move; replies applies the cop move at a position
-    and returns the positions the robber can move to, or a string saying why
-    the cop move is illegal.  Returns None iff every play ends with the
-    robber out of moves, else (reason, position): an illegal move, or a
-    position a play can revisit (an infinite play exists).
+    A position is (placement, robber vertex) with the cops to move; the
+    search runs depth-first from (start, v) for every v in the mask robbers.
+    replies(c, v) applies the cop move at (c, v) and returns (c', R): the
+    announced placement and the mask of vertices the robber can move to, or
+    a string saying why the cop move is illegal.  The positions are kept as
+    one pair of robber masks per placement: grey[c] holds the vertices v
+    with (c, v) on the current play, black[c] those with every play from
+    (c, v) finished.  A child (c', w) repeats the play iff w is in
+    R & grey[c'], and only the w in R & ~black[c'] are played on, so each
+    position costs one lookup of its child placement whatever its
+    out-degree.  Children are played highest w first, and the strategy is
+    asked once per reachable position.  Returns None iff every play ends
+    with the robber out of moves, else (reason, position): an illegal move,
+    or the lowest position a play can revisit (an infinite play exists).
     """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[Hashable, int] = {}
-    for start in starts:
-        if colour.get(start, WHITE) is not WHITE:
-            continue
-        stack = [(start, False)]
+    # placement -> [grey, black].  A stack entry (c, colour[c], R) holds the
+    # positions (c, w), w in R, still to play from; (c, colour[c], ~v) marks
+    # the end of (c, v)'s plays, where it turns from grey to black
+    colour: dict[Hashable, list[int]] = {start: [0, 0]}
+    for v0 in bits_of(robbers):
+        stack = [(start, colour[start], 1 << v0)]
         while stack:
-            pos, processed = stack.pop()
-            if processed:
-                colour[pos] = BLACK
+            c, pair, r = stack.pop()
+            if r < 0:
+                bit = 1 << ~r
+                pair[0] ^= bit
+                pair[1] |= bit
                 continue
-            # never GREY here: one on the current play is caught when pushed,
-            # and an older entry lies below its marker, so it pops BLACK
-            if colour.get(pos, WHITE) is BLACK:
+            # never grey here: one on the current play is caught when pushed,
+            # and an older entry lies below its marker, so it pops black
+            r &= ~pair[1]
+            if not r:
                 continue
-            colour[pos] = GREY
-            stack.append((pos, True))
-            children = replies(pos)
-            if isinstance(children, str):
-                return children, pos
-            for child in children:
-                st = colour.get(child, WHITE)
-                if st is GREY:
-                    return _REPEATS, child
-                if st is WHITE:
-                    stack.append((child, False))
+            v = r.bit_length() - 1
+            bit = 1 << v
+            if r ^ bit:
+                stack.append((c, pair, r ^ bit))
+            pair[0] |= bit
+            stack.append((c, pair, ~v))
+            reply = replies(c, v)
+            if isinstance(reply, str):
+                return reply, (c, v)
+            cp, moves = reply
+            child = colour.get(cp)
+            if child is None:
+                child = colour[cp] = [0, 0]
+            repeats = moves & child[0]
+            if repeats:
+                return _REPEATS, (cp, (repeats & -repeats).bit_length() - 1)
+            if moves:
+                stack.append((cp, child, moves))
     return None
 
 
@@ -308,9 +329,9 @@ def verify_ent_strategy(
     _check_cops(k)
     succ = graph.succ_masks
     vertices = frozenset(range(graph.vertex_count))
+    cop_masks: dict[frozenset[int], int] = {}  # each placement's, built once
 
-    def replies(pos: tuple[frozenset[int], int]) -> list | str:
-        c, v = pos
+    def replies(c: frozenset[int], v: int) -> tuple[frozenset[int], int] | str:
         cp = frozenset(strategy(c, v))
         # test the stay first: it is the chase's usual reply.  Play on from
         # c itself, whose vertices are ints; an equal cp may hold 0.0 for 0
@@ -323,11 +344,12 @@ def verify_ent_strategy(
         ):
             shown = sorted(cp, key=None if cp <= vertices else str)
             return f"illegal cop move {sorted(c)} -> {shown} against robber at {v}"
-        return [(cp, w) for w in bits_of(succ[v] & ~mask_of(cp))]
+        m = cop_masks.get(cp)
+        if m is None:
+            m = cop_masks[cp] = mask_of(cp)
+        return cp, succ[v] & ~m
 
-    failure = _replay_positional(
-        [(frozenset(), v) for v in range(graph.vertex_count)], replies
-    )
+    failure = _replay_positional(frozenset(), graph.full_mask, replies)
     if failure is None:
         return EntVerifyReport(ok=True)
     reason, (c, v) = failure
@@ -382,14 +404,13 @@ def replay_cop_strategy(
     _check_cops(cops)
     g = _visible_graph(graph, variant)
 
-    def replies(pos: tuple[int, int]) -> list | str:
-        c, v = pos
-        cp = strategy_moves.get(pos)
+    def replies(c: int, v: int) -> tuple[int, int] | str:
+        cp = strategy_moves.get((c, v))
         if cp is None or cp not in normalized_moves(c, cops, g.full_mask):
             return "undefined or illegal cop move"
         moves = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
         if not moves:
             return "the robber reaches a vacated vertex"
-        return [(cp, w) for w in bits_of(moves[0][1])]
+        return moves[0]
 
-    return _replay_positional([(0, v) for v in range(g.vertex_count)], replies) is None
+    return _replay_positional(0, g.full_mask, replies) is None

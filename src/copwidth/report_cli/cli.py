@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
-from typing import Optional
+from typing import Callable, Optional
 
 from ..cliquewidth import _BUILDERS, verify_family_expr
 from ..families import (
@@ -48,14 +49,18 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _check_positive(args, *names: str) -> None:
+def _check_flag(args, name: str, wanted: str, ok: Callable[[float], bool]) -> None:
     """Checked here so the error names the flag, not the library's parameter;
     a flag that was not given reads None."""
+    value = getattr(args, name)
+    if value is not None and not ok(value):
+        raise ValueError(f"--{name.replace('_', '-')} must be {wanted}, got {value}")
+
+
+def _check_positive(args, *names: str) -> None:
     for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            unit = "state count" if name == "budget" else "integer"
-            raise ValueError(f"--{name.replace('_', '-')} must be a positive {unit}, got {value}")
+        unit = "state count" if name == "budget" else "integer"
+        _check_flag(args, name, f"a positive {unit}", lambda value: value >= 1)
 
 
 _SIZED = {"switch-all": gen_switch_all, "zadeh": gen_zadeh, "cycle": gen_cycle, "path": gen_path}
@@ -68,6 +73,7 @@ def _cmd_gen(args) -> int:
         if getattr(args, flag) is not None and fam != owner:
             raise ValueError(f"--{flag} does not apply to family {fam!r}")
     _check_positive(args, "n", "k")
+    _check_flag(args, "p", "a number in [0,1]", lambda p: 0 <= p <= 1)
     if fam in _SIZED:
         g = _SIZED[fam](args.n)
     elif fam == "bipartite":
@@ -83,6 +89,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     _check_positive(args, "budget")
+    _check_flag(args, "k", "a non-negative integer", lambda k: k >= 0)
     with open(args.graph, "rb") as fh:
         g = parse_graph(fh.read())
     variant = Variant(args.measure)
@@ -121,10 +128,13 @@ def _cmd_cw_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     _check_positive(args, "budget", "n_exact", "n_cert")
-    rep = run_report(args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget)
-    text = rep.to_json()
-    if args.json is not None:
-        _emit(text + "\n", args.json)
+    # open the file first: a path that cannot be written fails before any solve
+    out = open(args.json, "w", encoding="utf-8") if args.json is not None else nullcontext()
+    with out as fh:
+        rep = run_report(args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget)
+        text = rep.to_json()
+        if fh is not None:
+            fh.write(text + "\n")
     print(text)
     return 0 if rep.all_verified else 1
 

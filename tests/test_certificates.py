@@ -1,25 +1,35 @@
 """Sweep certificates, chase strategies, and structural characterizations."""
 
 import json
+import random
 
 import pytest
 
 from copwidth import (
+    EntVerifyReport,
+    GameConfig,
     Graph,
     GraphError,
     SweepCertificate,
     Variant,
+    Winner,
     entanglement_is_one,
     feedback_chase_strategy,
     gen_cycle,
     gen_path,
+    gen_random_digraph,
     gen_switch_all,
     dpw_sweep_certificate_switch_all,
     ent_strategy_switch_all,
+    replay_cop_strategy,
     simulate_sweep,
+    solve_visible,
     verify_ent_strategy,
     verify_sweep,
 )
+from copwidth.graphs import _is_id, bits_of, mask_of, reach_mask
+from copwidth.pursuit import certificates
+from copwidth.pursuit.games import _visible_graph, contaminate, ent_moves, normalized_moves
 
 
 class TestSweepCertificateType:
@@ -269,3 +279,214 @@ class TestEntanglementIsOne:
 
     def test_self_loop_only(self):
         assert entanglement_is_one(Graph(["a"], [(0, 0)]))
+
+
+def _reference_replay(starts, replies):
+    """The positional replay with one colour per (placement, robber) position
+    in a dict, the oracle for the mask-per-placement search: replies(pos)
+    returns the child positions, or a string saying why the move is illegal."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {}
+    for start in starts:
+        if colour.get(start, WHITE) is not WHITE:
+            continue
+        stack = [(start, False)]
+        while stack:
+            pos, processed = stack.pop()
+            if processed:
+                colour[pos] = BLACK
+                continue
+            if colour.get(pos, WHITE) is BLACK:
+                continue
+            colour[pos] = GREY
+            stack.append((pos, True))
+            children = replies(pos)
+            if isinstance(children, str):
+                return children, pos
+            for child in children:
+                st = colour.get(child, WHITE)
+                if st is GREY:
+                    return certificates._REPEATS, child
+                if st is WHITE:
+                    stack.append((child, False))
+    return None
+
+
+def _reference_verify_ent(graph, strategy, k):
+    succ = graph.succ_masks
+    vertices = frozenset(range(graph.vertex_count))
+
+    def replies(pos):
+        c, v = pos
+        cp = frozenset(strategy(c, v))
+        if cp == c:
+            cp = c
+        elif not (
+            cp <= vertices
+            and all(_is_id(w) for w in cp)
+            and mask_of(cp) in ent_moves(mask_of(c), v, k)
+        ):
+            shown = sorted(cp, key=None if cp <= vertices else str)
+            return f"illegal cop move {sorted(c)} -> {shown} against robber at {v}"
+        return [(cp, w) for w in bits_of(succ[v] & ~mask_of(cp))]
+
+    failure = _reference_replay([(frozenset(), v) for v in range(graph.vertex_count)], replies)
+    if failure is None:
+        return EntVerifyReport(ok=True)
+    reason, (c, v) = failure
+    return EntVerifyReport(ok=False, reason=reason, failure_position=(tuple(sorted(c)), v))
+
+
+def _reference_cop_replay(graph, variant, cops, strategy_moves, require_monotone):
+    g = _visible_graph(graph, variant)
+
+    def replies(pos):
+        c, v = pos
+        cp = strategy_moves.get(pos)
+        if cp is None or cp not in normalized_moves(c, cops, g.full_mask):
+            return "undefined or illegal cop move"
+        moves = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
+        if not moves:
+            return "the robber reaches a vacated vertex"
+        return [(cp, w) for w in bits_of(moves[0][1])]
+
+    return _reference_replay([(0, v) for v in range(g.vertex_count)], replies)
+
+
+def _logged(strategy, log):
+    def asked(c, v):
+        log.append((tuple(sorted(c)), v))
+        return strategy(c, v)
+
+    return asked
+
+
+class _LoggedMoves(dict):
+    """A strategy_moves table that logs the positions looked up."""
+
+    def __init__(self, moves, log):
+        super().__init__(moves)
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
+def _random_strategy(seed, k, n, illegal):
+    """A positional entanglement strategy drawn per position from a seeded
+    generator: a random legal move, and with `illegal` now and then a move
+    no rule allows (too many cops, two cops entering, a vertex off the
+    graph, or a vertex that is not an int)."""
+
+    def strategy(c, v):
+        rng = random.Random(f"{seed}/{sorted(c)}/{v}")
+        if illegal and rng.random() < 0.05:
+            return rng.choice([
+                frozenset(range(k + 1)),
+                c | {v, (v + 1) % n},
+                c | {n},
+                c | {str(v)},
+                c | {float(v)},
+            ])
+        return frozenset(bits_of(rng.choice(ent_moves(mask_of(c), v, k))))
+
+    return strategy
+
+
+_SMALL_GRAPHS = [
+    gen_random_digraph(n, p, seed) for n in (2, 3, 4, 5) for p in (0.3, 0.6) for seed in range(3)
+] + [gen_cycle(4), gen_switch_all(1)]
+
+
+def _least_winning_strategy(g, variant, mono):
+    k = 0
+    while (out := solve_visible(g, GameConfig(variant, k, mono))).winner is not Winner.COPS:
+        k += 1
+    return k, out.witness.moves
+
+
+class TestReplayMatchesTheDictPerPositionReference:
+    """The mask-per-placement search gives the report, the failure position
+    and the sequence of strategy calls of the dict-per-position DFS."""
+
+    def assert_ent_matches(self, g, strategy, k):
+        new_log, ref_log = [], []
+        rep = verify_ent_strategy(g, _logged(strategy, new_log), k)
+        assert rep == _reference_verify_ent(g, _logged(strategy, ref_log), k)
+        assert new_log == ref_log
+        return rep
+
+    @pytest.mark.parametrize("illegal", [False, True], ids=["legal", "illegal"])
+    def test_random_ent_strategies(self, illegal):
+        reasons = set()
+        for g in _SMALL_GRAPHS:
+            for k in (1, 2, 3):
+                for seed in range(3):
+                    strategy = _random_strategy(seed, k, g.vertex_count, illegal)
+                    rep = self.assert_ent_matches(g, strategy, k)
+                    reasons.add(rep.reason.split(" ")[0])
+        # wins, infinite plays, and with `illegal` illegal moves all occur
+        assert reasons == ({"", "the", "illegal"} if illegal else {"", "the"})
+
+    def test_chase_and_idle_strategies(self):
+        oks = set()
+        for g in _SMALL_GRAPHS:
+            for k in (0, 1, 2):
+                oks.add(self.assert_ent_matches(g, lambda c, v: c, k).ok)
+                for anchors in ((), (0,), (0, 1)[: g.vertex_count]):
+                    strategy = feedback_chase_strategy(g, k, anchors=anchors)
+                    oks.add(self.assert_ent_matches(g, strategy, k).ok)
+        assert oks == {True, False}
+
+    def test_cop_strategies_and_corrupted_ones(self, monkeypatch):
+        failures = []
+        real = certificates._replay_positional
+
+        def recorded(*args):
+            failures.append(real(*args))
+            return failures[-1]
+
+        monkeypatch.setattr(certificates, "_replay_positional", recorded)
+        rng = random.Random(0)
+        outcomes = set()
+        for g in _SMALL_GRAPHS:
+            for variant in (Variant.TW, Variant.DAGW):
+                for mono in (True, False):
+                    k, moves = _least_winning_strategy(g, variant, mono)
+                    corrupted = dict(moves)
+                    if moves:
+                        pos = rng.choice(sorted(moves))
+                        full = _visible_graph(g, variant).full_mask
+                        corrupted[pos] = rng.choice(
+                            [m for m in normalized_moves(pos[0], k, full) if m != moves[pos]]
+                            + [full, 1 << g.vertex_count]
+                        )
+                    for table in (moves, corrupted):
+                        new_log, ref_log = [], []
+                        ok = replay_cop_strategy(
+                            g, variant, k, _LoggedMoves(table, new_log), require_monotone=mono
+                        )
+                        ref = _reference_cop_replay(
+                            g, variant, k, _LoggedMoves(table, ref_log), mono
+                        )
+                        assert ok is (ref is None)
+                        assert failures[-1] == ref
+                        assert new_log == ref_log
+                        outcomes.add(ref[0] if ref else "ok")
+        assert outcomes == {
+            "ok",
+            "undefined or illegal cop move",
+            "the robber reaches a vacated vertex",
+            certificates._REPEATS,
+        }
+
+
+@pytest.mark.parametrize("n, asked", [(1, 67), (2, 197), (4, 621), (8, 2165)])
+def test_switch_all_chase_asks_each_reachable_position_once(n, asked):
+    # the sum over n = 1..32 is the benchmark's certificates.ent_chase.positions
+    log = []
+    rep = verify_ent_strategy(gen_switch_all(n), _logged(ent_strategy_switch_all(n), log), 3)
+    assert rep.ok
+    assert len(log) == asked
+    assert len(set(log)) == asked

@@ -481,6 +481,14 @@ class TestCliGen:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be a positive integer, got {value}\n"
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+    def test_bad_edge_probability_names_the_flag(self, p, capsys):
+        # the generator's own check would name its parameter p
+        assert main(["gen", "--family", "random", "--n", "3", "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --p must be a number in [0,1], got {float(p)}\n"
+
     def test_random_draws_from_the_seed(self, capsys):
         argv = ["gen", "--family", "random", "--n", "5", "--p", "0.5", "--seed", "3"]
         assert main(argv) == 0
@@ -565,6 +573,18 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --budget must be a positive state count, got {budget}\n"
+
+    @pytest.mark.parametrize("k", ["-1", "-5"])
+    def test_negative_k_names_the_flag(self, k, path4, capsys):
+        # the solver's own check would say "cop count"
+        assert main(["solve", "--measure", "kw", "--graph", path4, "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --k must be a non-negative integer, got {k}\n"
+
+    def test_zero_k_is_decided(self, path4, capsys):
+        assert main(["solve", "--measure", "kw", "--graph", path4, "--k", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["winner"] == "robber"
 
     def test_missing_file_reports_error(self, capsys):
         rc = main(["solve", "--measure", "tw", "--graph", "/nonexistent.json"])
@@ -695,6 +715,18 @@ class TestCliReport:
         assert printed == on_disk
         assert on_disk["all_verified"] is True
         assert len(on_disk["entries"]) == 6
+
+    def test_unwritable_json_path_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        def no_report(*args, **kwargs):
+            raise AssertionError("the report ran before its --json file was opened")
+
+        monkeypatch.setattr(cli, "run_report", no_report)
+        missing = tmp_path / "no-such-dir" / "r.json"
+        assert main(["report", "--family", "switch-all", "--json", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(missing) in captured.err
 
     def test_starved_report_still_exits_zero(self, capsys):
         rc = main(
