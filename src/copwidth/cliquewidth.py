@@ -22,7 +22,6 @@ __all__ = [
     "Union",
     "build_switch_all_expr",
     "build_zadeh_expr",
-    "colour_set",
     "colours_used",
     "eval_expr",
     "verify_family_expr",
@@ -115,7 +114,8 @@ def eval_expr(expr: CwExpr) -> LabelledGraph:
     return LabelledGraph(Graph(names, edges), tuple(cols))
 
 
-def colour_set(expr: CwExpr) -> frozenset[str]:
+def colours_used(expr: CwExpr) -> int:
+    """Number of distinct colour labels appearing anywhere in the tree."""
     out: set[str] = set()
     stack = [expr]
     while stack:
@@ -129,12 +129,7 @@ def colour_set(expr: CwExpr) -> frozenset[str]:
             out.add(node.src)
             out.add(node.dst)
         stack.extend(_children(node))
-    return frozenset(out)
-
-
-def colours_used(expr: CwExpr) -> int:
-    """Number of distinct colour labels appearing anywhere in the tree."""
-    return len(colour_set(expr))
+    return len(out)
 
 
 # ---------------------------------------------------------------------------

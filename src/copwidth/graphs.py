@@ -20,8 +20,6 @@ __all__ = [
     "induced_subgraph",
     "is_acyclic",
     "parse_graph",
-    "reachable",
-    "sccs",
     "serialize_graph",
     "symmetric_closure",
     "to_dot",
@@ -171,17 +169,10 @@ def _spread(adj: tuple[int, ...], r: int, start: int) -> tuple[int, int]:
 
 
 def reach_mask(graph: Graph, blocked_mask: int, sources_mask: int) -> int:
-    """Bitmask core of `reachable`; sources inside blocked contribute nothing."""
+    """The vertices reachable from the sources along directed paths avoiding
+    the blocked ones, as a mask.  A source that is itself blocked contributes
+    nothing; an unblocked source is always in the result."""
     return _spread(graph.succ_masks, ~blocked_mask, sources_mask & ~blocked_mask)[0]
-
-
-def reachable(graph: Graph, blocked: Iterable[int], sources: Iterable[int]) -> set[int]:
-    """Vertices reachable from `sources` along directed paths avoiding `blocked`.
-
-    A source that is itself blocked contributes nothing; an unblocked source is
-    always in the result.
-    """
-    return set(bits_of(reach_mask(graph, graph._mask(blocked), graph._mask(sources))))
 
 
 def symmetric_closure(graph: Graph) -> Graph:
@@ -191,7 +182,17 @@ def symmetric_closure(graph: Graph) -> Graph:
 
 
 def _components(graph: Graph, within: int) -> list[int]:
-    """The SCC masks of G[within], found and ordered as `sccs` describes."""
+    """The strongly connected component masks of G[within], in topological
+    order of the condensation: every edge goes within a component or from
+    an earlier to a later one.
+
+    Two passes on the masks (Sharir 1981): a depth-first search, roots and
+    successors ascending, lists the vertices as they finish; then each
+    vertex not yet placed, latest-finished first, takes the unplaced
+    vertices that reach it.  That is Tarjan's order on the same search,
+    reversed: Tarjan emits a component when its first-visited vertex, the
+    last member to finish, finishes.
+    """
     succ = graph.succ_masks
     finished = []
     unseen = within
@@ -213,20 +214,6 @@ def _components(graph: Graph, within: int) -> list[int]:
             comps.append(_spread(graph.pred_masks, within, 1 << v)[0])
             within ^= comps[-1]
     return comps
-
-
-def sccs(graph: Graph) -> list[list[int]]:
-    """Strongly connected components in topological order of the condensation:
-    every edge goes within a component or from an earlier to a later one.
-
-    Two passes on the masks (Sharir 1981): a depth-first search, roots and
-    successors ascending, lists the vertices as they finish; then each
-    vertex not yet placed, latest-finished first, takes the unplaced
-    vertices that reach it.  That is Tarjan's order on the same search,
-    reversed: Tarjan emits a component when its first-visited vertex, the
-    last member to finish, finishes.  Each lists its vertices ascending.
-    """
-    return [list(bits_of(c)) for c in _components(graph, graph.full_mask)]
 
 
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:

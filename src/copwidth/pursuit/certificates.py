@@ -129,7 +129,13 @@ def simulate_sweep(
     first_bad: Optional[int] = None
     steps = 0
     for step, placement in enumerate(placements):
-        [(c, rp)] = contaminate(graph, inert, c, r, (graph._mask(placement),), strict=False)
+        try:
+            cp = graph._mask(placement)
+        except TypeError:
+            raise GraphError(
+                f"placement {step} must be an iterable of vertex ids, got {placement!r}"
+            ) from None
+        [(c, rp)] = contaminate(graph, inert, c, r, (cp,), strict=False)
         if rp & ~r and first_bad is None:
             first_bad = step
         r = rp
@@ -332,7 +338,11 @@ def verify_ent_strategy(
     cop_masks: dict[frozenset[int], int] = {}  # each placement's, built once
 
     def replies(c: frozenset[int], v: int) -> tuple[frozenset[int], int] | str:
-        cp = frozenset(strategy(c, v))
+        move = strategy(c, v)
+        try:
+            cp = frozenset(move)
+        except TypeError:  # not iterable, or holding an unhashable item
+            return f"illegal cop move {sorted(c)} -> {move!r} against robber at {v}"
         # test the stay first: it is the chase's usual reply.  Play on from
         # c itself, whose vertices are ints; an equal cp may hold 0.0 for 0
         if cp == c:
@@ -406,7 +416,7 @@ def replay_cop_strategy(
 
     def replies(c: int, v: int) -> tuple[int, int] | str:
         cp = strategy_moves.get((c, v))
-        if cp is None or cp not in normalized_moves(c, cops, g.full_mask):
+        if not _is_id(cp) or cp not in normalized_moves(c, cops, g.full_mask):
             return "undefined or illegal cop move"
         moves = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
         if not moves:

@@ -428,10 +428,10 @@ def _parts(adj: tuple[int, ...] | None, back: tuple[int, ...] | None, r: int) ->
 @functools.lru_cache(maxsize=1)
 def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """The set-up of `_search_contaminated`, which depends on the graph
-    alone: the SCC masks in `sccs` order, and each vertex's successor,
-    predecessor and neighbour (successor or predecessor) masks within its
-    SCC.  Kept for the last graph, so one scan's solves, and the kw and dpw
-    scans of one graph, build them once."""
+    alone: the SCC masks in `_components` order, and each vertex's
+    successor, predecessor and neighbour (successor or predecessor) masks
+    within its SCC.  Kept for the last graph, so one scan's solves, and the
+    kw and dpw scans of one graph, build them once."""
     succ = [0] * graph.vertex_count
     pred = [0] * graph.vertex_count
     scopes = _components(graph, graph.full_mask)
@@ -471,11 +471,11 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     The game splits into the parts of `_parts`, and by SCC (Hunter &
     Kreutzer, TCS 2008; Berwanger et al., JCTB 2012):
 
-    - By SCC.  No edge enters an SCC from a later one in `sccs` order, so
-      while the SCCs before S are cleared and those after it contaminated,
-      every guard of u in S lies in S and is u's guard in G[S].  So the
-      SCCs are searched with the edges between them left out, each from
-      R = S, and the cops win iff they win every SCC.
+    - By SCC.  No edge enters an SCC from a later one in `_components`
+      order, so while the SCCs before S are cleared and those after it
+      contaminated, every guard of u in S lies in S and is u's guard in
+      G[S].  So the SCCs are searched with the edges between them left
+      out, each from R = S, and the cops win iff they win every SCC.
     - By weak component, for KW.  The robber's reach from u stays in u's
       weak component of G[R], and no edge leaves that component for
       another part of R, so the guard of u depends on its component alone
@@ -501,11 +501,11 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     so it is never asked about while still open.  The states are the sets
     entered, summed over all SCCs, and the budget caps that sum.
 
-    The KW and DPW witness is a clearing order: the SCCs in `sccs` order,
-    sources first, and inside each a won set R by its recorded u, then each
-    part of R \\ {u} in turn.  `_sweep_of` turns the order into placements
-    with the guards of the whole graph, which equal the subgame guards, so
-    each placement holds at most k cops.  The DAGW witness is
+    The KW and DPW witness is a clearing order: the SCCs in `_components`
+    order, sources first, and inside each a won set R by its recorded u,
+    then each part of R \\ {u} in turn.  `_sweep_of` turns the order into
+    placements with the guards of the whole graph, which equal the subgame
+    guards, so each placement holds at most k cops.  The DAGW witness is
     `_strategy_of`'s.
     """
     scopes, succ, pred, nbr = _scc_masks(graph)

@@ -92,6 +92,7 @@ def _cmd_solve(args) -> int:
     _check_flag(args, "k", "a non-negative integer", lambda k: k >= 0)
     with open(args.graph, "rb") as fh:
         g = parse_graph(fh.read())
+    _check_flag(args, "k", f"at most the vertex count {g.vertex_count}", lambda k: k <= g.vertex_count)
     variant = Variant(args.measure)
     opts = {"budget": args.budget, "require_monotone": not args.non_monotone}
     t0 = time.perf_counter()

@@ -87,6 +87,12 @@ class TestSweepVerification:
         with pytest.raises(GraphError, match=f"got {shown}"):
             simulate_sweep(gen_cycle(3), [[vertex]], "kw")
 
+    @pytest.mark.parametrize("placement", [3, None])
+    def test_placement_that_is_not_iterable_rejected_naming_the_step(self, placement):
+        wanted = f"^placement 1 must be an iterable of vertex ids, got {placement}$"
+        with pytest.raises(GraphError, match=wanted):
+            simulate_sweep(gen_cycle(3), [{0}, placement], "kw")
+
     def test_certificate_with_a_non_int_vertex_rejected(self):
         cert = SweepCertificate(1, (frozenset({"a"}),))
         with pytest.raises(GraphError, match="got 'a'"):
@@ -236,6 +242,13 @@ class TestChaseStrategy:
         assert not rep.ok
         assert "illegal" in rep.reason
         assert rep.failure_position == (((0,), 1) if placed else ((), 0))
+
+    @pytest.mark.parametrize("move", [5, None, [[0]]])
+    def test_cop_move_that_is_no_set_of_vertices_reported_as_illegal(self, move):
+        rep = verify_ent_strategy(gen_cycle(3), lambda c, v: move, 1)
+        assert not rep.ok
+        assert rep.reason == f"illegal cop move [] -> {move!r} against robber at 0"
+        assert rep.failure_position == ((), 0)
 
     def test_stay_with_equal_non_int_vertices_plays_on(self):
         # {0.0} == {0}: the stay is legal and play goes on from the int placement

@@ -16,12 +16,11 @@ from copwidth import (
     induced_subgraph,
     is_acyclic,
     parse_graph,
-    reachable,
-    sccs,
     serialize_graph,
     symmetric_closure,
     to_dot,
 )
+from copwidth.graphs import _components, bits_of, mask_of, reach_mask
 from copwidth.report_cli.report import _all_digraphs
 
 
@@ -170,47 +169,34 @@ class TestMaskAdjacency:
                 assert Graph(names, shuffled[1:]) != g, shown
 
 
-class TestReachable:
+class TestReachMask:
     def test_successor_closure(self):
         g = Graph(["a", "b"], [(0, 1)])
-        assert reachable(g, frozenset(), frozenset({0})) == {0, 1}
+        assert reach_mask(g, 0, 0b01) == 0b11
 
     def test_blocked_target(self):
         g = Graph(["a", "b"], [(0, 1)])
-        assert reachable(g, frozenset({1}), frozenset({0})) == {0}
+        assert reach_mask(g, 0b10, 0b01) == 0b01
 
     def test_blocked_source_contributes_nothing(self):
         g = Graph(["a", "b"], [(0, 1)])
-        assert reachable(g, frozenset({0}), frozenset({0})) == set()
+        assert reach_mask(g, 0b01, 0b01) == 0
+        assert reach_mask(g, 0b01, 0b11) == 0b10
 
     def test_self_loop_only_reaches_itself(self):
         g = gen_switch_all(1)
-        x = g.id_of("x")
-        assert reachable(g, frozenset(), frozenset({x})) == {x}
-
-    def test_out_of_range_rejected(self):
-        g = Graph(["a"], [])
-        with pytest.raises(GraphError):
-            reachable(g, frozenset(), frozenset({3}))
-
-    def test_non_int_id_rejected_naming_it(self):
-        with pytest.raises(GraphError, match="got 'a'"):
-            reachable(gen_cycle(3), ["a"], [0])
+        x = 1 << g.id_of("x")
+        assert reach_mask(g, 0, x) == x
 
     @given(small_graphs())
     def test_monotone_in_sources(self, g):
-        n = g.vertex_count
-        small = frozenset(range(0, n, 2))
-        large = frozenset(range(n))
-        assert reachable(g, frozenset(), small) <= reachable(g, frozenset(), large)
+        small = mask_of(range(0, g.vertex_count, 2))
+        assert reach_mask(g, 0, small) & ~reach_mask(g, 0, g.full_mask) == 0
 
     @given(small_graphs())
     def test_antitone_in_blocked(self, g):
-        n = g.vertex_count
-        sources = frozenset({0})
-        small = frozenset()
-        large = frozenset(range(1, n, 2))
-        assert reachable(g, large, sources) <= reachable(g, small, sources)
+        large = mask_of(range(1, g.vertex_count, 2))
+        assert reach_mask(g, large, 1) & ~reach_mask(g, 0, 1) == 0
 
 
 class TestSymmetricClosure:
@@ -236,25 +222,29 @@ class TestSymmetricClosure:
         assert set(g.edges()) <= set(h.edges())
 
 
-class TestSccs:
+def components_of(g, within=None):
+    """The components of G[within] as ascending vertex lists."""
+    return [list(bits_of(c)) for c in _components(g, g.full_mask if within is None else within)]
+
+
+class TestComponents:
     def test_three_cycle_one_component(self):
         g = Graph(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
-        assert sccs(g) == [[0, 1, 2]]
+        assert components_of(g) == [[0, 1, 2]]
 
     def test_dag_all_singletons(self):
         g = Graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3)])
-        assert sccs(g) == [[v] for v in range(4)]
+        assert components_of(g) == [[v] for v in range(4)]
 
     def test_switch_all_pocket_is_nontrivial(self):
         g = gen_switch_all(1)
-        keep = frozenset(range(g.vertex_count)) - {g.id_of("r"), g.id_of("s")}
-        h = induced_subgraph(g, keep)
-        d1, e1 = h.id_of("d1"), h.id_of("e1")
-        assert sorted([d1, e1]) in sccs(h)
+        hubs = mask_of([g.id_of("r"), g.id_of("s")])
+        d1, e1 = g.id_of("d1"), g.id_of("e1")
+        assert sorted([d1, e1]) in components_of(g, g.full_mask & ~hubs)
 
     @given(small_graphs())
     def test_edges_respect_component_order(self, g):
-        comps = sccs(g)
+        comps = components_of(g)
         index = {}
         for i, comp in enumerate(comps):
             for v in comp:
@@ -262,34 +252,32 @@ class TestSccs:
         for u, w in g.edges():
             assert index[u] <= index[w]
 
-
     def test_components_are_the_mutual_reach_classes(self):
         # all 530 digraphs with at most 3 vertices, then 200 seeded ones on 4-12
         graphs = [g for n in range(1, 4) for g in _all_digraphs(n)]
         graphs += [gen_random_digraph(4 + i % 9, (0.1, 0.2, 0.3, 0.5)[i % 4], i) for i in range(200)]
         for g in graphs:
             n = g.vertex_count
-            comps = sccs(g)
+            comps = components_of(g)
             assert sorted(v for comp in comps for v in comp) == list(range(n))
-            assert all(comp == sorted(comp) for comp in comps)
-            reach = [reachable(g, [], [v]) for v in range(n)]
+            reach = [reach_mask(g, 0, 1 << v) for v in range(n)]
             index = {v: i for i, comp in enumerate(comps) for v in comp}
             for u in range(n):
                 for w in range(n):
-                    assert (index[u] == index[w]) == (w in reach[u] and u in reach[w])
+                    assert (index[u] == index[w]) == bool(reach[u] >> w & reach[w] >> u & 1)
             assert all(index[u] <= index[w] for u, w in g.edges())
             # a cycle is a vertex that one of its successors reaches
-            has_cycle = any(v in reachable(g, [], g.successors(v)) for v in range(n))
+            has_cycle = any(reach_mask(g, 0, g.succ_masks[v]) >> v & 1 for v in range(n))
             assert is_acyclic(g) is not has_cycle, serialize_graph(g)
 
     # Pinned as Tarjan's algorithm returned them: the component order fixes
     # the order of the contaminated-set search, so its witnesses and the
     # state counts of a losing k.
     def test_switch_all_2_pinned(self):
-        assert sccs(gen_switch_all(2)) == [list(range(1, 22)), [22], [23], [0]]
+        assert components_of(gen_switch_all(2)) == [list(range(1, 22)), [22], [23], [0]]
 
     def test_zadeh_2_pinned(self):
-        assert sccs(gen_zadeh(2)) == [
+        assert components_of(gen_zadeh(2)) == [
             [0, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 23, 24, 25, 26, 27],
             [9], [28], [2], [22], [1],
         ]

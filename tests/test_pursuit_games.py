@@ -227,6 +227,14 @@ class TestVisible:
         moves = {(0, 0): 1 << 5, (1 << 5, 0): (1 << 5) | 1}
         assert not replay_cop_strategy(Graph(["a"], []), Variant.DAGW, 2, moves)
 
+    @pytest.mark.parametrize("one", [True, 1.0], ids=["bool", "float"])
+    def test_replay_rejects_a_move_that_is_not_an_int_mask(self, one):
+        # True would pass as the placement 1, and 1.0 has no bitwise ops
+        g = gen_cycle(2)
+        moves = solve_visible(g, GameConfig(Variant.DAGW, 2)).witness.moves
+        assert moves[0, 0] == 1 and replay_cop_strategy(g, Variant.DAGW, 2, moves)
+        assert not replay_cop_strategy(g, Variant.DAGW, 2, {**moves, (0, 0): one})
+
     def test_replay_plays_the_variant_it_names(self):
         # one cop wins dagw on a single edge, but tw there needs two; a str
         # variant replays the game its Variant does
