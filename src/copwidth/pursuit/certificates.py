@@ -98,12 +98,7 @@ class SweepReport:
     step_of_first_violation: Optional[int]
     final_contaminated: frozenset[int]
     steps: int  # placements replayed
-    _required_ok: bool = True
-
-    @property
-    def ok(self) -> bool:
-        """Cleared, and monotone whenever that was required."""
-        return self.cleared and self._required_ok
+    ok: bool  # cleared, and monotone whenever that was required
 
     def __bool__(self) -> bool:
         return self.ok
@@ -147,23 +142,17 @@ def simulate_sweep(
         step_of_first_violation=first_bad,
         final_contaminated=frozenset(bits_of(r)),
         steps=steps,
-        _required_ok=(monotone or not require_monotone),
+        ok=(r == 0 and (monotone or not require_monotone)),
     )
 
 
-def verify_sweep(
-    graph: Graph,
-    cert: SweepCertificate,
-    semantics: Variant | str,
-    require_monotone: bool = True,
-) -> SweepReport:
+def verify_sweep(graph: Graph, cert: SweepCertificate, semantics: Variant | str) -> SweepReport:
     """Replay a certificate; cleared iff the final contaminated set is empty.
 
-    The report's `ok` additionally demands monotonicity when
-    require_monotone is set; `step_of_first_violation` indexes into
-    cert.placements (0-based).
+    The report's `ok` additionally demands monotonicity;
+    `step_of_first_violation` indexes into cert.placements (0-based).
     """
-    return simulate_sweep(graph, cert.placements, semantics, require_monotone)
+    return simulate_sweep(graph, cert.placements, semantics)
 
 
 def dpw_sweep_certificate_switch_all(n: int) -> SweepCertificate:

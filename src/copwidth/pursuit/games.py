@@ -705,27 +705,17 @@ def solve(
     return solve_invisible(graph, config, budget=budget)
 
 
-def measure(
-    graph: Graph,
-    variant: Variant | str,
-    *,
-    budget: int = DEFAULT_STATE_BUDGET,
-    require_monotone: bool = True,
-) -> int:
-    """Least winning cop count, reported in the variant's own offset.
+def measure(graph: Graph, variant: Variant | str, *, budget: int = DEFAULT_STATE_BUDGET) -> int:
+    """Least winning cop count of the monotone game, reported in the
+    variant's own offset.
 
     TW and DPW report k-1 where k is the least winning cop count (width k
     means k+1 cops win); DAGW, KW and ENT report the cop count itself.  TW
-    is the KW value of the symmetric closure minus one, and require_monotone
-    changes neither TW, whose monotone and non-monotone values coincide
-    (Seymour & Thomas, JCTB 1993), nor ENT, which has no monotonicity
-    notion.  The empty graph yields 0 for every variant.  The budget applies
-    per solve; exhaustion raises BudgetExceededError rather than returning
-    a value.
+    is the KW value of the symmetric closure minus one.  The empty graph
+    yields 0 for every variant.  The budget applies per solve; exhaustion
+    raises BudgetExceededError rather than returning a value.
     """
-    return measure_detailed(
-        graph, variant, budget=budget, require_monotone=require_monotone
-    )[0]
+    return measure_detailed(graph, variant, budget=budget)[0]
 
 
 def measure_detailed(
@@ -739,7 +729,8 @@ def measure_detailed(
     scan, which solves k = 0, 1, ... until the cops win; for TW from one cop
     more than the closure's minor-min-width (`_tw_lower_bound`, Bodlaender &
     Koster 2011), as no fewer win.  Its solves share the per-graph set-up
-    that `solve` caches for the last graph."""
+    that `solve` caches for the last graph.  require_monotone=False scans
+    the non-monotone game instead, as `solve` does."""
     variant = Variant(variant)
     _positive(budget, "budget")
     if graph.vertex_count == 0:

@@ -155,14 +155,8 @@ class MeasureReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_exact": self.n_exact,
-            "n_cert": self.n_cert,
-            "entries": [e.to_dict() for e in self.entries],
-            "reference_rows": self.reference_rows,
-            "all_verified": self.all_verified,
-        }
+        entries = [e.to_dict() for e in self.entries]
+        return {**asdict(self), "entries": entries, "all_verified": self.all_verified}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -394,11 +388,8 @@ class SuiteSummary:
         return all(s.passed for s in self.suites)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "suites": [s.to_dict() for s in self.suites],
-            "all_passed": self.all_passed,
-        }
+        suites = [s.to_dict() for s in self.suites]
+        return {**asdict(self), "suites": suites, "all_passed": self.all_passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

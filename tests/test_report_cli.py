@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -673,6 +674,30 @@ class TestCliCertify:
             '}\n'
         )
 
+    def test_failed_sweep_replay_exits_1(self, monkeypatch, capsys):
+        def empty_sweep(n):
+            cert = certificates.SweepCertificate(4, ())
+            return 4, certificates.verify_sweep(gen_switch_all(n), cert, Variant.DPW)
+
+        key = copwidth.FamilyId.SWITCH_ALL, Variant.DPW
+        monkeypatch.setitem(certificates._CERTIFICATES, key, empty_sweep)
+        assert main(["certify", "--measure", "dpw", "--family", "switch-all", "--n", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cleared"] is False and doc["ok"] is False
+        assert doc["cops"] == 4 and doc["steps"] == 0
+
+    def test_failed_chase_replay_exits_1(self, monkeypatch, capsys):
+        def two_cop_chase(n):
+            g, strategy = gen_switch_all(n), certificates.ent_strategy_switch_all(n)
+            return 2, certificates.verify_ent_strategy(g, strategy, 2)
+
+        key = copwidth.FamilyId.SWITCH_ALL, Variant.ENT
+        monkeypatch.setitem(certificates._CERTIFICATES, key, two_cop_chase)
+        assert main(["certify", "--measure", "ent", "--family", "switch-all", "--n", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["reason"]
+        assert doc["cops"] == 2 and doc["failure_position"] is not None
+
 
 class TestCliCw:
     def test_family_choices_are_the_expression_builders(self):
@@ -757,6 +782,10 @@ class TestCliSuite:
         assert seeds == [0]
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True
+        # the key order the README documents
+        assert list(doc) == ["seed", "suites", "all_passed"]
+        for s in doc["suites"]:
+            assert list(s) == ["name", "cases", "passed", "failures", "seconds"]
         by_name = {s["name"]: s for s in doc["suites"]}
         assert by_name["width-inequality"]["cases"] == 200
         assert by_name["entanglement-one"]["cases"] == 66166
@@ -817,6 +846,16 @@ def test_package_all_concatenates_the_module_lists():
     assert len(copwidth.__all__) == 62
 
 
+def _api_sources() -> list:
+    """The code that calls the public API: src/, perfbench/ and the README's
+    python example."""
+    root = Path(__file__).resolve().parents[1]
+    files = [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]
+    sources = [p.read_text(encoding="utf-8") for p in files]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    return sources + re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+
+
 def _names_used(source: str) -> set:
     """The names the code loads, reads as an attribute or imports, leaving
     out each definition's uses of its own name.  Docstrings and comments are
@@ -844,11 +883,42 @@ def test_every_public_name_is_used():
     # A public name nothing calls is dead code that the API pins keep alive.
     # induced_subgraph stays for the induced cores of ROADMAP item 2; drop it
     # from the expected list once they call it.
-    root = Path(__file__).resolve().parents[1]
-    files = [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]
-    sources = [p.read_text(encoding="utf-8") for p in files]
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
-    used = set().union(*map(_names_used, sources))
+    used = set().union(*map(_names_used, _api_sources()))
     unused = [n for n in copwidth.__all__ if n not in used and n != "__version__"]
     assert unused == ["induced_subgraph"]
+
+
+def _passed_arguments(sources: list) -> dict:
+    """Callee name -> (the positional counts, the keywords) its calls pass,
+    a `**` as the keyword None; `partial(f, ...)` counts as a call of f."""
+    passed = {}
+    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if getattr(func, "id", None) == "partial" and args:
+            func, args = args[0], args[1:]
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        counts, keywords = passed.setdefault(name, (set(), set()))
+        counts.add(float("inf") if any(isinstance(a, ast.Starred) for a in args) else len(args))
+        keywords.update(k.arg for k in node.keywords)
+    return passed
+
+
+def test_every_public_option_is_passed():
+    # A defaulted parameter no call passes is an option nobody uses: its
+    # default is the only behaviour, and the other branch is dead code.
+    passed = _passed_arguments(_api_sources())
+    unpassed = []
+    for name in copwidth.__all__:
+        obj = getattr(copwidth, name)
+        if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+            continue  # enums, constants and __version__
+        counts, keywords = passed.get(name, (set(), set()))
+        for i, p in enumerate(inspect.signature(obj).parameters.values()):
+            if p.default is inspect.Parameter.empty:
+                continue
+            by_position = p.kind is not p.KEYWORD_ONLY and any(n > i for n in counts)
+            if not (by_position or p.name in keywords or None in keywords):
+                unpassed.append(f"{name}: {p.name}")
+    assert unpassed == []
