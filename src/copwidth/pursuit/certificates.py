@@ -93,11 +93,10 @@ class SweepCertificate:
 
 @dataclass(frozen=True)
 class SweepReport:
+    steps: int  # placements replayed
     cleared: bool
     monotone: bool
     step_of_first_violation: Optional[int]
-    final_contaminated: frozenset[int]
-    steps: int  # placements replayed
     ok: bool  # cleared, and monotone whenever that was required
 
     def __bool__(self) -> bool:
@@ -137,11 +136,10 @@ def simulate_sweep(
         steps += 1
     monotone = first_bad is None
     return SweepReport(
+        steps=steps,
         cleared=(r == 0),
         monotone=monotone,
         step_of_first_violation=first_bad,
-        final_contaminated=frozenset(bits_of(r)),
-        steps=steps,
         ok=(r == 0 and (monotone or not require_monotone)),
     )
 

@@ -28,7 +28,7 @@ from ..families import (
     gen_zadeh,
 )
 from ..graphs import parse_graph, serialize_graph, to_dot
-from ..pursuit.certificates import _CERTIFICATES, SweepReport
+from ..pursuit.certificates import _CERTIFICATES
 from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
@@ -111,12 +111,8 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     _check_positive(args, "n")
     cops, rep = _CERTIFICATES[FamilyId(args.family), Variant(args.measure)](args.n)
-    if isinstance(rep, SweepReport):
-        shown = ("steps", "cleared", "monotone", "step_of_first_violation", "ok")
-    else:
-        shown = ("ok", "reason", "failure_position")
     result = {"family": args.family, "n": args.n, "measure": args.measure, "cops": cops}
-    print(json.dumps({**result, **{f: getattr(rep, f) for f in shown}}, indent=2))
+    print(json.dumps({**result, **asdict(rep)}, indent=2))
     return 0 if rep.ok else 1
 
 
@@ -133,7 +129,7 @@ def _cmd_report(args) -> int:
     out = open(args.json, "w", encoding="utf-8") if args.json is not None else nullcontext()
     with out as fh:
         rep = run_report(args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget)
-        text = rep.to_json()
+        text = json.dumps(rep.to_dict(), indent=2)
         if fh is not None:
             fh.write(text + "\n")
     print(text)
@@ -142,7 +138,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_suite(args) -> int:
     summary = run_property_suites(args.seed)
-    print(summary.to_json())
+    print(json.dumps(summary.to_dict(), indent=2))
     return 0 if summary.all_passed else 1
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "run_report",
 ]
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
@@ -157,9 +156,6 @@ class MeasureReport:
     def to_dict(self) -> dict:
         entries = [e.to_dict() for e in self.entries]
         return {**asdict(self), "entries": entries, "all_verified": self.all_verified}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass
@@ -390,9 +386,6 @@ class SuiteSummary:
     def to_dict(self) -> dict:
         suites = [s.to_dict() for s in self.suites]
         return {**asdict(self), "suites": suites, "all_passed": self.all_passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _run_suite(name: str, graphs: Iterable[Graph], check) -> SuiteResult:

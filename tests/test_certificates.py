@@ -63,8 +63,7 @@ class TestSweepVerification:
     def test_empty_sequence_clears_nothing(self):
         g = gen_cycle(3)
         rep = verify_sweep(g, SweepCertificate(4, ()), Variant.DPW)
-        assert not rep.cleared
-        assert rep.final_contaminated == frozenset(range(3))
+        assert rep.cleared is False and rep.steps == 0 and rep.ok is False
 
     def test_self_loop_single_placement_under_inert(self):
         g = Graph(["v"], [(0, 0)])

@@ -123,7 +123,7 @@ class TestSwitchAllReport:
         assert snare["tw"] == "unbounded"
 
     def test_json_schema(self, switch_all_report):
-        doc = json.loads(switch_all_report.to_json())
+        doc = switch_all_report.to_dict()
         assert doc["family"] == "switch-all"
         assert doc["all_verified"] is True
         assert isinstance(doc["n_exact"], int) and isinstance(doc["n_cert"], int)
@@ -674,6 +674,19 @@ class TestCliCertify:
             '}\n'
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "key", list(certificates._CERTIFICATES), ids=lambda key: "-".join(k.value for k in key)
+    )
+    def test_every_certificate_prints_its_own_report(self, key, n, capsys):
+        family, measure = key
+        _, rep = certificates._CERTIFICATES[key](n)
+        argv = ["certify", "--measure", measure.value, "--family", family.value, "--n", str(n)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        fields = [f.name for f in dataclasses.fields(type(rep))]
+        assert list(doc) == ["family", "n", "measure", "cops", *fields]
+
     def test_failed_sweep_replay_exits_1(self, monkeypatch, capsys):
         def empty_sweep(n):
             cert = certificates.SweepCertificate(4, ())
@@ -682,9 +695,19 @@ class TestCliCertify:
         key = copwidth.FamilyId.SWITCH_ALL, Variant.DPW
         monkeypatch.setitem(certificates._CERTIFICATES, key, empty_sweep)
         assert main(["certify", "--measure", "dpw", "--family", "switch-all", "--n", "2"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["cleared"] is False and doc["ok"] is False
-        assert doc["cops"] == 4 and doc["steps"] == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            '  "family": "switch-all",\n'
+            '  "n": 2,\n'
+            '  "measure": "dpw",\n'
+            '  "cops": 4,\n'
+            '  "steps": 0,\n'
+            '  "cleared": false,\n'
+            '  "monotone": true,\n'
+            '  "step_of_first_violation": null,\n'
+            '  "ok": false\n'
+            '}\n'
+        )
 
     def test_failed_chase_replay_exits_1(self, monkeypatch, capsys):
         def two_cop_chase(n):
@@ -694,9 +717,15 @@ class TestCliCertify:
         key = copwidth.FamilyId.SWITCH_ALL, Variant.ENT
         monkeypatch.setitem(certificates._CERTIFICATES, key, two_cop_chase)
         assert main(["certify", "--measure", "ent", "--family", "switch-all", "--n", "2"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is False and doc["reason"]
-        assert doc["cops"] == 2 and doc["failure_position"] is not None
+        assert list(json.loads(capsys.readouterr().out).items()) == [
+            ("family", "switch-all"),
+            ("n", 2),
+            ("measure", "ent"),
+            ("cops", 2),
+            ("ok", False),
+            ("reason", "illegal cop move [1, 18] -> [1, 3, 18] against robber at 3"),
+            ("failure_position", [[1, 18], 3]),
+        ]
 
 
 class TestCliCw:
