@@ -28,11 +28,10 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Union as _U
 
 from .families import FamilyId, gen_switch_all, gen_zadeh
-from .graphs import Graph, GraphError, _positive
+from .graphs import Graph, GraphError, _positive, bits_of
 
 
 @dataclass(frozen=True)
@@ -83,34 +82,57 @@ def _children(node: CwExpr) -> tuple[CwExpr, ...]:
 def eval_expr(expr: CwExpr) -> LabelledGraph:
     """Evaluate an expression to its coloured graph.
 
-    Vertices are numbered in the order their ports appear, left to right, so
-    the vertices of any subtree are the ids numbered since evaluation entered
-    it.  Connect adds all missing edges from the src class to the dst class
-    (all ordered pairs, including self-loops when src = dst); Recolour with
+    Vertices are numbered in the order their ports appear, left to right.
+    Connect adds all missing edges from the src class to the dst class (all
+    ordered pairs, including self-loops when src = dst); Recolour with
     old = new is the identity.  A vertex name used twice is rejected by
     Graph ("duplicate vertex name").
+
+    The tree is evaluated bottom-up, in reverse preorder.  Each evaluated
+    subtree is one dict from colour to the bitmask of its vertices of that
+    colour, and the edges are one successor mask per vertex.  Union merges
+    the smaller dict into the larger, Recolour moves one mask, and Connect
+    ORs the dst mask into the successor mask of each src vertex, so no
+    operator rescans the vertices below it.
     """
-    names: list[str] = []
-    cols: list[str] = []
-    edges: set[tuple[int, int]] = set()
-    # (node, -1) is still to enter; (node, start) is a Recolour or Connect
-    # whose child has been evaluated to the vertices start..
-    stack: list[tuple[CwExpr, int]] = [(expr, -1)]
+    nodes: list[CwExpr] = []  # preorder, left before right
+    stack = [expr]
     while stack:
-        node, start = stack.pop()
-        if start < 0:
-            if isinstance(node, Port):
-                names.append(node.name)
-                cols.append(node.colour)
-            elif not isinstance(node, Union):
-                stack.append((node, len(names)))
-            stack.extend((ch, -1) for ch in reversed(_children(node)))
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(_children(node)))
+    names = [node.name for node in nodes if isinstance(node, Port)]
+    succ = [0] * len(names)
+    v = len(names)  # the ports are met last to first
+    classes: list[dict[str, int]] = []  # the evaluated subtrees, leftmost on top
+    for node in reversed(nodes):
+        if isinstance(node, Port):
+            v -= 1
+            classes.append({node.colour: 1 << v})
+        elif isinstance(node, Union):
+            small = classes.pop()
+            big = classes[-1]
+            if len(small) > len(big):
+                small, big = big, small
+                classes[-1] = big
+            for colour, m in small.items():
+                big[colour] = big.get(colour, 0) | m
         elif isinstance(node, Recolour):
-            cols[start:] = [node.new if c == node.old else c for c in cols[start:]]
+            top = classes[-1]
+            m = top.pop(node.old, 0)
+            if m:
+                top[node.new] = top.get(node.new, 0) | m
         else:  # Connect
-            src = [i for i, c in enumerate(cols[start:], start) if c == node.src]
-            dst = [i for i, c in enumerate(cols[start:], start) if c == node.dst]
-            edges.update(product(src, dst))
+            top = classes[-1]
+            dst = top.get(node.dst, 0)
+            if dst:
+                for u in bits_of(top.get(node.src, 0)):
+                    succ[u] |= dst
+    cols = [""] * len(names)
+    for colour, m in classes[0].items():
+        for u in bits_of(m):
+            cols[u] = colour
+    edges = [(u, w) for u, m in enumerate(succ) for w in bits_of(m)]
     return LabelledGraph(Graph(names, edges), tuple(cols))
 
 
@@ -285,12 +307,6 @@ class CwVerifyReport:
         return self.equal
 
 
-def _name_edges(graph: Graph, keep: set[str]) -> set[tuple[str, str]]:
-    """The edges of graph between names in keep, as name pairs."""
-    names = graph.names
-    return {(names[u], names[w]) for u, w in graph.edges() if names[u] in keep and names[w] in keep}
-
-
 _BUILDERS = {
     FamilyId.SWITCH_ALL: (build_switch_all_expr, gen_switch_all),
     FamilyId.ZADEH: (build_zadeh_expr, gen_zadeh),
@@ -309,24 +325,34 @@ def verify_family_expr(
     builder, generator = _BUILDERS[family]
     if expr is None:
         expr = builder(n)
-    built = eval_expr(expr)
+    built = eval_expr(expr).graph
     want = generator(n)
-    built_names = set(built.graph.names)
+    built_names = set(built.names)
     want_names = set(want.names)
     issues = []
     for nm in sorted(built_names - want_names):
         issues.append(f"unknown vertex name {nm!r} produced by the expression")
     for nm in sorted(want_names - built_names):
         issues.append(f"vertex {nm!r} missing from the expression")
-    common = built_names & want_names
-    built_edges = _name_edges(built.graph, common)
-    want_edges = _name_edges(want, common)
-    missing = tuple(sorted(want_edges - built_edges))
-    extra = tuple(sorted(built_edges - want_edges))
+    # each built vertex's generator id and bit; None and 0 for an unknown name
+    ids = [want._ids.get(nm) for nm in built.names]
+    bit = [0 if u is None else 1 << u for u in ids]
+    common = sum(bit)
+    names = want.names
+    missing, extra = [], []
+    for u, m in zip(ids, built.succ_masks):
+        if u is None:
+            continue
+        got = 0
+        for w in bits_of(m):
+            got |= bit[w]
+        need = want.succ_masks[u] & common
+        missing += [(names[u], names[w]) for w in bits_of(need & ~got)]
+        extra += [(names[u], names[w]) for w in bits_of(got & ~need)]
     return CwVerifyReport(
         equal=not missing and not extra and not issues,
         colour_count=colours_used(expr),
-        missing_edges=missing,
-        extra_edges=extra,
+        missing_edges=tuple(sorted(missing)),
+        extra_edges=tuple(sorted(extra)),
         name_issues=tuple(issues),
     )

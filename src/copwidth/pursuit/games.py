@@ -292,25 +292,34 @@ def contaminate(
     is won there).  With strict the moves that are not monotone are left
     out.
 
-    Restless steps assume R is closed in G - C and disjoint from C, so a
-    move lifting no cop gives R' = R \\ C' without a search.  R' is closed
-    in G - C', so this holds for every state reached from (empty, all
-    vertices), and for the visible robber's region R = Reach_{G-C}(v).
-    With that R this is the visible games' robber step: his space
-    Reach_{G-(C&C')}(v) is Reach_{G-(C&C')}(R), he lands in R', and the
-    space meets a vacated vertex (C \\ C') iff R' grows.  A vacated vertex
-    in it is in R' but not in R, and a path to a vertex of R' outside R
-    runs through C, so through a vacated vertex.  Ending at an empty R' (a
-    capture) drops only moves of a cop node already won.
+    Restless steps assume R is closed in G - C and disjoint from C.  Then a
+    path that leaves R first enters a vertex of C, and as the cops on
+    C & C' stay, that vertex is a vacated one (C \\ C') with an in-neighbour
+    in R.  With H those vacated vertices,
+    Reach_{G-(C&C')}(R) = R | Reach_{G-(C&C')}(H), so only H is searched
+    from.  H lies in R' but not in R, so the move is monotone iff H is
+    empty, and then R' = R \\ C' with no search at all: no step of a
+    monotone restless sweep searches.  R' is closed in G - C', so the
+    assumption holds for every state reached from (empty, all vertices),
+    and for the visible robber's region R = Reach_{G-C}(v).  With that R
+    this is the visible games' robber step: his space Reach_{G-(C&C')}(v)
+    is Reach_{G-(C&C')}(R), he lands in R', and the move is monotone iff
+    he cannot reach a vacated vertex.  Ending at an empty R' (a capture)
+    drops only moves of a cop node already won.
     """
     reach = reach_mask
+    pred = graph.pred_masks
     out = []
     for cp in placements:
         if inert:
             flee = r & cp
             rp = (r | reach(graph, c & cp, flee)) & ~cp if flee else r & ~cp
         else:
-            rp = reach(graph, c & cp, r) & ~cp if c & ~cp else r & ~cp
+            hit = 0  # H
+            for v in bits_of(c & ~cp):
+                if pred[v] & r:
+                    hit |= 1 << v
+            rp = ((r | reach(graph, c & cp, hit)) if hit else r) & ~cp
         if strict and rp & ~r:
             continue
         out.append((cp, rp))

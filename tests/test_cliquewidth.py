@@ -1,5 +1,6 @@
 """Colouring-expression calculus: evaluation rules, colour accounting, builders."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from copwidth import (
     Connect,
     FamilyId,
+    Graph,
     GraphError,
+    LabelledGraph,
     Port,
     Recolour,
     Union,
@@ -16,9 +19,11 @@ from copwidth import (
     build_zadeh_expr,
     colours_used,
     eval_expr,
+    gen_switch_all,
     gen_zadeh,
     verify_family_expr,
 )
+from copwidth.cliquewidth import _children
 
 
 def edge_names(result):
@@ -28,6 +33,52 @@ def edge_names(result):
 
 def colour_map(result):
     return dict(zip(result.graph.names, result.colours))
+
+
+def scan_eval(expr):
+    """The evaluator eval_expr replaced, kept as its reference: the ports are
+    numbered left to right, so a subtree's vertices are the ids numbered
+    since it was entered, and each Recolour and Connect rescans them."""
+    names, cols, edges = [], [], set()
+    stack = [(expr, -1)]
+    while stack:
+        node, start = stack.pop()
+        if start < 0:
+            if isinstance(node, Port):
+                names.append(node.name)
+                cols.append(node.colour)
+            elif not isinstance(node, Union):
+                stack.append((node, len(names)))
+            stack.extend((ch, -1) for ch in reversed(_children(node)))
+        elif isinstance(node, Recolour):
+            cols[start:] = [node.new if c == node.old else c for c in cols[start:]]
+        else:
+            src = [i for i, c in enumerate(cols[start:], start) if c == node.src]
+            dst = [i for i, c in enumerate(cols[start:], start) if c == node.dst]
+            edges.update(itertools.product(src, dst))
+    return LabelledGraph(Graph(names, edges), tuple(cols))
+
+
+def name_pair_difference(expr, want):
+    """(missing, extra): the edges between shared names that the generator
+    graph want has and the expression lacks, and the other way round."""
+    got = scan_eval(expr).graph
+    shared = set(got.names) & set(want.names)
+
+    def pairs(g):
+        return {(g.names[u], g.names[w]) for u, w in g.edges()
+                if g.names[u] in shared and g.names[w] in shared}
+
+    return tuple(sorted(pairs(want) - pairs(got))), tuple(sorted(pairs(got) - pairs(want)))
+
+
+def mirrored(expr):
+    """The expression with the two sides of every Union swapped."""
+    if isinstance(expr, Port):
+        return expr
+    if isinstance(expr, Union):
+        return Union(mirrored(expr.right), mirrored(expr.left))
+    return dataclasses.replace(expr, child=mirrored(expr.child))
 
 
 class TestEvalRules:
@@ -181,6 +232,15 @@ class TestBuilders:
         rep = verify_family_expr("switch-all", 1, expr=whole.child)
         assert not rep.equal
         assert rep.missing_edges
+        # exactly the generator's edges the expression lacks: r -> x
+        want = name_pair_difference(whole.child, gen_switch_all(1))
+        assert (rep.missing_edges, rep.extra_edges) == want
+        assert rep.missing_edges == (("r", "x"),)
+        # zadeh(2) without its last four Connects: each b misses k1, k2 and t
+        cut = build_zadeh_expr(2).child.child.child.child
+        rep = verify_family_expr("zadeh", 2, expr=cut)
+        assert (rep.missing_edges, rep.extra_edges) == name_pair_difference(cut, gen_zadeh(2))
+        assert {("b1,0^0", "k1"), ("b1,0^0", "k2"), ("b1,0^0", "t")} <= set(rep.missing_edges)
 
     @pytest.mark.parametrize("builder", [build_switch_all_expr, build_zadeh_expr])
     @pytest.mark.parametrize("n", [0, -1])
@@ -202,6 +262,39 @@ class TestBuilders:
         assert not rep.missing_edges and not rep.name_issues
         assert rep.extra_edges
         assert {nm for edge in rep.extra_edges for nm in edge} <= spent
+        expr = Connect("spent", "spent", whole)
+        assert (rep.missing_edges, rep.extra_edges) == name_pair_difference(expr, gen_switch_all(1))
+
+    def test_missing_vertex_leaves_its_edges_out_of_the_difference(self):
+        # switch-all(1) without x: x is reported, and the edges at x are not
+        without_x = build_switch_all_expr(1).child.child.child.child.left
+        rep = verify_family_expr("switch-all", 1, expr=without_x)
+        assert rep.name_issues == ("vertex 'x' missing from the expression",)
+        assert rep.missing_edges == () and rep.extra_edges == ()
+        assert name_pair_difference(without_x, gen_switch_all(1)) == ((), ())
+
+    @pytest.mark.parametrize("family, builder, generator", [
+        ("switch-all", build_switch_all_expr, gen_switch_all),
+        ("zadeh", build_zadeh_expr, gen_zadeh),
+    ])
+    def test_ports_in_another_order_than_the_generator_ids(self, family, builder, generator):
+        # every Union's sides swapped: the same named graph, ports reversed
+        expr = mirrored(builder(2))
+        assert eval_expr(expr).graph.names == tuple(reversed(eval_expr(builder(2)).graph.names))
+        assert eval_expr(expr).graph.names != generator(2).names
+        rep = verify_family_expr(family, 2, expr=expr)
+        assert rep.equal
+        assert not rep.missing_edges and not rep.extra_edges and not rep.name_issues
+
+    def test_unknown_vertex_with_edges_reports_its_name_only(self):
+        # zz has a self-loop and an edge to r, and neither is an edge difference
+        whole = build_switch_all_expr(1)
+        expr = Connect("q", "hub-r", Connect("q", "q", Union(whole, Port("q", "zz"))))
+        assert {("zz", "zz"), ("zz", "r")} <= edge_names(eval_expr(expr))
+        rep = verify_family_expr("switch-all", 1, expr=expr)
+        assert not rep
+        assert rep.name_issues == ("unknown vertex name 'zz' produced by the expression",)
+        assert rep.missing_edges == () and rep.extra_edges == ()
 
     def test_unknown_family_rejected(self):
         with pytest.raises((GraphError, ValueError)):
@@ -216,7 +309,7 @@ class TestBuilders:
         )
 
 
-def expr_shapes():
+def expr_shapes(max_leaves=6):
     colours = st.sampled_from("abc")
     return st.recursive(
         st.tuples(st.just("port"), colours),
@@ -225,7 +318,7 @@ def expr_shapes():
             st.tuples(st.just("recolour"), colours, colours, kids),
             st.tuples(st.just("connect"), colours, colours, kids),
         ),
-        max_leaves=6,
+        max_leaves=max_leaves,
     )
 
 
@@ -277,3 +370,37 @@ class TestExpressionAlgebra:
         e = realize(shape, itertools.count())
         used = colours_used(e)
         assert all(colours_used(Recolour(c, c, e)) == used for c in eval_expr(e).colours)
+
+
+class TestEvalMatchesTheScanReference:
+    """The class-mask evaluator returns the LabelledGraph of the scan-based
+    one it replaced (`scan_eval`): the same names in port order, the same
+    edges and the same final colours."""
+
+    @pytest.mark.parametrize("builder", [build_switch_all_expr, build_zadeh_expr])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_builders(self, builder, n):
+        e = builder(n)
+        assert eval_expr(e) == scan_eval(e)
+
+    @given(expr_shapes(max_leaves=40))
+    def test_larger_random_expressions(self, shape):
+        e = realize(shape, itertools.count())
+        assert eval_expr(e) == scan_eval(e)
+
+    @pytest.mark.parametrize("e", [
+        Recolour("a", "a", Union(Port("a", "u"), Port("b", "v"))),
+        Connect("a", "b", Recolour("b", "b", Union(Port("a", "u"), Port("b", "v")))),
+        Connect("a", "a", Union(Port("a", "u"), Union(Port("b", "v"), Port("a", "w")))),
+        Connect("b", "b", Recolour("a", "b", Union(Port("a", "u"), Port("b", "v")))),
+        Connect("c", "a", Union(Port("a", "u"), Port("b", "v"))),
+        Connect("a", "c", Union(Port("a", "u"), Port("b", "v"))),
+        Connect("a", "b", Recolour("b", "a", Union(Port("a", "u"), Port("b", "v")))),
+        Union(Connect("a", "b", Port("a", "u")), Connect("a", "b", Port("b", "v"))),
+    ], ids=[
+        "recolour-old-is-new", "recolour-same-then-connect", "connect-src-is-dst",
+        "connect-src-is-dst-after-merge", "connect-from-empty", "connect-to-empty",
+        "connect-after-class-emptied", "connect-in-each-side-only",
+    ])
+    def test_edge_cases(self, e):
+        assert eval_expr(e) == scan_eval(e)

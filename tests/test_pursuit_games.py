@@ -281,8 +281,9 @@ class TestVisibleRobberStep:
                             assert bool(rp & ~region) == bool(space & c & ~cp), serialize_graph(g)
 
     def test_restless_shortcut_matches_the_full_reach(self):
-        # for every R closed in G - C and disjoint from C, and every C': a
-        # move that lifts no cop skips the reach and must agree with it
+        # for every R closed in G - C and disjoint from C, and every C': the
+        # step searches only from the vacated vertices with an in-neighbour
+        # in R, none when no cop is lifted, and must agree with the full reach
         for n in range(1, 4):
             for g in _all_digraphs(n):
                 full = g.full_mask
@@ -294,6 +295,24 @@ class TestVisibleRobberStep:
                             rp = reach_mask(g, c & cp, r) & ~cp
                             out = games.contaminate(g, False, c, r, (cp,), False)
                             assert out == [(cp, rp)], serialize_graph(g)
+        # seeded graphs of 5-7 vertices, R = Reach_{G-C}(seeds), and C' that
+        # lift several cops at once
+        rng = random.Random(0)
+        lifts = set()
+        for n in (5, 6, 7):
+            for seed in range(8):
+                g = gen_random_digraph(n, rng.choice((0.2, 0.35, 0.5)), seed)
+                for _ in range(40):
+                    c = rng.getrandbits(n)
+                    r = reach_mask(g, c, rng.getrandbits(n) & ~c)
+                    for cp in [rng.getrandbits(n) for _ in range(6)] + [c & rng.getrandbits(n)]:
+                        rp = reach_mask(g, c & cp, r) & ~cp
+                        out = games.contaminate(g, False, c, r, (cp,), False)
+                        assert out == [(cp, rp)], serialize_graph(g)
+                        if r:
+                            lifts.add(min((c & ~cp).bit_count(), 3))
+        # moves lifting no cop, one, two and three or more all occur
+        assert lifts == {0, 1, 2, 3}
 
 
 class TestInvisible:
