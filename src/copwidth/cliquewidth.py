@@ -3,9 +3,9 @@
 An expression is a tree over four operators: Port (a single coloured vertex),
 Union (disjoint union), Recolour (relabel one colour class to another) and
 Connect (add every edge from one colour class to another).  Evaluation yields
-a coloured graph; the two family builders produce expressions that evaluate
-edge-exactly to the generator graphs, using 10 colours for the switch-all
-family and 9 for the least-entered one.
+the graph the expression builds; the two family builders produce expressions
+that evaluate edge-exactly to the generator graphs, using 10 colours for the
+switch-all family and 9 for the least-entered one.
 
 Everything here is iterative: built expressions nest a few thousand levels
 deep at larger n, far beyond the default recursion limit.
@@ -16,7 +16,6 @@ from __future__ import annotations
 __all__ = [
     "Connect",
     "CwVerifyReport",
-    "LabelledGraph",
     "Port",
     "Recolour",
     "Union",
@@ -63,12 +62,6 @@ class Connect:
 CwExpr = _U[Port, Union, Recolour, Connect]
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
-    graph: Graph
-    colours: tuple[str, ...]
-
-
 def _children(node: CwExpr) -> tuple[CwExpr, ...]:
     if isinstance(node, Port):
         return ()
@@ -79,8 +72,8 @@ def _children(node: CwExpr) -> tuple[CwExpr, ...]:
     raise GraphError(f"not a cliquewidth expression node: {node!r}")
 
 
-def eval_expr(expr: CwExpr) -> LabelledGraph:
-    """Evaluate an expression to its coloured graph.
+def eval_expr(expr: CwExpr) -> Graph:
+    """Evaluate an expression to the graph it builds.
 
     Vertices are numbered in the order their ports appear, left to right.
     Connect adds all missing edges from the src class to the dst class (all
@@ -128,12 +121,8 @@ def eval_expr(expr: CwExpr) -> LabelledGraph:
             if dst:
                 for u in bits_of(top.get(node.src, 0)):
                     succ[u] |= dst
-    cols = [""] * len(names)
-    for colour, m in classes[0].items():
-        for u in bits_of(m):
-            cols[u] = colour
     edges = [(u, w) for u, m in enumerate(succ) for w in bits_of(m)]
-    return LabelledGraph(Graph(names, edges), tuple(cols))
+    return Graph(names, edges)
 
 
 def colours_used(expr: CwExpr) -> int:
@@ -325,7 +314,7 @@ def verify_family_expr(
     builder, generator = _BUILDERS[family]
     if expr is None:
         expr = builder(n)
-    built = eval_expr(expr).graph
+    built = eval_expr(expr)
     want = generator(n)
     built_names = set(built.names)
     want_names = set(want.names)

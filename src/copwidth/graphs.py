@@ -5,11 +5,10 @@ generators and the cliquewidth evaluator.  Vertices are identified by ids
 0..vertex_count-1 and carry unique non-empty names.  Self-loops are allowed;
 duplicate edges are rejected.  Adjacency is stored once, as one successor and
 one predecessor int bitmask per vertex, because the solvers spend nearly all
-their time in reachability queries; successor tuples and edge lists are read
-off the masks in ascending id order.  The structural queries (reachability,
-SCCs, acyclicity) run on these masks within a vertex-set mask, with no
-subgraph built, and the symmetric closure and induced subgraphs are built
-from them.
+their time in reachability queries; edge lists are read off the masks in
+ascending id order.  The structural queries (reachability, SCCs, acyclicity)
+run on these masks within a vertex-set mask, with no subgraph built, and the
+symmetric closure and induced subgraphs are built from them.
 """
 
 from __future__ import annotations
@@ -90,9 +89,6 @@ class Graph:
         """Bitmask with one bit per vertex."""
         return (1 << len(self.names)) - 1
 
-    def successors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.succ_masks[self._check(v)]))
-
     def has_edge(self, u: int, w: int) -> bool:
         self._check(u)
         self._check(w)
@@ -107,10 +103,6 @@ class Graph:
             return self._ids[name]
         except KeyError:
             raise GraphError(f"unknown vertex name {name!r}") from None
-
-    def name_of(self, v: int) -> str:
-        self._check(v)
-        return self.names[v]
 
     def _mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of the given vertex ids, each checked first."""
@@ -293,8 +285,12 @@ def parse_graph(data: bytes | str) -> Graph:
     return Graph(names, doc["edges"])
 
 
+# line breaks are escaped too, so that a quoted name stays on one line
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + s.translate(_DOT_ESCAPES) + '"'
 
 
 def to_dot(graph: Graph) -> str:

@@ -129,7 +129,7 @@ def _cmd_report(args) -> int:
     out = open(args.json, "w", encoding="utf-8") if args.json is not None else nullcontext()
     with out as fh:
         rep = run_report(args.family, n_exact=args.n_exact, n_cert=args.n_cert, budget=args.budget)
-        text = json.dumps(rep.to_dict(), indent=2)
+        text = json.dumps(asdict(rep), indent=2)
         if fh is not None:
             fh.write(text + "\n")
     print(text)
@@ -138,7 +138,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_suite(args) -> int:
     summary = run_property_suites(args.seed)
-    print(json.dumps(summary.to_dict(), indent=2))
+    print(json.dumps(asdict(summary), indent=2))
     return 0 if summary.all_passed else 1
 
 

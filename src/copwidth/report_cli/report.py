@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Optional, Union
@@ -46,7 +46,6 @@ from ..pursuit.certificates import _CERTIFICATES, entanglement_is_one
 from ..pursuit.games import (
     DEFAULT_STATE_BUDGET,
     BudgetExceededError,
-    GameConfig,
     Variant,
     Winner,
     _play_visible,
@@ -54,7 +53,6 @@ from ..pursuit.games import (
     _width,
     measure,
     solve,
-    solve_visible,
 )
 
 MEASURES = (*(v.value for v in Variant), "cw")
@@ -134,9 +132,6 @@ class MeasureEntry:
                 f"bound {self.claimed}"
             )
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
-
 
 @dataclass
 class MeasureReport:
@@ -145,17 +140,13 @@ class MeasureReport:
     n_cert: int
     entries: list[MeasureEntry]
     reference_rows: list[dict] = field(default_factory=list)
+    # true iff every checked entry verified; not-checked entries are exempt
+    all_verified: bool = field(init=False)
 
-    @property
-    def all_verified(self) -> bool:
-        """True iff every checked entry verified; not-checked entries are exempt."""
-        return all(
+    def __post_init__(self):
+        self.all_verified = all(
             e.verified for e in self.entries if e.provenance != "not-checked"
         )
-
-    def to_dict(self) -> dict:
-        entries = [e.to_dict() for e in self.entries]
-        return {**asdict(self), "entries": entries, "all_verified": self.all_verified}
 
 
 @dataclass
@@ -308,7 +299,7 @@ def _entry(run: _Run, name: str, provenance: str, check, note: str) -> MeasureEn
         exact=exact,
         provenance=provenance,
         verified=verified,
-        seconds=time.perf_counter() - t0,
+        seconds=round(time.perf_counter() - t0, 3),
         note=note,
     )
 
@@ -357,35 +348,22 @@ def run_report(
 class SuiteResult:
     name: str
     cases: int
+    passed: bool = field(init=False)  # declared here for its place in the JSON
     failures: list[dict]
     seconds: float
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failures": self.failures,
-            "seconds": round(self.seconds, 3),
-        }
+    def __post_init__(self):
+        self.passed = not self.failures
 
 
 @dataclass
 class SuiteSummary:
     seed: int
     suites: list[SuiteResult]
+    all_passed: bool = field(init=False)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(s.passed for s in self.suites)
-
-    def to_dict(self) -> dict:
-        suites = [s.to_dict() for s in self.suites]
-        return {**asdict(self), "suites": suites, "all_passed": self.all_passed}
+    def __post_init__(self):
+        self.all_passed = all(s.passed for s in self.suites)
 
 
 def _run_suite(name: str, graphs: Iterable[Graph], check) -> SuiteResult:
@@ -397,7 +375,7 @@ def _run_suite(name: str, graphs: Iterable[Graph], check) -> SuiteResult:
         cases += 1
         for detail in check(g):
             failures.append({"graph": serialize_graph(g).decode("ascii"), "detail": detail})
-    return SuiteResult(name, cases, failures, time.perf_counter() - t0)
+    return SuiteResult(name, cases, failures, round(time.perf_counter() - t0, 3))
 
 
 def _suite_width_inequality(seed: int) -> SuiteResult:
@@ -470,19 +448,19 @@ def _suite_acyclic_entanglement(seed: int) -> SuiteResult:
 
 
 def _suite_move_normalization(seed: int) -> SuiteResult:
-    """The visible games with normalized moves agree with full moves on 100
-    small digraphs, at every cop count up to the vertex count.
+    """The solvers `solve` runs for the visible games agree with the game
+    with every placement as a move on 100 small digraphs, at every cop count
+    up to the vertex count.
 
-    For tw both are played move by move; for dagw the normalized game is
-    the search over the robber's regions, so this also checks that search
-    against the game with every placement as a move.
+    For tw that solver is the closure search of the kw game on the symmetric
+    closure; for dagw it is the search over the robber's regions.
     """
 
     def check(g):
         for variant in (Variant.TW, Variant.DAGW):
             played_on = _visible_graph(g, variant)
             for k in range(g.vertex_count + 1):
-                fast = solve_visible(g, GameConfig(variant, k)).winner
+                fast = solve(g, variant, k).winner
                 full = _play_visible(played_on, k, True, True, DEFAULT_STATE_BUDGET).winner
                 if fast is not full:
                     yield f"{variant.value} at k={k}: normalized {fast.value} vs full {full.value}"

@@ -138,7 +138,7 @@ class TestFamilySweep:
     def test_first_three_placements(self):
         g = gen_switch_all(1)
         cert = dpw_sweep_certificate_switch_all(1)
-        names = [frozenset(g.name_of(v) for v in p) for p in cert.placements[:3]]
+        names = [frozenset(g.names[v] for v in p) for p in cert.placements[:3]]
         assert names == [
             frozenset({"r"}),
             frozenset({"r", "s"}),
@@ -148,7 +148,7 @@ class TestFamilySweep:
     def test_final_placement_sweeps_c_last(self):
         g = gen_switch_all(1)
         cert = dpw_sweep_certificate_switch_all(1)
-        last = frozenset(g.name_of(v) for v in cert.placements[-1])
+        last = frozenset(g.names[v] for v in cert.placements[-1])
         assert "c" in last
         for p in cert.placements[:-1]:
             assert g.id_of("c") not in p
@@ -161,7 +161,7 @@ class TestFamilySweep:
         # the declared clearing order, as the order of first placements
         order = ["r", "s"] + [f"{v}{i}" for i in range(1, n + 1) for v in "edgfhk"]
         order += ["x"] + [f"{v}{j}" for j in range(2 * n, 0, -1) for v in "at"] + ["c"]
-        first = dict.fromkeys(g.name_of(v) for p in cert.placements for v in p)
+        first = dict.fromkeys(g.names[v] for p in cert.placements for v in p)
         assert list(first) == order
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

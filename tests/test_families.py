@@ -20,6 +20,12 @@ from copwidth import (
     serialize_graph,
     symmetric_closure,
 )
+from copwidth.graphs import bits_of
+
+
+def successor_names(g, v):
+    return {g.names[w] for w in bits_of(g.succ_masks[v])}
+
 
 # The full 14-vertex instance written out edge by edge.
 SWITCH_ALL_1 = {
@@ -62,23 +68,20 @@ class TestSwitchAll:
 
     def test_full_adjacency_at_n1(self):
         g = gen_switch_all(1)
-        got = {
-            g.name_of(v): {g.name_of(w) for w in g.successors(v)}
-            for v in range(g.vertex_count)
-        }
+        got = {g.names[v]: successor_names(g, v) for v in range(g.vertex_count)}
         assert got == SWITCH_ALL_1
         assert g.edge_count == 27
 
     def test_d2_successors(self):
         g = gen_switch_all(2)
         d2 = g.id_of("d2")
-        got = {g.name_of(w) for w in g.successors(d2)}
+        got = successor_names(g, d2)
         assert got == {"s", "r", "e2", "a1", "a2", "a3", "a4"}
 
     def test_k_vertices_feed_later_g(self):
         g = gen_switch_all(3)
         k1 = g.id_of("k1")
-        got = {g.name_of(w) for w in g.successors(k1)}
+        got = successor_names(g, k1)
         assert got == {"x", "g2", "g3"}
 
 
@@ -107,13 +110,13 @@ class TestZadeh:
     def test_h0_successors(self):
         g = gen_zadeh(3)
         h10 = g.id_of("h1^0")
-        got = {g.name_of(w) for w in g.successors(h10)}
+        got = successor_names(g, h10)
         assert got == {"t", "k3"}
 
     def test_h0_empty_tail_range(self):
         g = gen_zadeh(1)
         h10 = g.id_of("h1^0")
-        assert {g.name_of(w) for w in g.successors(h10)} == {"t"}
+        assert successor_names(g, h10) == {"t"}
 
     def test_t_self_loop(self):
         g = gen_zadeh(2)
@@ -162,8 +165,8 @@ class TestBipartiteAndWitness:
         n, a, b = lemma_bipartite_witness(2)
         assert n == 2
         g = gen_switch_all(2)
-        assert {g.name_of(v) for v in a} == {"a1", "a2"}
-        assert {g.name_of(v) for v in b} == {"d1", "d2"}
+        assert {g.names[v] for v in a} == {"a1", "a2"}
+        assert {g.names[v] for v in b} == {"d1", "d2"}
 
         n, a, b = lemma_bipartite_witness(3)
         assert n == 4
@@ -172,8 +175,8 @@ class TestBipartiteAndWitness:
         n, a, b = lemma_bipartite_witness(1)
         assert n == 1
         g = gen_switch_all(1)
-        assert {g.name_of(v) for v in a} == {"a1"}
-        assert {g.name_of(v) for v in b} == {"d1"}
+        assert {g.names[v] for v in a} == {"a1"}
+        assert {g.names[v] for v in b} == {"d1"}
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_witness_adjacency_and_independence(self, k):

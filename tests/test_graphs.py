@@ -69,9 +69,9 @@ class TestConstruction:
         assert g.edge_count == 1
         assert g.has_edge(0, 1)
         assert not g.has_edge(1, 0)
-        assert g.successors(0) == (1,)
+        assert list(bits_of(g.succ_masks[0])) == [1]
         assert g.id_of("b") == 1
-        assert g.name_of(1) == "b"
+        assert g.names[1] == "b"
 
     def test_self_loop_allowed(self):
         g = Graph(["x"], [(0, 0)])
@@ -156,7 +156,7 @@ class TestMaskAdjacency:
                     assert bool(g.pred_masks[w] >> u & 1) is has, shown
             assert g.edges() == edges and g.edge_count == len(edges), shown
             for v in range(n):
-                assert g.successors(v) == tuple(w for u, w in edges if u == v), shown
+                assert list(bits_of(g.succ_masks[v])) == [w for u, w in edges if u == v], shown
             assert symmetric_closure(g).edges() == sorted(edge_set | {(w, u) for u, w in edges})
             keep = [v for v in range(n) if rng.random() < 0.6]
             index = {v: i for i, v in enumerate(keep)}
@@ -415,3 +415,15 @@ class TestDot:
         assert out == to_dot(Graph(["a", "b"], [(0, 1)]))
         assert 'label="a"' in out
         assert "0 -> 1;" in out
+
+    def test_line_breaks_in_names_stay_on_one_line(self):
+        # splitlines breaks at a raw \r as well as at \n
+        out = to_dot(Graph(["a\nb", "c\r\nd", "e"], [(0, 1)]))
+        assert out.splitlines() == [
+            "digraph {",
+            '  0 [label="a\\nb"];',
+            '  1 [label="c\\r\\nd"];',
+            '  2 [label="e"];',
+            "  0 -> 1;",
+            "}",
+        ]

@@ -102,7 +102,8 @@ def ent_cops_win(g, k):
                 continue
             entered = c | {v}
             announcements = [c] + ([entered] if len(c) < k else []) + [entered - {u} for u in c]
-            if any(all((cp, w) in won for w in g.successors(v) if w not in cp) for cp in announcements):
+            succ = list(bits_of(g.succ_masks[v]))
+            if any(all((cp, w) in won for w in succ if w not in cp) for cp in announcements):
                 won.add((c, v))
                 grew = True
     return all((frozenset(), v) in won for v in vs)
@@ -654,7 +655,7 @@ class TestSubgraphMonotonicity:
         graphs = [g for n in range(1, 4) for g in _all_digraphs(n)]
         graphs += [gen_random_digraph(4 + i % 3, 0.2 + 0.1 * (i % 4), 1700 + i) for i in range(60)]
         for g in graphs:
-            names = [g.name_of(v) for v in range(g.vertex_count)]
+            names = [g.names[v] for v in range(g.vertex_count)]
             edges = g.edges()
             subgraphs = [Graph(names, edges[:i] + edges[i + 1:]) for i in range(len(edges))]
             subgraphs += [

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,7 @@ def strip_seconds(obj):
 
 
 def assert_matches_golden(rep, name):
-    text = json.dumps(strip_seconds(rep.to_dict()), indent=2) + "\n"
+    text = json.dumps(strip_seconds(dataclasses.asdict(rep)), indent=2) + "\n"
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
@@ -123,7 +124,7 @@ class TestSwitchAllReport:
         assert snare["tw"] == "unbounded"
 
     def test_json_schema(self, switch_all_report):
-        doc = switch_all_report.to_dict()
+        doc = dataclasses.asdict(switch_all_report)
         assert doc["family"] == "switch-all"
         assert doc["all_verified"] is True
         assert isinstance(doc["n_exact"], int) and isinstance(doc["n_cert"], int)
@@ -143,8 +144,8 @@ class TestSwitchAllReport:
 
     def test_deterministic_up_to_timing(self, switch_all_report):
         again = run_report("switch-all", n_exact=1, n_cert=2)
-        assert strip_seconds(again.to_dict()) == strip_seconds(
-            switch_all_report.to_dict()
+        assert strip_seconds(dataclasses.asdict(again)) == strip_seconds(
+            dataclasses.asdict(switch_all_report)
         )
 
 
@@ -394,7 +395,7 @@ class TestSuiteFailures:
 
     @staticmethod
     def assert_failed(res, first_graph, detail):
-        doc = res.to_dict()
+        doc = dataclasses.asdict(res)
         assert doc["passed"] is False and not res.passed
         assert doc["failures"][0] == {
             "graph": serialize_graph(first_graph).decode("ascii"),
@@ -775,6 +776,18 @@ class TestCliReport:
         assert on_disk["all_verified"] is True
         assert len(on_disk["entries"]) == 6
 
+    def test_stdout_is_the_report_as_a_dict(self, monkeypatch, capsys):
+        reports = []
+
+        def run(*args, **kwargs):
+            reports.append(run_report(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_report", run)
+        assert main(["report", "--family", "zadeh", "--n-exact", "1", "--n-cert", "2"]) == 0
+        (rep,) = reports
+        assert capsys.readouterr().out == json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
+
     def test_unwritable_json_path_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
         def no_report(*args, **kwargs):
             raise AssertionError("the report ran before its --json file was opened")
@@ -824,6 +837,13 @@ class TestCliSuite:
             assert s["passed"] and s["failures"] == []
 
 
+    def test_stdout_is_the_summary_as_a_dict(self, capsys, monkeypatch, property_suites):
+        monkeypatch.setattr(cli, "run_property_suites", lambda seed: property_suites)
+        assert main(["suite"]) == 0
+        want = json.dumps(dataclasses.asdict(property_suites), indent=2) + "\n"
+        assert capsys.readouterr().out == want
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["copwidth", "copwidth.report_cli.cli"])
     def test_python_m_copwidth_runs_the_cli(self, module):
@@ -842,8 +862,8 @@ class TestModuleEntryPoint:
 
 
 def test_public_api_names_resolve():
-    assert len(copwidth.__all__) == 62
-    assert len(set(copwidth.__all__)) == 62
+    assert len(copwidth.__all__) == 61
+    assert len(set(copwidth.__all__)) == 61
     assert [n for n in copwidth.__all__ if not hasattr(copwidth, n)] == []
 
 
@@ -872,7 +892,7 @@ def test_public_names_are_defined_where_declared(module):
 def test_package_all_concatenates_the_module_lists():
     declared = [name for module in PUBLIC_MODULES for name in module.__all__]
     assert copwidth.__all__ == declared + ["__version__"]
-    assert len(copwidth.__all__) == 62
+    assert len(copwidth.__all__) == 61
 
 
 def _api_sources() -> list:
@@ -915,6 +935,22 @@ def test_every_public_name_is_used():
     used = set().union(*map(_names_used, _api_sources()))
     unused = [n for n in copwidth.__all__ if n not in used and n != "__version__"]
     assert unused == ["induced_subgraph"]
+
+
+def test_every_public_method_and_property_is_used():
+    # The same scan over the methods and properties of the public classes.
+    # Dunders are exempt: Python calls them, as bool() calls __bool__.
+    used = set().union(*map(_names_used, _api_sources()))
+    members = [
+        f"{name}.{member}"
+        for name in copwidth.__all__
+        if inspect.isclass(cls := getattr(copwidth, name))
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and isinstance(value, (types.FunctionType, property, staticmethod, classmethod))
+    ]
+    assert members
+    assert [m for m in members if m.split(".")[1] not in used] == []
 
 
 def _passed_arguments(sources: list) -> dict:
