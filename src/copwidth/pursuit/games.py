@@ -23,13 +23,14 @@ Its witness is a placement sequence, or for DAGW a positional cop
 strategy.  Entanglement is solved on the fly by `_solve_cop_game`, which
 builds the game graph of cop nodes (C, v) and robber nodes (C', R), the
 announced placement and the region the robber can land in, breadth-first
-and stops once every start is won.  The reference engines, at the end,
-play the games move by move: `_play_visible` the visible game on
-`_solve_cop_game`, and `_search_placements` the invisible games over
-(placement, contaminated set) states.  They decide full moves,
-non-monotone play and the visible TW game, and they are what the
-contaminated-set search is tested against.  Positions are encoded as int
-bitmasks throughout.
+and stops once every start is won.  The placement games are played
+monotone only, as each width is the cops' least monotone win.  The
+reference engines, at the end, play the games move by move:
+`_play_visible` the visible game on `_solve_cop_game` (with full moves
+or non-monotone play as references), and `_search_placements` the
+invisible games over (placement, contaminated set) states.  They are
+what the contaminated-set search is tested against.  Positions are
+encoded as int bitmasks throughout.
 
 Each game rule has one home here:
 
@@ -74,7 +75,7 @@ __all__ = [
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from ..graphs import (
     Graph,
@@ -116,7 +117,8 @@ class Winner(enum.Enum):
 class GameConfig:
     variant: Variant
     cops: int
-    require_monotone: bool = True
+    # every game is monotone: a constant kept because perfbench's tracer reads it
+    require_monotone: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -352,18 +354,17 @@ def solve_visible(
     """Decide the visible-robber game (variant TW or DAGW) with config.cops cops.
 
     TW plays on the symmetric closure of the graph; DAGW on the graph as
-    given.  Monotone DAGW is searched over the robber's regions
-    (`_search_contaminated`); non-monotone DAGW and TW are played move by
-    move (`_play_visible`), and this TW game is the reference that
-    `solve`'s TW is tested against.  The witness is a `CopStrategy` for
-    `replay_cop_strategy`.
+    given.  DAGW is searched over the robber's regions
+    (`_search_contaminated`); TW is played move by move (`_play_visible`),
+    and this TW game is the reference that `solve`'s TW is tested against.
+    The witness is a `CopStrategy` for `replay_cop_strategy`.
     """
     g = _visible_graph(graph, config.variant)
     _check_cops(config.cops, graph)
     _positive(budget, "budget")
-    if config.variant is Variant.DAGW and config.require_monotone:
+    if config.variant is Variant.DAGW:
         return _search_contaminated(g, config.cops, Variant.DAGW, budget)
-    return _play_visible(g, config.cops, config.require_monotone, False, budget)
+    return _play_visible(g, config.cops, True, False, budget)
 
 
 def _guard(succ: tuple[int, ...], inert: bool, r: int, u: int) -> int:
@@ -634,23 +635,16 @@ def solve_invisible(
 
     The robber is inert for KW (moves only when a cop lands on it) and
     restless for DPW; `contaminate` states both updates.  The cops win iff
-    some placement sequence empties the contaminated set, and the witness is
-    such a sequence.  Under require_monotone every move must keep the
-    contaminated set a subset of the one before, and the search runs over
-    contaminated sets alone (`_search_contaminated`); without it, over
-    (placement, contaminated set) states (`_search_placements`).  The
-    budget caps the states of the search that runs.
+    some monotone placement sequence empties the contaminated set, every
+    move keeping it a subset of the one before, and the witness is such a
+    sequence.  The search runs over contaminated sets alone
+    (`_search_contaminated`), and the budget caps its states.
     """
     if config.variant not in (Variant.KW, Variant.DPW):
         raise GraphError(f"solve_invisible expects variant kw or dpw, got {config.variant.value}")
     _check_cops(config.cops, graph)
     _positive(budget, "budget")
-    k, inert = config.cops, config.variant is Variant.KW
-    if graph.vertex_count == 0:
-        return SolveOutcome(Winner.COPS, (), 0)
-    if config.require_monotone:
-        return _search_contaminated(graph, k, config.variant, budget)
-    return _search_placements(graph, k, inert, budget, strict=False)
+    return _search_contaminated(graph, config.cops, config.variant, budget)
 
 
 def solve_entanglement(
@@ -685,7 +679,6 @@ def solve(
     k: int,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
-    require_monotone: bool = True,
 ) -> SolveOutcome:
     """Decide the game of `variant` with k cops by its solver.
 
@@ -697,18 +690,16 @@ def solve(
     treewidth elimination-ordering search of Bodlaender et al. (TALG 2012).
     A TW witness is a placement sequence on the closure that
     `simulate_sweep` replays under KW rules; `solve_visible` stays the
-    independent reference for TW.  require_monotone applies neither to TW,
-    whose monotone and non-monotone games have the same winner (Seymour &
-    Thomas, JCTB 1993), nor to ENT, which has no monotonicity notion.
+    independent reference for TW.
     """
     variant = Variant(variant)
     if variant is Variant.TW:
-        graph, variant, require_monotone = _closure(graph), Variant.KW, True
+        graph, variant = _closure(graph), Variant.KW
     # the solvers are looked up as module globals at call time, so wrapped
     # bindings see every solve
     if variant is Variant.ENT:
         return solve_entanglement(graph, k, budget=budget)
-    config = GameConfig(variant, k, require_monotone)
+    config = GameConfig(variant, k)
     if variant is Variant.DAGW:
         return solve_visible(graph, config, budget=budget)
     return solve_invisible(graph, config, budget=budget)
@@ -732,14 +723,12 @@ def measure_detailed(
     variant: Variant | str,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
-    require_monotone: bool = True,
 ) -> tuple[int, int]:
     """measure() plus the total game states explored across the cop-count
     scan, which solves k = 0, 1, ... until the cops win; for TW from one cop
     more than the closure's minor-min-width (`_tw_lower_bound`, Bodlaender &
     Koster 2011), as no fewer win.  Its solves share the per-graph set-up
-    that `solve` caches for the last graph.  require_monotone=False scans
-    the non-monotone game instead, as `solve` does."""
+    that `solve` caches for the last graph."""
     variant = Variant(variant)
     _positive(budget, "budget")
     if graph.vertex_count == 0:
@@ -747,7 +736,7 @@ def measure_detailed(
     total = 0
     start = _tw_lower_bound(graph) + 1 if variant is Variant.TW else 0
     for k in range(start, graph.vertex_count + 1):
-        out = solve(graph, variant, k, budget=budget, require_monotone=require_monotone)
+        out = solve(graph, variant, k, budget=budget)
         total += out.states
         if out.winner is Winner.COPS:
             return _width(variant, k), total
@@ -806,18 +795,15 @@ def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool, budget: int) -
     return _solve_cop_game(n, regions, budget)
 
 
-def _search_placements(
-    graph: Graph, k: int, inert: bool, budget: int, strict: bool
-) -> SolveOutcome:
-    """The invisible games as a one-player search over states (placement C,
-    contaminated set R) from (empty, all vertices) on a nonempty graph.
+def _search_placements(graph: Graph, k: int, inert: bool, budget: int) -> SolveOutcome:
+    """The monotone invisible games as a one-player search over states
+    (placement C, contaminated set R) from (empty, all vertices) on a
+    nonempty graph: the reference semantics of `_search_contaminated`.
 
-    Each normalized cop move updates R by `contaminate`, and the cops win iff
-    some placement sequence empties R; with strict, moves that are not
-    monotone are pruned.  solve_invisible uses it for non-monotone play, and
-    with strict it is the reference semantics of `_search_contaminated`.
-    The states are the (C, R) pairs visited; the witness is the placement
-    sequence found.
+    Each normalized cop move updates R by `contaminate`, moves that are not
+    monotone are pruned, and the cops win iff some placement sequence
+    empties R.  The states are the (C, R) pairs visited; the witness is the
+    placement sequence found.
     """
     full = graph.full_mask
     start = (0, full)
@@ -828,7 +814,7 @@ def _search_placements(
         c, r = state
         # staying put leaves (C, R) unchanged, so only real moves are tried;
         # each (C', R') is also the key of the next state
-        for nxt in contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict):
+        for nxt in contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict=True):
             if nxt[1] == 0:  # R' is empty: the sequence clears the graph
                 seq = [frozenset(bits_of(nxt[0]))]
                 node = state

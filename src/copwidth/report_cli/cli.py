@@ -94,13 +94,12 @@ def _cmd_solve(args) -> int:
         g = parse_graph(fh.read())
     _check_flag(args, "k", f"at most the vertex count {g.vertex_count}", lambda k: k <= g.vertex_count)
     variant = Variant(args.measure)
-    opts = {"budget": args.budget, "require_monotone": not args.non_monotone}
     t0 = time.perf_counter()
     result = {"measure": variant.value}
     if args.k is None:
-        result["value"], states = measure_detailed(g, variant, **opts)
+        result["value"], states = measure_detailed(g, variant, budget=args.budget)
     else:
-        out = solve(g, variant, args.k, **opts)
+        out = solve(g, variant, args.k, budget=args.budget)
         result |= {"k": args.k, "winner": out.winner.value}
         states = out.states
     result |= {"states_explored": states, "seconds": round(time.perf_counter() - t0, 3)}
@@ -168,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, choices=[v.value for v in Variant])
     p.add_argument("--graph", required=True, help="graph file in the JSON format")
     p.add_argument("--k", type=int, help="decide at a fixed cop count instead")
-    p.add_argument(
-        "--non-monotone",
-        action="store_true",
-        help="drop the monotonicity requirement (no effect on tw or ent)",
-    )
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.set_defaults(func=_cmd_solve)
 

@@ -29,7 +29,14 @@ from copwidth import (
 )
 from copwidth.graphs import _is_id, bits_of, mask_of, reach_mask
 from copwidth.pursuit import certificates
-from copwidth.pursuit.games import _visible_graph, contaminate, ent_moves, normalized_moves
+from copwidth.pursuit.games import (
+    DEFAULT_STATE_BUDGET,
+    _play_visible,
+    _visible_graph,
+    contaminate,
+    ent_moves,
+    normalized_moves,
+)
 
 
 class TestSweepCertificateType:
@@ -412,8 +419,15 @@ _SMALL_GRAPHS = [
 
 
 def _least_winning_strategy(g, variant, mono):
+    """The least k the cops win the visible game at, monotone or not, and
+    their winning strategy."""
+    def play(k):
+        if mono:
+            return solve_visible(g, GameConfig(variant, k))
+        return _play_visible(_visible_graph(g, variant), k, False, False, DEFAULT_STATE_BUDGET)
+
     k = 0
-    while (out := solve_visible(g, GameConfig(variant, k, mono))).winner is not Winner.COPS:
+    while (out := play(k)).winner is not Winner.COPS:
         k += 1
     return k, out.witness.moves
 

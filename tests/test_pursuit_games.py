@@ -68,13 +68,13 @@ def replaces_a_cop(witness):
 
 def assert_searches_agree(g):
     """The contaminated-set search of the monotone invisible games decides
-    like the strict (placement, contaminated set) search at every k up to
-    the first win, and its witness replays cleared and monotone."""
+    like the (placement, contaminated set) search at every k up to the
+    first win, and its witness replays cleared and monotone."""
     for variant in (Variant.KW, Variant.DPW):
         inert = variant is Variant.KW
         for k in range(g.vertex_count + 1):
             out = solve_invisible(g, GameConfig(variant, k))
-            ref = games._search_placements(g, k, inert, games.DEFAULT_STATE_BUDGET, strict=True)
+            ref = games._search_placements(g, k, inert, games.DEFAULT_STATE_BUDGET)
             assert out.winner is ref.winner, f"{variant.value} k={k}: {serialize_graph(g)}"
             if out.winner is Winner.COPS:
                 rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
@@ -122,15 +122,17 @@ def assert_ent_witness_replays(g, k, out):
 
 def assert_tw_agrees(g):
     """solve decides tw, as kw on the symmetric closure, like the visible
-    treewidth game, monotone and not, at every k up to the first win; the
-    winning sweep replays on the closure under kw rules within k cops; and
-    the scan of measure, which starts at the minor-min-width bound, never
-    skips that win: the bound is at most k - 1, the measure exactly k - 1."""
+    treewidth game, monotone and not (Seymour & Thomas, JCTB 1993), at
+    every k up to the first win; the winning sweep replays on the closure
+    under kw rules within k cops; and the scan of measure, which starts at
+    the minor-min-width bound, never skips that win: the bound is at most
+    k - 1, the measure exactly k - 1."""
     for k in range(g.vertex_count + 1):
         out = solve(g, Variant.TW, k)
-        for mono in (True, False):
-            ref = solve_visible(g, GameConfig(Variant.TW, k, require_monotone=mono))
-            assert out.winner is ref.winner, f"k={k} monotone={mono}: {serialize_graph(g)}"
+        ref = solve_visible(g, GameConfig(Variant.TW, k))
+        assert out.winner is ref.winner, f"k={k} monotone: {serialize_graph(g)}"
+        ref = games._play_visible(symmetric_closure(g), k, False, False, games.DEFAULT_STATE_BUDGET)
+        assert out.winner is ref.winner, f"k={k} non-monotone: {serialize_graph(g)}"
         if out.winner is Winner.COPS:
             rep = simulate_sweep(symmetric_closure(g), out.witness, Variant.KW)
             assert rep.cleared and rep.monotone, f"k={k}: {serialize_graph(g)}"
@@ -196,7 +198,13 @@ class TestVisible:
             for g, mono in cases:
                 k = 0
                 while True:
-                    out = solve_visible(g, GameConfig(variant, k, require_monotone=mono))
+                    if mono:
+                        out = solve_visible(g, GameConfig(variant, k))
+                    else:
+                        played_on = games._visible_graph(g, variant)
+                        out = games._play_visible(
+                            played_on, k, False, False, games.DEFAULT_STATE_BUDGET
+                        )
                     if out.winner is Winner.COPS:
                         break
                     k += 1
@@ -318,9 +326,8 @@ class TestVisibleRobberStep:
 
 class TestInvisible:
     @pytest.mark.parametrize("variant", [Variant.KW, Variant.DPW])
-    @pytest.mark.parametrize("mono", [True, False])
-    def test_empty_graph_cops_win_at_once(self, variant, mono):
-        out = solve_invisible(Graph([], []), GameConfig(variant, 0, mono))
+    def test_empty_graph_cops_win_at_once(self, variant):
+        out = solve_invisible(Graph([], []), GameConfig(variant, 0))
         assert (out.winner, out.witness, out.states) == (Winner.COPS, (), 0)
 
     def test_kw_self_loop_one_cop(self):
@@ -337,11 +344,6 @@ class TestInvisible:
         g = gen_path(5)
         out = solve_invisible(g, GameConfig(Variant.DPW, 1))
         assert out.winner is Winner.COPS
-
-    def test_monotone_flag_can_matter_for_pruning(self):
-        g = two_cycle()
-        relaxed = solve_invisible(g, GameConfig(Variant.KW, 2, require_monotone=False))
-        assert relaxed.winner is Winner.COPS
 
     def test_witness_replays_as_certificate(self):
         small = (gen_cycle(4), gen_switch_all(1), two_cycle())
@@ -479,13 +481,6 @@ class TestTreewidthAsKellyWidth:
     def test_agrees_with_the_visible_game_on_seeded_graphs(self):
         for i in range(96):
             assert_tw_agrees(gen_random_digraph(4 + i % 4, 0.2 + 0.1 * (i % 4), 1300 + i))
-
-    def test_require_monotone_does_not_change_tw(self):
-        # monotone and non-monotone tw coincide, so both run the one search
-        g = gen_zadeh(1)
-        assert measure_detailed(g, Variant.TW, require_monotone=False) == measure_detailed(
-            g, Variant.TW
-        )
 
     @pytest.mark.parametrize(
         "gen, value", [(gen_switch_all, 5), (gen_zadeh, 4)], ids=["switch_all_2", "zadeh_2"]
@@ -716,11 +711,9 @@ class TestBudget:
                 with pytest.raises(GraphError, match=message):
                     measure(g, variant, budget=budget)
 
-    @pytest.mark.parametrize("mono", [True, False], ids=["monotone", "non_monotone"])
-    def test_invisible_exhaustion_carries_the_budget(self, mono):
-        config = GameConfig(Variant.KW, 2, require_monotone=mono)
+    def test_invisible_exhaustion_carries_the_budget(self):
         with pytest.raises(BudgetExceededError) as info:
-            solve_invisible(gen_switch_all(1), config, budget=7)
+            solve_invisible(gen_switch_all(1), GameConfig(Variant.KW, 2), budget=7)
         assert info.value.budget == 7
 
 

@@ -589,6 +589,13 @@ class TestCliSolve:
         assert captured.out == ""
         assert captured.err == f"error: --k must be {wanted}, got {k}\n"
 
+    def test_non_monotone_flag_is_gone(self, path4, capsys):
+        # every width is the cops' least monotone win, so there is no other game
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--measure", "kw", "--graph", path4, "--non-monotone"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --non-monotone" in capsys.readouterr().err
+
     def test_zero_k_is_decided(self, path4, capsys):
         assert main(["solve", "--measure", "kw", "--graph", path4, "--k", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["winner"] == "robber"
