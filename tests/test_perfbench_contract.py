@@ -6,12 +6,13 @@ a traced benchmark run."""
 
 import json
 import time
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from copwidth import Variant, gen_switch_all, gen_zadeh, measure
+from copwidth import GameConfig, Variant, gen_switch_all, gen_zadeh, measure
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +32,16 @@ def test_every_benchmark_workload_builds(perfbench):
     assert names
     for name in names:
         assert workloads.build(name, 1, workloads.Hooks()).tasks, name
+
+
+def test_game_config_still_names_the_monotone_game():
+    # the tracer replays witnesses with config.require_monotone; every game
+    # is monotone, so it is a constant and not a field a caller can set
+    config = GameConfig(Variant.KW, 2)
+    assert config.require_monotone is True and GameConfig.require_monotone is True
+    assert [f.name for f in fields(GameConfig)] == ["variant", "cops"]
+    with pytest.raises(TypeError):
+        GameConfig(Variant.KW, 2, False)
 
 
 def test_traced_solves_replay_their_witnesses(perfbench):

@@ -258,6 +258,20 @@ class TestVisible:
         with pytest.raises(GraphError, match="expects variant tw or dagw"):
             replay_cop_strategy(two_cycle(), variant, 2, {})
 
+    def test_non_monotone_reference_never_needs_more_cops(self):
+        # a monotone winning strategy wins the non-monotone game too, so the
+        # reference the tests take non-monotone values from is first won at
+        # no more cops than solve_visible
+        for i in range(12):
+            g = gen_random_digraph(4 + i % 3, 0.3 + 0.1 * (i % 3), 2100 + i)
+            for variant in (Variant.TW, Variant.DAGW):
+                k = 0
+                while solve_visible(g, GameConfig(variant, k)).winner is not Winner.COPS:
+                    k += 1
+                played_on = games._visible_graph(g, variant)
+                out = games._play_visible(played_on, k, False, False, games.DEFAULT_STATE_BUDGET)
+                assert out.winner is Winner.COPS, f"{variant.value} k={k}: {serialize_graph(g)}"
+
     def test_full_moves_same_winner_spot_check(self):
         g = gen_random_digraph(4, 0.5, 99)
         for variant in (Variant.TW, Variant.DAGW):
@@ -481,6 +495,16 @@ class TestTreewidthAsKellyWidth:
     def test_agrees_with_the_visible_game_on_seeded_graphs(self):
         for i in range(96):
             assert_tw_agrees(gen_random_digraph(4 + i % 4, 0.2 + 0.1 * (i % 4), 1300 + i))
+
+    def test_require_monotone_does_not_change_tw(self):
+        # monotone and non-monotone tw coincide, so the non-monotone game on
+        # the closure is also first won at tw + 1 cops
+        g = gen_zadeh(1)
+        tw = measure(g, Variant.TW)
+        closure = symmetric_closure(g)
+        for k, winner in ((tw, Winner.ROBBER), (tw + 1, Winner.COPS)):
+            out = games._play_visible(closure, k, False, False, games.DEFAULT_STATE_BUDGET)
+            assert out.winner is winner, f"k={k}"
 
     @pytest.mark.parametrize(
         "gen, value", [(gen_switch_all, 5), (gen_zadeh, 4)], ids=["switch_all_2", "zadeh_2"]
