@@ -47,11 +47,16 @@ Each game rule has one home here:
   entanglement game the region is the robber's successors outside C';
 - `_guard` and `_parts`: what that rule means for the contaminated-set
   search, the cleared vertices that must hold cops while a cop lands on a
-  vertex of R, and the subgames left after it;
+  vertex of R, and the subgames left after it.  `_guard` is the reference
+  definition; the search takes the restless guard N+(R) \\ R, as `into & ~R`,
+  from `_union`'s table lookups, whose one value `into`, the loop-free
+  out-neighbours of R, also gives the vertices u of R with no in-neighbour
+  in R \\ {u}, as `R & ~into`;
 - `solve`: the one dispatch from a variant to its solver.  What a solve
   derives from the graph alone, the symmetric closure (`_closure`) and
-  the SCC masks (`_scc_masks`), is cached for the last graph, so the
-  solves of one `measure_detailed` scan build it once.
+  the SCC masks and `_union` tables (`_scc_masks`), is cached for the
+  last graph only, so the solves of one `measure_detailed` scan build it
+  once.
 """
 
 from __future__ import annotations
@@ -380,12 +385,19 @@ def _guard(succ: tuple[int, ...], inert: bool, r: int, u: int) -> int:
     return _spread(succ, r, u if inert else r)[1] & ~r
 
 
-def _clearable(succ: tuple[int, ...], pred: tuple[int, ...], inert: bool, k: int, r: int) -> int:
+def _clearable(
+    succ: tuple[int, ...], pred: tuple[int, ...], tables: tuple[tuple[int, ...], ...],
+    inert: bool, k: int, r: int,
+) -> int:
     """The vertices u of R worth clearing from R with k cops, given the
-    successor and predecessor masks: those whose guard fits beside the cop
-    on u, in at most k - 1 cops; or only the first of them with no
-    in-neighbour in R \\ {u}, when there is one, since clearing it first
-    loses nothing (see `_search_contaminated`)."""
+    successor and predecessor masks and their `_union` tables: those whose
+    guard fits beside the cop on u, in at most k - 1 cops; or only the first
+    of them with no in-neighbour in R \\ {u}, when there is one, since
+    clearing it first loses nothing (see `_search_contaminated`).  The
+    table union `into` of R's loop-free out-neighbours gives the restless
+    guard as `into & ~R`, and the clearable vertices with no in-neighbour
+    in R \\ {u} as `ok & ~into`."""
+    into = _union(tables, r)
     if inert:
         ok = 0
         todo = r
@@ -399,14 +411,9 @@ def _clearable(succ: tuple[int, ...], pred: tuple[int, ...], inert: bool, k: int
             else:
                 todo &= ~_spread(pred, r, u)[0]
     else:
-        ok = r if _guard(succ, False, r, r).bit_count() < k else 0
-    todo = ok
-    while todo:
-        u = todo & -todo
-        todo ^= u
-        if not pred[u.bit_length() - 1] & r & ~u:
-            return u
-    return ok
+        ok = r if (into & ~r).bit_count() < k else 0
+    lone = ok & ~into
+    return lone & -lone if lone else ok
 
 
 def _parts(adj: tuple[int, ...] | None, back: tuple[int, ...] | None, r: int) -> list[int]:
@@ -435,22 +442,48 @@ def _parts(adj: tuple[int, ...] | None, back: tuple[int, ...] | None, r: int) ->
     return out
 
 
+def _union(tables: tuple[tuple[int, ...], ...], r: int) -> int:
+    """The union over the vertices of R of the masks the tables were built
+    from, one lookup per chunk of 8 vertex ids (the table-lookup method of
+    Arlazarov, Dinic, Kronrod & Faradzev, 1970)."""
+    into = 0
+    for t in tables:
+        if not r:
+            break
+        into |= t[r & 0xFF]
+        r >>= 8
+    return into
+
+
 @functools.lru_cache(maxsize=1)
-def _scc_masks(graph: Graph) -> tuple[tuple[int, ...], ...]:
+def _scc_masks(graph: Graph) -> tuple:
     """The set-up of `_search_contaminated`, which depends on the graph
-    alone: the SCC masks in `_components` order, and each vertex's
-    successor, predecessor and neighbour (successor or predecessor) masks
-    within its SCC.  Kept for the last graph, so one scan's solves, and the
-    kw and dpw scans of one graph, build them once."""
-    succ = [0] * graph.vertex_count
-    pred = [0] * graph.vertex_count
+    alone: the SCC masks in `_components` order; each vertex's successor,
+    predecessor and neighbour (successor or predecessor) masks within its
+    SCC; and the `_union` tables of the loop-free successor masks
+    succ[v] \\ {v}, one per chunk of up to 8 vertex ids, each holding the
+    union over every subset of its chunk.  Kept for the last graph only,
+    never on the graph, so one scan's solves, and the kw and dpw scans of
+    one graph, build them once, and a graph with n vertices holds at most
+    ceil(n / 8) tables of 256 entries while it is the last."""
+    n = graph.vertex_count
+    succ = [0] * n
+    pred = [0] * n
     scopes = _components(graph, graph.full_mask)
     for scope in scopes:
         for v in bits_of(scope):
             succ[v] = graph.succ_masks[v] & scope
             pred[v] = graph.pred_masks[v] & scope
     nbr = [s | p for s, p in zip(succ, pred)]
-    return tuple(scopes), tuple(succ), tuple(pred), tuple(nbr)
+    tables = []
+    for lo in range(0, n, 8):
+        adj = [succ[v] & ~(1 << v) for v in range(lo, min(lo + 8, n))]
+        t = [0] * (1 << len(adj))
+        for x in range(1, len(t)):
+            low = x & -x
+            t[x] = t[x ^ low] | adj[low.bit_length() - 1]
+        tables.append(tuple(t))
+    return tuple(scopes), tuple(succ), tuple(pred), tuple(nbr), tuple(tables)
 
 
 def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) -> SolveOutcome:
@@ -518,7 +551,7 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     guards, so each placement holds at most k cops.  The DAGW witness is
     `_strategy_of`'s.
     """
-    scopes, succ, pred, nbr = _scc_masks(graph)
+    scopes, succ, pred, nbr, tables = _scc_masks(graph)
     inert = variant is Variant.KW
     rule = {Variant.KW: (nbr, None), Variant.DPW: (None, None), Variant.DAGW: (succ, pred)}
     adj, back = rule[variant]
@@ -537,7 +570,7 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
                     raise BudgetExceededError(budget)
                 won[part] = 0
                 stack.append((r, todo, u, parts))
-                r, todo, u, parts = part, _clearable(succ, pred, inert, k, part), 0, []
+                r, todo, u, parts = part, _clearable(succ, pred, tables, inert, k, part), 0, []
             elif w:
                 parts.pop()
             else:
@@ -556,7 +589,7 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     if not u:
         return SolveOutcome(Winner.ROBBER, None, len(won))
     if variant is Variant.DAGW:
-        return SolveOutcome(Winner.COPS, _strategy_of(graph, scopes, succ, won), len(won))
+        return SolveOutcome(Winner.COPS, _strategy_of(graph, scopes, succ, tables, won), len(won))
     order = []
     todo_sets = list(scopes[::-1])
     while todo_sets:
@@ -601,11 +634,16 @@ def _sweep_of(graph: Graph, inert: bool, order: list[int]) -> tuple[frozenset[in
 
 
 def _strategy_of(
-    graph: Graph, scopes: tuple[int, ...], succ: tuple[int, ...], won: dict[int, int]
+    graph: Graph,
+    scopes: tuple[int, ...],
+    succ: tuple[int, ...],
+    tables: tuple[tuple[int, ...], ...],
+    won: dict[int, int],
 ) -> CopStrategy:
     """The DAGW cop strategy on the positions (C, v) it reaches from every
     start (0, v).  With R the robber's region in the SCC of v, it lifts a
-    cop outside R's guard, else places the cop `won` records for R.  Every
+    cop outside R's guard N+(R) \\ R, read off the `_union` tables as
+    `into & ~R`, else places the cop `won` records for R.  Every
     cop stands in his SCC, where he reaches only R and its guard, or in an
     earlier one, so a lift is monotone; each R met is an SCC or a part of a
     won region, and a lift only shrinks it."""
@@ -618,7 +656,7 @@ def _strategy_of(
             continue
         c, v = pos
         r = _spread(succ, scope[v] & ~c, 1 << v)[0]
-        lift = c & ~_guard(succ, False, r, r)
+        lift = c & ~(_union(tables, r) & ~r)
         cp = c ^ (lift & -lift) if lift else c | won[r]
         moves[pos] = cp
         todo += [(cp, w) for w in bits_of(reach_mask(graph, c, 1 << v) & ~cp)]

@@ -456,6 +456,115 @@ class TestSweepOf:
                 assert_sweep_of(g, order)
 
 
+def looped_digraph(n, p, seed):
+    """A seeded digraph on n vertices whose ordered pairs (u, w), loops
+    u == w included, are edges independently with probability p."""
+    rng = random.Random(seed)
+    edges = [(u, w) for u in range(n) for w in range(n) if rng.random() < p]
+    return Graph([str(v) for v in range(n)], edges)
+
+
+def union_bit_loop(succ, r):
+    """The loop-free successor union over R, one vertex at a time."""
+    into = 0
+    for v in bits_of(r):
+        into |= succ[v] & ~(1 << v)
+    return into
+
+
+def clearable_bit_loop(succ, pred, inert, k, r):
+    """`_clearable` as it was before the `_union` tables: the restless guard
+    by `_guard` and the lone vertex by a loop over the predecessor masks."""
+    if inert:
+        ok = 0
+        todo = r
+        while todo:
+            u = todo & -todo
+            todo ^= u
+            space, out = games._spread(succ, r, u)
+            if (out & ~r).bit_count() < k:
+                ok |= space
+                todo &= ~space
+            else:
+                todo &= ~games._spread(pred, r, u)[0]
+    else:
+        ok = r if games._guard(succ, False, r, r).bit_count() < k else 0
+    todo = ok
+    while todo:
+        u = todo & -todo
+        todo ^= u
+        if not pred[u.bit_length() - 1] & r & ~u:
+            return u
+    return ok
+
+
+SIZES = [1, 7, 8, 9, 16, 17, 42]  # a partial last chunk, whole chunks and one past
+
+
+class TestUnionKernel:
+    """The chunked `_union` tables of the contaminated-set search against
+    the bit loops they replace."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_union_equals_the_bit_loop(self, n):
+        rng = random.Random(n)
+        for p in (0.1, 0.3, 0.6):
+            g = looped_digraph(n, p, 7000 + n)
+            _, succ, _, _, tables = games._scc_masks(g)
+            masks = [0, g.full_mask, *(1 << v for v in range(n))]
+            masks += [rng.getrandbits(n) for _ in range(200)]
+            for r in masks:
+                want = union_bit_loop(succ, r)
+                assert games._union(tables, r) == want, f"r={r:b}: {serialize_graph(g)}"
+
+    @pytest.mark.parametrize("variant", [Variant.KW, Variant.DPW, Variant.DAGW])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_clearable_equals_the_bit_loop(self, n, variant):
+        inert = variant is Variant.KW
+        rng = random.Random(n)
+        for p in (0.15, 0.3, 0.6):
+            g = looped_digraph(n, p, 8000 + n)
+            scopes, succ, pred, _, tables = games._scc_masks(g)
+            for scope in scopes:
+                for _ in range(40):
+                    r = scope & rng.getrandbits(n)
+                    if variant is Variant.DAGW and r:
+                        # a robber region Reach_{G[R]}(w) of a random R
+                        r = games._spread(succ, r, r & -r)[0]
+                    for k in range(1, 5):
+                        got = games._clearable(succ, pred, tables, inert, k, r)
+                        want = clearable_bit_loop(succ, pred, inert, k, r)
+                        assert got == want, f"k={k} r={r:b}: {serialize_graph(g)}"
+
+    def test_a_vertex_whose_only_in_neighbour_in_r_is_itself_is_lone(self):
+        # a 3-cycle with a loop on every vertex: in R = {0, 1} vertex 0 is
+        # entered only by its own loop and by 2, which is cleared
+        g = Graph(["0", "1", "2"], [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+        _, succ, pred, _, tables = games._scc_masks(g)
+        for inert in (True, False):
+            assert games._clearable(succ, pred, tables, inert, 2, 0b011) == 0b001
+
+    def test_tables_live_in_the_one_graph_cache_only(self):
+        # tables kept on graphs would live as long as every graph a caller
+        # holds (the family certificate checks hold dozens); the cache keeps
+        # the last solved graph's tables only
+        games._scc_masks.cache_clear()
+        first, second = gen_zadeh(2), gen_switch_all(1)
+        fields = [getattr(first, name) for name in Graph.__slots__]
+        assert solve(first, Variant.DPW, 1).winner is Winner.ROBBER
+        tables = games._scc_masks(first)[4]
+        assert len(tables) <= -(-first.vertex_count // 8)
+        assert all(len(t) <= 256 for t in tables)
+        assert [getattr(first, name) for name in Graph.__slots__] == fields
+        assert solve(second, Variant.DPW, 1).winner is Winner.ROBBER
+        info = games._scc_masks.cache_info()
+        assert info.currsize == 1
+        games._scc_masks(second)
+        assert games._scc_masks.cache_info().hits == info.hits + 1
+        games._scc_masks(first)  # rebuilt: the second solve dropped it
+        assert games._scc_masks.cache_info().misses == info.misses + 1
+
+
 class TestDagwOverRegions:
     def test_agrees_with_the_visible_game_on_all_small_digraphs(self):
         for n in range(1, 4):

@@ -11,6 +11,8 @@ entry:
 import json
 from pathlib import Path
 
+import pytest
+
 from copwidth import Variant, gen_random_digraph, gen_switch_all, gen_zadeh, measure_detailed
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "measures.json"
@@ -36,6 +38,21 @@ def state_counts() -> str:
 
 def test_state_counts_match_golden():
     assert state_counts() == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "gen, n, value, states",
+    [
+        (gen_zadeh, 2, 3, 6_681),
+        (gen_switch_all, 3, 3, 12_467),
+        (gen_switch_all, 4, 3, 27_261),
+        (gen_zadeh, 3, 4, 297_177),
+    ],
+    ids=["zadeh_2", "switch_all_3", "switch_all_4", "zadeh_3"],
+)
+def test_dpw_scans_of_the_baseline_table(gen, n, value, states):
+    # the family cells whose losing k's the `_union` tables speed up
+    assert measure_detailed(gen(n), Variant.DPW) == (value, states)
 
 
 if __name__ == "__main__":
