@@ -22,7 +22,8 @@ The search solves each strongly connected component as its own subgame.
 Its witness is a placement sequence, or for DAGW a positional cop
 strategy.  Entanglement is solved on the fly by `_solve_cop_game`, which
 builds the game graph of cop nodes (C, v) and robber nodes (C', R), the
-announced placement and the region the robber can land in, breadth-first
+announced placement and the region the robber can land in, shallowest
+nodes first, with each robber node waiting on one successor not yet won,
 and stops once every start is won.  The placement games are played
 monotone only, as each width is the cops' least monotone win.  The
 reference engines, at the end, play the games move by move:
@@ -172,15 +173,31 @@ def _solve_cop_game(
     robber nodes when all are (an empty R is a capture).  The cops win iff
     every start is won.
 
-    The least fixed point is decided locally (Liu & Smolka, ICALP 1998):
-    nodes are expanded breadth-first, in the order they are built, each
-    once.  A cop node with a successor already won, or a robber node with
-    none left that is not, is won there, and each win goes straight back to
-    the predecessors expanded so far; as only those are in `preds`, no node
-    is won before it is expanded.  The solve stops once every start is won;
-    if the queue runs out first, the robber can stay on the nodes not won
-    forever.  The witness maps each won cop node
-    to the C' of the successor that won it first, so every play ends.
+    The least fixed point is decided locally (Liu & Smolka, ICALP 1998).
+    Every node built goes on a worklist and is taken once, shallowest
+    first, counting cop moves from the starts: a robber node counts at the
+    depth of the cop node that built it, and within one depth the last
+    built is taken first.  Taking a cop node builds its robber nodes in
+    turn and waits on each; it is won at the first one already won.  A
+    robber node keeps the mask of its w not yet known to be won.  Taking
+    it builds the (C', w) of the lowest of them only and waits on it,
+    skipping those already won; when that one is won, it moves on to the
+    next in the same way, and it is won when the mask is empty.  A cop node
+    built by such a move at a depth already passed is taken before deeper
+    ones: a plain first-in or last-in worklist builds several times more
+    nodes on a winning cop count.  Each win goes straight back to the nodes
+    waiting on it.
+
+    A robber node is won only when all its successors are, and a cop node
+    only through a won successor, so every win is exact.  The solve stops
+    once every start is won.  If the worklist runs out first, every node
+    built has been taken: each cop node not won has all its robber nodes
+    built and not won, and each of those waits on a built cop node not
+    won.  So the robber answers every cop move by moving there and stays
+    on nodes not won forever.  The witness maps each won cop node to the
+    C' of the successor that won it first, so every play ends.  On a losing
+    cop count most of the game graph is never built, as a robber node
+    builds a further successor only once the one it waits on is won.
 
     Every rule lists distinct placements C', and the w of a robber node are
     distinct bits, so each node's successors are distinct and are not
@@ -191,13 +208,17 @@ def _solve_cop_game(
     tables: tuple[dict, dict] = ({}, {})
     keys: list[tuple[int, int]] = []
     is_cop: list[bool] = []
-    preds: list[list[int]] = []
-    pending: list[int] = []  # a robber node's successors not yet won
+    preds: list[list[int]] = []  # the nodes waiting on a node
+    pending: list[int] = []  # a robber node's w not yet won, as a mask
+    depth: list[int] = []  # cop moves from the starts
     won: list[bool] = []
     moves: dict[tuple[int, int], int] = {}
+    queue: list[list[int]] = []  # the nodes not yet taken, by depth
+    top = 0  # the shallowest depth whose queue may be nonempty
     starts = 0  # the starts won
 
-    def intern(key: tuple[int, int], cop: bool) -> int:
+    def intern(key: tuple[int, int], cop: bool, d: int) -> int:
+        nonlocal top
         nid = tables[cop].get(key)
         if nid is None:
             nid = len(keys)
@@ -207,32 +228,48 @@ def _solve_cop_game(
             keys.append(key)
             is_cop.append(cop)
             preds.append([])
-            pending.append(0)
+            pending.append(0 if cop else key[1])
+            depth.append(d)
             won.append(False)
+            while len(queue) <= d:
+                queue.append([])
+            queue[d].append(nid)
+            if d < top:
+                top = d
         return nid
 
+    def wait(r: int) -> bool:
+        """Make robber node r wait on its lowest w not yet won; whether none is left."""
+        c, rest = keys[r][0], pending[r]
+        while rest:
+            sid = intern((c, (rest & -rest).bit_length() - 1), True, depth[r] + 1)
+            if not won[sid]:
+                preds[sid].append(r)
+                break
+            rest &= rest - 1
+        pending[r] = rest
+        return not rest
+
     for v in range(n):
-        intern((0, v), True)
-    for nid, (c, x) in enumerate(keys):  # keys is the queue, and grows
-        if starts == n:
+        intern((0, v), True, 0)
+    while starts < n:
+        while top < len(queue) and not queue[top]:
+            top += 1
+        if top == len(queue):
             break
-        if is_cop[nid]:
-            ready = []
+        nid = queue[top].pop()
+        c, x = keys[nid]
+        if not is_cop[nid]:
+            won[nid] = wait(nid)
+        else:
             for rk in regions(c, x):
-                sid = intern(rk, False)
+                sid = intern(rk, False, top)
                 if won[sid]:
                     moves[c, x] = rk[0]
-                    ready = [nid]
+                    won[nid] = True
                     break
                 preds[sid].append(nid)
-        else:
-            for w in bits_of(x):
-                sid = intern((c, w), True)
-                if not won[sid]:
-                    preds[sid].append(nid)
-                    pending[nid] += 1
-            ready = [] if pending[nid] else [nid]
-        won[nid] = bool(ready)
+        ready = [nid] if won[nid] else []
         for i in ready:  # grows as the win propagates
             starts += i < n
             for p in preds[i]:
@@ -241,8 +278,8 @@ def _solve_cop_game(
                 if is_cop[p]:
                     moves[keys[p]] = keys[i][0]
                 else:
-                    pending[p] -= 1
-                    if pending[p]:
+                    pending[p] &= pending[p] - 1
+                    if not wait(p):
                         continue
                 won[p] = True
                 ready.append(p)

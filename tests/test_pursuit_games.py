@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -35,6 +36,7 @@ from copwidth import (
 from copwidth.graphs import (
     bits_of, induced_subgraph, mask_of, reach_mask, serialize_graph, symmetric_closure
 )
+from copwidth.pursuit import certificates
 from copwidth.report_cli.report import _all_digraphs
 
 
@@ -701,7 +703,7 @@ class TestEntanglement:
         assert_ent_witness_replays(g, k, solve_entanglement(g, k))
 
     def test_zadeh3_four_cops_win_within_the_default_budget(self):
-        # the solve stops once every start is won: 139,849 nodes, where the
+        # the solve stops once every start is won: 90,000 nodes, where the
         # whole reachable game graph runs past the 5M budget
         g = gen_zadeh(3)
         out = solve_entanglement(g, 4)
@@ -724,6 +726,132 @@ class TestEntanglement:
                 assert (out.winner is Winner.COPS) == ent_cops_win(g, k), f"k={k}: {serialize_graph(g)}"
                 if out.winner is Winner.COPS:
                     assert_ent_witness_replays(g, k, out)
+
+
+def eager_solve_cop_game(n, regions, budget):
+    """The game graph solve that `games._solve_cop_game` replaced, kept as
+    its reference: nodes are expanded breadth-first in the order they are
+    built, and a robber node (C', R) builds every (C', w), w in R, at once
+    and waits on all of them."""
+    tables = ({}, {})
+    keys, is_cop, preds, pending, won = [], [], [], [], []
+    moves = {}
+    starts = 0
+
+    def intern(key, cop):
+        nid = tables[cop].get(key)
+        if nid is None:
+            nid = len(keys)
+            if nid >= budget:
+                raise BudgetExceededError(budget)
+            tables[cop][key] = nid
+            keys.append(key)
+            is_cop.append(cop)
+            preds.append([])
+            pending.append(0)
+            won.append(False)
+        return nid
+
+    for v in range(n):
+        intern((0, v), True)
+    for nid, (c, x) in enumerate(keys):
+        if starts == n:
+            break
+        if is_cop[nid]:
+            ready = []
+            for rk in regions(c, x):
+                sid = intern(rk, False)
+                if won[sid]:
+                    moves[c, x] = rk[0]
+                    ready = [nid]
+                    break
+                preds[sid].append(nid)
+        else:
+            for w in bits_of(x):
+                sid = intern((c, w), True)
+                if not won[sid]:
+                    preds[sid].append(nid)
+                    pending[nid] += 1
+            ready = [] if pending[nid] else [nid]
+        won[nid] = bool(ready)
+        for i in ready:
+            starts += i < n
+            for p in preds[i]:
+                if won[p]:
+                    continue
+                if is_cop[p]:
+                    moves[keys[p]] = keys[i][0]
+                else:
+                    pending[p] -= 1
+                    if pending[p]:
+                        continue
+                won[p] = True
+                ready.append(p)
+    if starts < n:
+        return games.SolveOutcome(Winner.ROBBER, None, len(keys))
+    return games.SolveOutcome(Winner.COPS, games.CopStrategy(moves), len(keys))
+
+
+def assert_full_move_witness_replays(g, k, out, mono):
+    """A full-move visible-game witness wins: every move is a placement of
+    at most k cops, and every play ends in capture."""
+
+    def replies(c, v):
+        cp = out.witness.moves.get((c, v))
+        if cp is None or cp.bit_count() > k or cp & ~g.full_mask:
+            return "undefined or illegal cop move"
+        step = games.contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), mono)
+        return step[0] if step else "the robber reaches a vacated vertex"
+
+    assert certificates._replay_positional(0, g.full_mask, replies) is None, (
+        f"k={k} mono={mono}: {serialize_graph(g)}"
+    )
+
+
+class TestLocalSolveMatchesTheEagerReference:
+    """`_solve_cop_game`, whose robber nodes wait on one successor not yet
+    won, decides every game it is given like the eager solve it replaced,
+    and each of its cops' wins replays."""
+
+    GRAPHS = [g for n in range(1, 4) for g in _all_digraphs(n)] + [
+        gen_random_digraph(4 + i % 4, (0.25, 0.4, 0.55)[i % 3], 4200 + i) for i in range(12)
+    ]
+
+    @staticmethod
+    def games_of(g, k):
+        """(game, mono, solve) of every game played on `_solve_cop_game`: the
+        entanglement game, and the visible game, monotone or not, with
+        normalized moves and, on at most 5 vertices, with full moves."""
+        budget = games.DEFAULT_STATE_BUDGET
+        yield "ent", None, partial(solve_entanglement, g, k)
+        for mono in (True, False):
+            yield "visible", mono, partial(games._play_visible, g, k, mono, False, budget)
+            if g.vertex_count <= 5:
+                yield "full", mono, partial(games._play_visible, g, k, mono, True, budget)
+
+    def test_same_winner_and_the_wins_replay(self, monkeypatch):
+        outcomes = set()
+        for g in self.GRAPHS:
+            for k in range(g.vertex_count + 1):
+                for game, mono, play in self.games_of(g, k):
+                    out = play()
+                    with monkeypatch.context() as m:
+                        m.setattr(games, "_solve_cop_game", eager_solve_cop_game)
+                        ref = play()
+                    where = f"{game} mono={mono} k={k}: {serialize_graph(g)}"
+                    assert out.winner is ref.winner, where
+                    outcomes.add((game, mono, out.winner))
+                    if out.winner is not Winner.COPS:
+                        continue
+                    if game == "ent":
+                        assert_ent_witness_replays(g, k, out)
+                    elif game == "visible":
+                        moves = out.witness.moves
+                        assert replay_cop_strategy(g, Variant.DAGW, k, moves, require_monotone=mono), where
+                    else:
+                        assert_full_move_witness_replays(g, k, out, mono)
+        # every game is won by each side somewhere
+        assert len(outcomes) == 2 * 5
 
 
 class TestMeasure:

@@ -236,7 +236,10 @@ class TestBudgetStarvation:
              "open-loop clearing also wins the visible game with the same cop count; "
              "cross-checked by an exact visible-game solve at n=1"),
             ("kw", "certificate", True, 4, 2, _KW),
-            ("ent", "not-checked", False, None, None, _UNCHECKED),
+            # the ent solves at n=1 build at most 172 nodes each, so they fit
+            ("ent", "certificate", True, 3, 1,
+             "3-cop chase strategy beats every robber reply for n in 1..2; "
+             "exact solve at n=1 confirms 3 cops win"),
             _CW,
         ],
     }

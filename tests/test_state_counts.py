@@ -55,5 +55,20 @@ def test_dpw_scans_of_the_baseline_table(gen, n, value, states):
     assert measure_detailed(gen(n), Variant.DPW) == (value, states)
 
 
+@pytest.mark.parametrize(
+    "gen, n, value, states",
+    [
+        (gen_zadeh, 2, 3, 11_536),
+        (gen_switch_all, 3, 3, 79_695),
+        (gen_zadeh, 3, 4, 154_850),
+    ],
+    ids=["zadeh_2", "switch_all_3", "zadeh_3"],
+)
+def test_ent_scans_of_the_baseline_table(gen, n, value, states):
+    # the family cells whose game graphs the robber nodes' one-successor
+    # waits keep small
+    assert measure_detailed(gen(n), Variant.ENT) == (value, states)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(state_counts(), encoding="utf-8")
