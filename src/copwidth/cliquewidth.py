@@ -88,6 +88,12 @@ def eval_expr(expr: CwExpr) -> Graph:
     ORs the dst mask into the successor mask of each src vertex, so no
     operator rescans the vertices below it.
     """
+    return _evaluate(expr)[0]
+
+
+def _evaluate(expr: CwExpr) -> tuple[Graph, int]:
+    """The graph of `eval_expr` and the count of `colours_used`, from one
+    walk of the tree."""
     nodes: list[CwExpr] = []  # preorder, left before right
     stack = [expr]
     while stack:
@@ -98,10 +104,12 @@ def eval_expr(expr: CwExpr) -> Graph:
     succ = [0] * len(names)
     v = len(names)  # the ports are met last to first
     classes: list[dict[str, int]] = []  # the evaluated subtrees, leftmost on top
+    colours: set[str] = set()
     for node in reversed(nodes):
         if isinstance(node, Port):
             v -= 1
             classes.append({node.colour: 1 << v})
+            colours.add(node.colour)
         elif isinstance(node, Union):
             small = classes.pop()
             big = classes[-1]
@@ -111,18 +119,21 @@ def eval_expr(expr: CwExpr) -> Graph:
             for colour, m in small.items():
                 big[colour] = big.get(colour, 0) | m
         elif isinstance(node, Recolour):
+            colours.add(node.old)
+            colours.add(node.new)
             top = classes[-1]
             m = top.pop(node.old, 0)
             if m:
                 top[node.new] = top.get(node.new, 0) | m
         else:  # Connect
+            colours.add(node.src)
+            colours.add(node.dst)
             top = classes[-1]
             dst = top.get(node.dst, 0)
             if dst:
                 for u in bits_of(top.get(node.src, 0)):
                     succ[u] |= dst
-    edges = [(u, w) for u, m in enumerate(succ) for w in bits_of(m)]
-    return Graph(names, edges)
+    return Graph._from_masks(names, succ), len(colours)
 
 
 def colours_used(expr: CwExpr) -> int:
@@ -314,7 +325,7 @@ def verify_family_expr(
     builder, generator = _BUILDERS[family]
     if expr is None:
         expr = builder(n)
-    built = eval_expr(expr)
+    built, colour_count = _evaluate(expr)
     want = generator(n)
     built_names = set(built.names)
     want_names = set(want.names)
@@ -340,7 +351,7 @@ def verify_family_expr(
         extra += [(names[u], names[w]) for w in bits_of(got & ~need)]
     return CwVerifyReport(
         equal=not missing and not extra and not issues,
-        colour_count=colours_used(expr),
+        colour_count=colour_count,
         missing_edges=tuple(sorted(missing)),
         extra_edges=tuple(sorted(extra)),
         name_issues=tuple(issues),

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 import enum
+import functools
 import math
 
 from .graphs import Graph, GraphError, _is_id, _positive
@@ -51,49 +52,45 @@ def gen_switch_all(n: int) -> Graph:
         s   -> x, and f_j for all j
         r   -> x, and g_j for all j
         x   -> x
+
+    The graph for the last n asked for is kept and returned again.
     """
     _positive(n, "n")
+    return _switch_all(n)
+
+
+@functools.lru_cache(maxsize=1)
+def _switch_all(n: int) -> Graph:
     names = ["x", "s", "c", "r"]
     names += [f"t{i}" for i in range(1, 2 * n + 1)]
     names += [f"a{i}" for i in range(1, 2 * n + 1)]
     for i in range(1, n + 1):
         names += [f"d{i}", f"e{i}", f"f{i}", f"g{i}", f"h{i}", f"k{i}"]
-    ix = {nm: i for i, nm in enumerate(names)}
-
-    edges: list[tuple[int, int]] = []
-
-    def add(a: str, b: str) -> None:
-        edges.append((ix[a], ix[b]))
-
-    add("x", "x")
-    add("c", "s")
-    add("c", "r")
-    add("s", "x")
-    add("r", "x")
-    for j in range(1, n + 1):
-        add("s", f"f{j}")
-        add("r", f"g{j}")
-    for i in range(1, 2 * n + 1):
-        add(f"a{i}", f"t{i}")
-        add(f"t{i}", "s")
-        add(f"t{i}", "r")
-        add(f"t{i}", "c" if i == 1 else f"t{i - 1}")
-    for i in range(1, n + 1):
-        add(f"d{i}", "s")
-        add(f"d{i}", "r")
-        add(f"d{i}", f"e{i}")
-        for j in range(1, 2 * i + 1):
-            add(f"d{i}", f"a{j}")
-        add(f"e{i}", f"d{i}")
-        add(f"e{i}", f"h{i}")
-        add(f"f{i}", f"e{i}")
-        add(f"g{i}", f"f{i}")
-        add(f"g{i}", f"k{i}")
-        add(f"h{i}", f"k{i}")
-        add(f"k{i}", "x")
-        for j in range(i + 1, n + 1):
-            add(f"k{i}", f"g{j}")
-    return Graph(names, edges)
+    x, s, c, r = 1, 2, 4, 8  # their bits
+    t1, a1 = 4, 4 + 2 * n  # the ids of t_1 and a_1
+    succ = [0] * len(names)
+    succ[0] = x
+    succ[2] = s | r
+    for j in range(2 * n):  # t_{j+1} and a_{j+1}
+        succ[t1 + j] = s | r | (1 << (t1 + j - 1) if j else c)
+        succ[a1 + j] = 1 << (t1 + j)
+    fs = gs = arms = 0  # the f's, the g's and the a's of the layers so far
+    for i in range(n):  # layer i+1
+        d = 4 + 4 * n + 6 * i
+        e, f, g, h, k = range(d + 1, d + 6)
+        arms |= 3 << (a1 + 2 * i)  # a_{2i+1}, a_{2i+2}
+        succ[d] = s | r | 1 << e | arms
+        succ[e] = 1 << d | 1 << h
+        succ[f] = 1 << e
+        succ[g] = 1 << f | 1 << k
+        succ[h] = 1 << k
+        fs |= 1 << f
+        gs |= 1 << g
+    succ[1] = x | fs
+    succ[3] = x | gs
+    for k in range(9 + 4 * n, len(names), 6):  # k_1..k_n
+        succ[k] = x | (gs >> k << k)  # the g's of the later layers
+    return Graph._from_masks(names, succ)
 
 
 def gen_zadeh(n: int) -> Graph:
@@ -112,51 +109,39 @@ def gen_zadeh(n: int) -> Graph:
         h_i^1 -> k_{i+1}
 
     The k_i carry no self-loops: the clique on {k_1..k_n} is bidirectional
-    between distinct vertices only.
+    between distinct vertices only.  The graph for the last n asked for is
+    kept and returned again.
     """
     _positive(n, "n")
+    return _zadeh(n)
+
+
+@functools.lru_cache(maxsize=1)
+def _zadeh(n: int) -> Graph:
     names = ["s", "t", f"k{n + 1}"]
     for i in range(1, n + 1):
         names.append(f"k{i}")
         for j in (0, 1):
             names += [f"c{i}^{j}", f"A{i}^{j}", f"b{i},0^{j}", f"b{i},1^{j}",
                       f"d{i}^{j}", f"h{i}^{j}"]
-    ix = {nm: i for i, nm in enumerate(names)}
-
-    edges: list[tuple[int, int]] = []
-
-    def add(a: str, b: str) -> None:
-        edges.append((ix[a], ix[b]))
-
-    add("t", "t")
-    add("s", "t")
-    add(f"k{n + 1}", "t")
-    for m in range(1, n + 1):
-        add("s", f"k{m}")
-    for i in range(1, n + 1):
-        add(f"k{i}", f"c{i}^0")
-        add(f"k{i}", f"c{i}^1")
-        add(f"k{i}", "t")
-        for m in range(1, n + 1):
-            if m != i:
-                add(f"k{i}", f"k{m}")
-        add(f"h{i}^0", "t")
-        for j in range(i + 2, n + 1):
-            add(f"h{i}^0", f"k{j}")
-        add(f"h{i}^1", f"k{i + 1}")
-        for j in (0, 1):
-            add(f"c{i}^{j}", f"A{i}^{j}")
-            add(f"A{i}^{j}", f"d{i}^{j}")
-            add(f"A{i}^{j}", f"b{i},0^{j}")
-            add(f"A{i}^{j}", f"b{i},1^{j}")
-            add(f"d{i}^{j}", f"h{i}^{j}")
-            add(f"d{i}^{j}", "s")
-            for b in (f"b{i},0^{j}", f"b{i},1^{j}"):
-                add(b, "t")
-                add(b, f"A{i}^{j}")
-                for m in range(1, n + 1):
-                    add(b, f"k{m}")
-    return Graph(names, edges)
+    s, t = 1, 2  # their bits
+    ks = sum(1 << k for k in range(3, len(names), 13))  # k_1..k_n
+    succ = [0] * len(names)
+    succ[0] = t | ks
+    succ[1] = t
+    succ[2] = t
+    for k in range(3, len(names), 13):  # k_i, then its two gadgets
+        after = k + 13  # the id of k_{i+1}, past the end for i = n
+        succ[k] = t | (ks & ~(1 << k)) | 1 << (k + 1) | 1 << (k + 7)
+        for c in (k + 1, k + 7):  # c_i^j, then A, b_{i,0}, b_{i,1}, d, h
+            a, b0, b1, d, h = range(c + 1, c + 6)
+            succ[c] = 1 << a
+            succ[a] = 1 << d | 1 << b0 | 1 << b1
+            succ[b0] = succ[b1] = t | 1 << a | ks
+            succ[d] = 1 << h | s
+        succ[k + 6] = t | (ks >> (after + 1) << (after + 1))  # h_i^0 -> k_{i+2}..k_n
+        succ[k + 12] = 1 << (after if after < len(names) else 2)  # h_i^1 -> k_{i+1}
+    return Graph._from_masks(names, succ)
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
@@ -230,15 +215,15 @@ def _seeded_graph(v: int, p: float, seed: int, upward: bool) -> Graph:
     if not _is_id(seed):
         raise GraphError(f"seed must be an integer, got {seed!r}")
     state = seed & _M64
-    edges = []
+    succ = [0] * v
     for u in range(v):
         for w in range(u + 1 if upward else 0, v):
             if u == w:
                 continue
             state, out = _splitmix64(state)
             if (out >> 11) * (2.0 ** -53) < p:
-                edges.append((u, w))
-    return Graph([f"v{i}" for i in range(v)], edges)
+                succ[u] |= 1 << w
+    return Graph._from_masks([f"v{i}" for i in range(v)], succ)
 
 
 def gen_random_digraph(v: int, p: float, seed: int) -> Graph:

@@ -7,8 +7,10 @@ duplicate edges are rejected.  Adjacency is stored once, as one successor and
 one predecessor int bitmask per vertex, because the solvers spend nearly all
 their time in reachability queries; edge lists are read off the masks in
 ascending id order.  The structural queries (reachability, SCCs, acyclicity)
-run on these masks within a vertex-set mask, with no subgraph built, and the
-symmetric closure and induced subgraphs are built from them.
+run on these masks within a vertex-set mask, with no subgraph built.  Only
+the public constructor takes an edge list; the builders that hold masks
+already (the symmetric closure, induced subgraphs, the family generators and
+the cliquewidth evaluator) pass successor masks to `Graph._from_masks`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
 ]
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -34,24 +36,17 @@ class GraphError(ValueError):
 
 class Graph:
     """A finite directed graph; immutable once constructed.  The constructor
-    checks that each edge is a new pair of int vertex ids in 0..n-1.  Its
-    adjacency is `succ_masks` and its transpose `pred_masks`: bit w of
+    checks that each edge is a new pair of int vertex ids in 0..n-1; the
+    package's own builders pass successor masks to `_from_masks` instead.
+    Its adjacency is `succ_masks` and its transpose `pred_masks`: bit w of
     succ_masks[u] and bit u of pred_masks[w] are set iff (u, w) is an edge."""
 
     __slots__ = ("names", "succ_masks", "pred_masks", "_ids")
 
     def __init__(self, names: Iterable[str], edges: Iterable[tuple[int, int]]):
-        names = tuple(names)
-        ids: dict[str, int] = {}
-        for i, nm in enumerate(names):
-            if not isinstance(nm, str) or not nm:
-                raise GraphError(f"vertex {i} has an empty or non-string name")
-            if nm in ids:
-                raise GraphError(f"duplicate vertex name {nm!r}")
-            ids[nm] = i
+        names, ids = _named(names)
         n = len(names)
         succ = [0] * n
-        pred = [0] * n
         for e in edges:
             try:
                 u, w = e
@@ -62,12 +57,39 @@ class Graph:
                 if succ[u] >> w & 1:
                     raise GraphError(f"duplicate edge ({u},{w})")
                 succ[u] |= 1 << w
-                pred[w] |= 1 << u
             except GraphError:
                 raise
             except (TypeError, ValueError):
                 # from the range check (str), the index or shift (float) or the unpacking
                 raise GraphError(f"edge {e!r} must be a pair of vertex ids") from None
+        self._fill(names, ids, succ)
+
+    @classmethod
+    def _from_masks(cls, names: Iterable[str], succ_masks: Iterable[int]) -> Graph:
+        """The graph whose successor masks are succ_masks, for the builders
+        that hold masks already: the names are checked as by the public
+        constructor, and each mask must be an int in 0..2^n-1."""
+        names, ids = _named(names)
+        succ = tuple(succ_masks)
+        n = len(names)
+        if len(succ) != n:
+            raise GraphError(f"{len(succ)} successor masks for {n} vertices")
+        for u, m in enumerate(succ):
+            if not _is_id(m) or m < 0 or m >> n:
+                raise GraphError(f"successor mask {u} must be an int of bits 0..{n - 1}, got {m!r}")
+        graph = cls.__new__(cls)
+        graph._fill(names, ids, succ)
+        return graph
+
+    def _fill(self, names: tuple[str, ...], ids: dict[str, int], succ: Sequence[int]) -> None:
+        """Store the checked names and successor masks, and their transpose."""
+        pred = [0] * len(succ)
+        for u, m in enumerate(succ):
+            bit = 1 << u
+            while m:
+                b = m & -m
+                pred[b.bit_length() - 1] |= bit
+                m ^= b
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "succ_masks", tuple(succ))
         object.__setattr__(self, "pred_masks", tuple(pred))
@@ -127,6 +149,20 @@ class Graph:
         return f"Graph({len(self.names)} vertices, {self.edge_count} edges)"
 
 
+def _named(names: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The names as a tuple and the id of each, checked to be unique
+    non-empty strings."""
+    names = tuple(names)
+    ids: dict[str, int] = {}
+    for i, nm in enumerate(names):
+        if not isinstance(nm, str) or not nm:
+            raise GraphError(f"vertex {i} has an empty or non-string name")
+        if nm in ids:
+            raise GraphError(f"duplicate vertex name {nm!r}")
+        ids[nm] = i
+    return names, ids
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -170,7 +206,7 @@ def reach_mask(graph: Graph, blocked_mask: int, sources_mask: int) -> int:
 def symmetric_closure(graph: Graph) -> Graph:
     """Same vertices, edge set E union reversed E."""
     sym = [s | p for s, p in zip(graph.succ_masks, graph.pred_masks)]
-    return Graph(graph.names, [(u, w) for u, m in enumerate(sym) for w in bits_of(m)])
+    return Graph._from_masks(graph.names, sym)
 
 
 def _components(graph: Graph, within: int) -> list[int]:
@@ -211,9 +247,10 @@ def _components(graph: Graph, within: int) -> list[int]:
 def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph on `keep`, re-indexed densely preserving relative id order."""
     kept = graph._mask(keep)
-    remap = {v: i for i, v in enumerate(bits_of(kept))}
-    edges = [(i, remap[w]) for u, i in remap.items() for w in bits_of(graph.succ_masks[u] & kept)]
-    return Graph([graph.names[v] for v in remap], edges)
+    old = list(bits_of(kept))
+    new_bit = {v: 1 << i for i, v in enumerate(old)}
+    succ = [sum(new_bit[w] for w in bits_of(graph.succ_masks[u] & kept)) for u in old]
+    return Graph._from_masks([graph.names[v] for v in old], succ)
 
 
 def _is_acyclic(graph: Graph, within: int) -> bool:

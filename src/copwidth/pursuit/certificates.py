@@ -186,6 +186,12 @@ class EntVerifyReport:
         return self.ok
 
 
+def _cyclic(graph: Graph, comp: int) -> bool:
+    """True iff the strongly connected component with mask comp has a cycle:
+    it has two vertices or more, or its one vertex has a self-loop."""
+    return bool(comp & (comp - 1) or graph.succ_masks[comp.bit_length() - 1] & comp)
+
+
 def _feedback_vertex(graph: Graph, comp: int) -> Optional[int]:
     """The lowest vertex of the strongly connected component with mask comp
     whose removal leaves G[comp] acyclic, or None if there is none."""
@@ -216,7 +222,7 @@ def feedback_chase_strategy(
     feedback = {
         _feedback_vertex(graph, comp)
         for comp in _components(graph, graph.full_mask & ~graph._mask(anchor_set))
-        if not _is_acyclic(graph, comp)
+        if _cyclic(graph, comp)
     }
 
     def strategy(placement: frozenset[int], robber: int) -> frozenset[int]:
@@ -376,9 +382,12 @@ _CERTIFICATES = {
 def entanglement_is_one(graph: Graph) -> bool:
     """True iff the graph has a cycle and every strongly connected component
     contains a vertex whose removal makes that component acyclic."""
-    # a loop-free singleton empties on removal, and so does a self-loop
+    # a loop-free singleton, the one acyclic kind of component, and a
+    # self-loop both empty on removal of their vertex
     comps = _components(graph, graph.full_mask)
-    return not is_acyclic(graph) and all(_feedback_vertex(graph, c) is not None for c in comps)
+    return not is_acyclic(graph) and all(
+        _feedback_vertex(graph, c) is not None for c in comps if _cyclic(graph, c)
+    )
 
 
 def replay_cop_strategy(

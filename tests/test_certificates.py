@@ -27,7 +27,9 @@ from copwidth import (
     verify_ent_strategy,
     verify_sweep,
 )
-from copwidth.graphs import _is_id, bits_of, mask_of, reach_mask
+from copwidth.graphs import (
+    _components, _is_acyclic, _is_id, bits_of, is_acyclic, mask_of, reach_mask
+)
 from copwidth.pursuit import certificates
 from copwidth.pursuit.games import (
     DEFAULT_STATE_BUDGET,
@@ -298,6 +300,22 @@ class TestEntanglementIsOne:
 
     def test_self_loop_only(self):
         assert entanglement_is_one(Graph(["a"], [(0, 0)]))
+
+    def test_matches_the_definition_on_every_component(self):
+        # the definition asks every component, acyclic singletons included,
+        # for a feedback vertex; the check skips those that have no cycle
+        graphs = [Graph([f"v{i}" for i in range(n)], [
+            (u, w) for u in range(n) for w in range(n) if m >> (u * n + w) & 1
+        ]) for n in range(1, 4) for m in range(1 << (n * n))]
+        graphs += [gen_random_digraph(n, 0.3, seed) for n in (4, 5, 6) for seed in range(20)]
+        for g in graphs:
+            comps = _components(g, g.full_mask)
+            for c in comps:
+                assert certificates._cyclic(g, c) is not _is_acyclic(g, c)
+            want = not is_acyclic(g) and all(
+                certificates._feedback_vertex(g, c) is not None for c in comps
+            )
+            assert entanglement_is_one(g) is want, g.edges()
 
 
 def _reference_replay(starts, replies):

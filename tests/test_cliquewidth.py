@@ -398,3 +398,31 @@ class TestEvalMatchesTheScanReference:
     ])
     def test_edge_cases(self, e):
         assert eval_expr(e) == scan_eval(e)[0]
+
+
+class TestColourCountOfTheEvaluatingWalk:
+    """verify_family_expr counts the colours in the walk that evaluates the
+    expression; the count is colours_used's."""
+
+    @pytest.mark.parametrize("family, builder", [
+        (FamilyId.SWITCH_ALL, build_switch_all_expr), (FamilyId.ZADEH, build_zadeh_expr),
+    ], ids=["switch-all", "zadeh"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_builders(self, family, builder, n):
+        e = builder(n)
+        assert verify_family_expr(family, n, e).colour_count == colours_used(e)
+
+    @pytest.mark.parametrize("e", [
+        Port("a", "u"),
+        Recolour("a", "b", Connect("a", "c", Port("a", "u"))),
+        Recolour("z", "y", Port("a", "u")),
+        Connect("p", "q", Union(Port("a", "u"), Port("a", "v"))),
+        Connect("a", "a", Recolour("b", "a", Union(Port("a", "u"), Port("b", "v")))),
+    ], ids=["port", "all-mentions", "recolour-of-absent", "connect-of-absent", "merged"])
+    def test_hand_made(self, e):
+        assert verify_family_expr("zadeh", 1, e).colour_count == colours_used(e)
+
+    @given(expr_shapes(max_leaves=20))
+    def test_random_expressions(self, shape):
+        e = realize(shape, itertools.count())
+        assert verify_family_expr("switch-all", 1, e).colour_count == colours_used(e)

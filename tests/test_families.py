@@ -146,6 +146,131 @@ class TestEmbeddings:
         assert self.named_edges(small) <= self.named_edges(big)
 
 
+def reference_switch_all(n):
+    """The edge-list generator that the mask-built gen_switch_all replaced,
+    frozen as its reference."""
+    names = ["x", "s", "c", "r"]
+    names += [f"t{i}" for i in range(1, 2 * n + 1)]
+    names += [f"a{i}" for i in range(1, 2 * n + 1)]
+    for i in range(1, n + 1):
+        names += [f"d{i}", f"e{i}", f"f{i}", f"g{i}", f"h{i}", f"k{i}"]
+    ix = {nm: i for i, nm in enumerate(names)}
+
+    edges = []
+
+    def add(a, b):
+        edges.append((ix[a], ix[b]))
+
+    add("x", "x")
+    add("c", "s")
+    add("c", "r")
+    add("s", "x")
+    add("r", "x")
+    for j in range(1, n + 1):
+        add("s", f"f{j}")
+        add("r", f"g{j}")
+    for i in range(1, 2 * n + 1):
+        add(f"a{i}", f"t{i}")
+        add(f"t{i}", "s")
+        add(f"t{i}", "r")
+        add(f"t{i}", "c" if i == 1 else f"t{i - 1}")
+    for i in range(1, n + 1):
+        add(f"d{i}", "s")
+        add(f"d{i}", "r")
+        add(f"d{i}", f"e{i}")
+        for j in range(1, 2 * i + 1):
+            add(f"d{i}", f"a{j}")
+        add(f"e{i}", f"d{i}")
+        add(f"e{i}", f"h{i}")
+        add(f"f{i}", f"e{i}")
+        add(f"g{i}", f"f{i}")
+        add(f"g{i}", f"k{i}")
+        add(f"h{i}", f"k{i}")
+        add(f"k{i}", "x")
+        for j in range(i + 1, n + 1):
+            add(f"k{i}", f"g{j}")
+    return Graph(names, edges)
+
+
+def reference_zadeh(n):
+    """The edge-list generator that the mask-built gen_zadeh replaced,
+    frozen as its reference."""
+    names = ["s", "t", f"k{n + 1}"]
+    for i in range(1, n + 1):
+        names.append(f"k{i}")
+        for j in (0, 1):
+            names += [f"c{i}^{j}", f"A{i}^{j}", f"b{i},0^{j}", f"b{i},1^{j}",
+                      f"d{i}^{j}", f"h{i}^{j}"]
+    ix = {nm: i for i, nm in enumerate(names)}
+
+    edges = []
+
+    def add(a, b):
+        edges.append((ix[a], ix[b]))
+
+    add("t", "t")
+    add("s", "t")
+    add(f"k{n + 1}", "t")
+    for m in range(1, n + 1):
+        add("s", f"k{m}")
+    for i in range(1, n + 1):
+        add(f"k{i}", f"c{i}^0")
+        add(f"k{i}", f"c{i}^1")
+        add(f"k{i}", "t")
+        for m in range(1, n + 1):
+            if m != i:
+                add(f"k{i}", f"k{m}")
+        add(f"h{i}^0", "t")
+        for j in range(i + 2, n + 1):
+            add(f"h{i}^0", f"k{j}")
+        add(f"h{i}^1", f"k{i + 1}")
+        for j in (0, 1):
+            add(f"c{i}^{j}", f"A{i}^{j}")
+            add(f"A{i}^{j}", f"d{i}^{j}")
+            add(f"A{i}^{j}", f"b{i},0^{j}")
+            add(f"A{i}^{j}", f"b{i},1^{j}")
+            add(f"d{i}^{j}", f"h{i}^{j}")
+            add(f"d{i}^{j}", "s")
+            for b in (f"b{i},0^{j}", f"b{i},1^{j}"):
+                add(b, "t")
+                add(b, f"A{i}^{j}")
+                for m in range(1, n + 1):
+                    add(b, f"k{m}")
+    return Graph(names, edges)
+
+
+class TestMaskBuiltGenerators:
+    """The generators set bits in successor masks and keep the graph of the
+    last n; the graphs are those of the edge-list reference."""
+
+    @pytest.mark.parametrize(
+        "gen, reference",
+        [(gen_switch_all, reference_switch_all), (gen_zadeh, reference_zadeh)],
+        ids=["switch-all", "zadeh"],
+    )
+    def test_match_the_edge_list_reference(self, gen, reference):
+        for n in range(1, 13):
+            g, want = gen(n), reference(n)
+            assert g.names == want.names, n
+            assert g.succ_masks == want.succ_masks, n
+            assert g.pred_masks == want.pred_masks, n
+
+    @pytest.mark.parametrize("gen", [gen_switch_all, gen_zadeh], ids=["switch-all", "zadeh"])
+    def test_the_last_graph_is_shared(self, gen):
+        g = gen(3)
+        assert gen(3) is g
+        assert gen(2) == gen(2) and gen(3) is not g and gen(3) == g
+
+    @pytest.mark.parametrize("gen", [gen_switch_all, gen_zadeh], ids=["switch-all", "zadeh"])
+    @pytest.mark.parametrize("bad", [True, [1], 0, 1.0], ids=["bool", "list", "zero", "float"])
+    def test_bad_n_rejected_after_a_cached_one(self, gen, bad):
+        # a list is no cache key, and neither True nor 1.0 may pass as 1
+        gen(1)
+        with pytest.raises(GraphError) as info:
+            gen(bad)
+        assert str(info.value) == f"n must be a positive integer, got {bad!r}"
+
+
 class TestBipartiteAndWitness:
     def test_k11(self):
         g = gen_complete_bipartite(1, 1)

@@ -169,6 +169,47 @@ class TestMaskAdjacency:
                 assert Graph(names, shuffled[1:]) != g, shown
 
 
+class TestFromMasks:
+    """The constructor of the builders that hold successor masks: the same
+    graph as from the edges, with the name checks of the edge constructor
+    and a range check on each mask."""
+
+    def test_matches_the_edge_constructor(self):
+        for n, edges in edge_lists():
+            names = [f"v{i}" for i in range(n)]
+            succ = [0] * n
+            for u, w in edges:
+                succ[u] |= 1 << w
+            g, want = Graph._from_masks(names, succ), Graph(names, edges)
+            assert g == want and g.pred_masks == want.pred_masks, (n, edges)
+            assert [g.id_of(nm) for nm in names] == list(range(n))
+
+    @pytest.mark.parametrize("names", [["a", "a"], [""], ["a", 1], ["a", None]])
+    def test_name_checks_match_the_edge_constructor(self, names):
+        with pytest.raises(GraphError) as want:
+            Graph(names, [])
+        with pytest.raises(GraphError) as got:
+            Graph._from_masks(names, [0] * len(names))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "succ, message",
+        [
+            ([0b100, 0], "successor mask 0 must be an int of bits 0..1, got 4"),
+            ([0, 1 << 64], f"successor mask 1 must be an int of bits 0..1, got {1 << 64}"),
+            ([-1, 0], "successor mask 0 must be an int of bits 0..1, got -1"),
+            ([0, 1.0], "successor mask 1 must be an int of bits 0..1, got 1.0"),
+            ([True, 0], "successor mask 0 must be an int of bits 0..1, got True"),
+            ([0], "1 successor masks for 2 vertices"),
+            ([0, 0, 0], "3 successor masks for 2 vertices"),
+        ],
+    )
+    def test_bad_masks_rejected(self, succ, message):
+        with pytest.raises(GraphError) as info:
+            Graph._from_masks(["a", "b"], succ)
+        assert str(info.value) == message
+
+
 class TestReachMask:
     def test_successor_closure(self):
         g = Graph(["a", "b"], [(0, 1)])
