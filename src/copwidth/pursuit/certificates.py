@@ -55,7 +55,7 @@ from ..graphs import (
 )
 from ..families import FamilyId, gen_switch_all
 from .games import (
-    Variant, _check_cops, _sweep_of, _visible_graph, contaminate, ent_moves, normalized_moves
+    Variant, _check_cops, _sweep_of, contaminate, ent_moves, normalized_moves
 )
 
 
@@ -397,8 +397,9 @@ def replay_cop_strategy(
     strategy_moves: dict[tuple[int, int], int],
     require_monotone: bool = True,
 ) -> bool:
-    """Replay a positional strategy of the visible game of `variant` (tw or
-    dagw) against every robber reply.
+    """Replay a positional strategy of the visible game of `variant`, which
+    must be dagw, on `graph` as given, against every robber reply.  A tw
+    strategy is replayed on the symmetric closure of its graph as dagw.
 
     True iff from every start the strategy stays defined, every move is
     legal (and monotone when required), and all plays end in capture without
@@ -407,16 +408,19 @@ def replay_cop_strategy(
     robber's region, whose monotonicity rule (R' a subset of R) is the
     invisible games' one.
     """
+    variant = Variant(variant)
+    if variant is not Variant.DAGW:
+        raise GraphError(f"replay_cop_strategy expects variant dagw, got {variant.value}")
     _check_cops(cops)
-    g = _visible_graph(graph, variant)
+    full = graph.full_mask
 
     def replies(c: int, v: int) -> tuple[int, int] | str:
         cp = strategy_moves.get((c, v))
-        if not _is_id(cp) or cp not in normalized_moves(c, cops, g.full_mask):
+        if not _is_id(cp) or cp not in normalized_moves(c, cops, full):
             return "undefined or illegal cop move"
-        moves = contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), require_monotone)
+        moves = contaminate(graph, False, c, reach_mask(graph, c, 1 << v), (cp,), require_monotone)
         if not moves:
             return "the robber reaches a vacated vertex"
         return moves[0]
 
-    return _replay_positional(0, g.full_mask, replies) is None
+    return _replay_positional(0, full, replies) is None

@@ -15,8 +15,8 @@ and what is left of R splits into parts, subgames that must all be won:
   DPW's, and the parts are the distinct robber regions of G[R \\ {u}] (the
   (X, component) game of Berwanger et al., JCTB 2012, with X cut down to
   the guard);
-- TW: the KW game on the symmetric closure (`solve`), since
-  kw(G<->) = tw(G) + 1.
+- TW: the KW game on the symmetric closure, which only `solve` builds,
+  since kw(G<->) = tw(G) + 1.
 
 The search solves each strongly connected component as its own subgame.
 Its witness is a placement sequence, or for DAGW a positional cop
@@ -26,12 +26,12 @@ announced placement and the region the robber can land in, shallowest
 nodes first, with each robber node waiting on one successor not yet won,
 and stops once every start is won.  The placement games are played
 monotone only, as each width is the cops' least monotone win.  The
-reference engines, at the end, play the games move by move:
-`_play_visible` the visible game on `_solve_cop_game` (with full moves
-or non-monotone play as references), and `_search_placements` the
-invisible games over (placement, contaminated set) states.  They are
-what the contaminated-set search is tested against.  Positions are
-encoded as int bitmasks throughout.
+reference engines, at the end, play the games move by move on the graph
+they are given: `_play_visible` the visible game on `_solve_cop_game`
+(with full moves or non-monotone play as references, and on the closure
+for TW), and `_search_placements` the invisible games over (placement,
+contaminated set) states.  They are what the contaminated-set search is
+tested against.  Positions are encoded as int bitmasks throughout.
 
 Each game rule has one home here:
 
@@ -43,7 +43,7 @@ Each game rule has one home here:
 - `contaminate`: the one contamination update and monotonicity rule (R'
   must be a subset of R) of the four placement games: for the invisible
   games' contaminated set, in the placement search and the sweep replay,
-  and for the visible tw and dagw robber's region Reach_{G-C}(v), in
+  and for the visible robber's region Reach_{G-C}(v), in
   `_play_visible` and the strategy replay in certificates.py.  In the
   entanglement game the region is the robber's successors outside C';
 - `_guard` and `_parts`: what that rule means for the contaminated-set
@@ -372,15 +372,6 @@ def contaminate(
     return out
 
 
-def _visible_graph(graph: Graph, variant: Variant | str) -> Graph:
-    """The graph the visible game of `variant` is played on: the symmetric
-    closure for TW, the graph itself for DAGW."""
-    variant = Variant(variant)
-    if variant not in (Variant.TW, Variant.DAGW):
-        raise GraphError(f"the visible game expects variant tw or dagw, got {variant.value}")
-    return _closure(graph) if variant is Variant.TW else graph
-
-
 @functools.lru_cache(maxsize=1)
 def _closure(graph: Graph) -> Graph:
     """The symmetric closure TW is played on, kept for the last graph."""
@@ -393,20 +384,16 @@ def solve_visible(
     *,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> SolveOutcome:
-    """Decide the visible-robber game (variant TW or DAGW) with config.cops cops.
-
-    TW plays on the symmetric closure of the graph; DAGW on the graph as
-    given.  DAGW is searched over the robber's regions
-    (`_search_contaminated`); TW is played move by move (`_play_visible`),
-    and this TW game is the reference that `solve`'s TW is tested against.
-    The witness is a `CopStrategy` for `replay_cop_strategy`.
+    """Decide the visible-robber game (variant DAGW) with config.cops cops
+    on the graph as given, by the search over the robber's regions
+    (`_search_contaminated`).  The witness is a `CopStrategy` for
+    `replay_cop_strategy`.
     """
-    g = _visible_graph(graph, config.variant)
+    if config.variant is not Variant.DAGW:
+        raise GraphError(f"solve_visible expects variant dagw, got {config.variant.value}")
     _check_cops(config.cops, graph)
     _positive(budget, "budget")
-    if config.variant is Variant.DAGW:
-        return _search_contaminated(g, config.cops, Variant.DAGW, budget)
-    return _play_visible(g, config.cops, True, False, budget)
+    return _search_contaminated(graph, config.cops, Variant.DAGW, budget)
 
 
 def _guard(succ: tuple[int, ...], inert: bool, r: int, u: int) -> int:
@@ -764,8 +751,8 @@ def solve(
     neighbours of u's component of G[R], is the set Q(R \\ {u}, u) of the
     treewidth elimination-ordering search of Bodlaender et al. (TALG 2012).
     A TW witness is a placement sequence on the closure that
-    `simulate_sweep` replays under KW rules; `solve_visible` stays the
-    independent reference for TW.
+    `simulate_sweep` replays under KW rules; `_play_visible` on the closure
+    stays the independent reference for TW.
     """
     variant = Variant(variant)
     if variant is Variant.TW:
@@ -850,14 +837,14 @@ def _width(variant: Variant, k: int) -> int:
 # -- reference engines: the games played move by move -----------------------
 
 
-def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool, budget: int) -> SolveOutcome:
+def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool) -> SolveOutcome:
     """The visible game on g with k cops, move by move on `_solve_cop_game`.
 
     The cop moves are `normalized_moves`, or every placement of at most k
     cops with full_moves, and each leads by `contaminate` from the robber's
     region Reach_{G-C}(v) to the robber node (C', R').  With mono, moves that
     let the robber reach a vertex being vacated are pruned (such plays are
-    the robber's).
+    the robber's).  On the symmetric closure it is the TW game.
     """
     n, full = g.vertex_count, g.full_mask
     # full_moves: every placement of at most k cops, ascending
@@ -867,10 +854,10 @@ def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool, budget: int) -
         cands = universe if full_moves else normalized_moves(c, k, full)
         return contaminate(g, False, c, reach_mask(g, c, 1 << v), cands, mono)
 
-    return _solve_cop_game(n, regions, budget)
+    return _solve_cop_game(n, regions, DEFAULT_STATE_BUDGET)
 
 
-def _search_placements(graph: Graph, k: int, inert: bool, budget: int) -> SolveOutcome:
+def _search_placements(graph: Graph, k: int, inert: bool) -> SolveOutcome:
     """The monotone invisible games as a one-player search over states
     (placement C, contaminated set R) from (empty, all vertices) on a
     nonempty graph: the reference semantics of `_search_contaminated`.
@@ -899,8 +886,8 @@ def _search_placements(graph: Graph, k: int, inert: bool, budget: int) -> SolveO
                 seq.reverse()
                 return SolveOutcome(Winner.COPS, tuple(seq), len(parent))
             if nxt not in parent:
-                if len(parent) >= budget:
-                    raise BudgetExceededError(budget)
+                if len(parent) >= DEFAULT_STATE_BUDGET:
+                    raise BudgetExceededError(DEFAULT_STATE_BUDGET)
                 parent[nxt] = state
                 stack.append(nxt)
     return SolveOutcome(Winner.ROBBER, None, len(parent))

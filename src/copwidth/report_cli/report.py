@@ -49,7 +49,6 @@ from ..pursuit.games import (
     Variant,
     Winner,
     _play_visible,
-    _visible_graph,
     _width,
     measure,
     solve,
@@ -406,11 +405,9 @@ def _all_digraphs(n: int):
     m is set; m runs over 0 .. 2^(n*n) - 1.
     """
     names = [f"v{i}" for i in range(n)]
+    row = (1 << n) - 1
     for m in range(1 << (n * n)):
-        edges = [
-            (i, j) for i in range(n) for j in range(n) if m >> (i * n + j) & 1
-        ]
-        yield Graph(names, edges)
+        yield Graph._from_masks(names, [(m >> i * n) & row for i in range(n)])
 
 
 def _suite_entanglement_one(seed: int) -> SuiteResult:
@@ -452,16 +449,16 @@ def _suite_move_normalization(seed: int) -> SuiteResult:
     with every placement as a move on 100 small digraphs, at every cop count
     up to the vertex count.
 
-    For tw that solver is the closure search of the kw game on the symmetric
-    closure; for dagw it is the search over the robber's regions.
+    For tw that solver is the closure search of the kw game, and the
+    full-move game is played on the symmetric closure; for dagw they are
+    the search over the robber's regions and the game on the graph itself.
     """
 
     def check(g):
-        for variant in (Variant.TW, Variant.DAGW):
-            played_on = _visible_graph(g, variant)
+        for variant, played_on in ((Variant.TW, symmetric_closure(g)), (Variant.DAGW, g)):
             for k in range(g.vertex_count + 1):
                 fast = solve(g, variant, k).winner
-                full = _play_visible(played_on, k, True, True, DEFAULT_STATE_BUDGET).winner
+                full = _play_visible(played_on, k, True, True).winner
                 if fast is not full:
                     yield f"{variant.value} at k={k}: normalized {fast.value} vs full {full.value}"
 

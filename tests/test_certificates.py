@@ -28,13 +28,11 @@ from copwidth import (
     verify_sweep,
 )
 from copwidth.graphs import (
-    _components, _is_acyclic, _is_id, bits_of, is_acyclic, mask_of, reach_mask
+    _components, _is_acyclic, _is_id, bits_of, is_acyclic, mask_of, reach_mask, symmetric_closure
 )
 from copwidth.pursuit import certificates
 from copwidth.pursuit.games import (
-    DEFAULT_STATE_BUDGET,
     _play_visible,
-    _visible_graph,
     contaminate,
     ent_moves,
     normalized_moves,
@@ -374,9 +372,7 @@ def _reference_verify_ent(graph, strategy, k):
     return EntVerifyReport(ok=False, reason=reason, failure_position=(tuple(sorted(c)), v))
 
 
-def _reference_cop_replay(graph, variant, cops, strategy_moves, require_monotone):
-    g = _visible_graph(graph, variant)
-
+def _reference_cop_replay(g, cops, strategy_moves, require_monotone):
     def replies(pos):
         c, v = pos
         cp = strategy_moves.get(pos)
@@ -436,13 +432,13 @@ _SMALL_GRAPHS = [
 ] + [gen_cycle(4), gen_switch_all(1)]
 
 
-def _least_winning_strategy(g, variant, mono):
-    """The least k the cops win the visible game at, monotone or not, and
-    their winning strategy."""
+def _least_winning_strategy(g, mono):
+    """The least k the cops win the visible game on g at, monotone or not,
+    and their winning strategy."""
     def play(k):
         if mono:
-            return solve_visible(g, GameConfig(variant, k))
-        return _play_visible(_visible_graph(g, variant), k, False, False, DEFAULT_STATE_BUDGET)
+            return solve_visible(g, GameConfig(Variant.DAGW, k))
+        return _play_visible(g, k, False, False)
 
     k = 0
     while (out := play(k)).winner is not Winner.COPS:
@@ -495,13 +491,14 @@ class TestReplayMatchesTheDictPerPositionReference:
         rng = random.Random(0)
         outcomes = set()
         for g in _SMALL_GRAPHS:
-            for variant in (Variant.TW, Variant.DAGW):
+            # the visible game of tw is the one on the closure
+            for played_on in (symmetric_closure(g), g):
                 for mono in (True, False):
-                    k, moves = _least_winning_strategy(g, variant, mono)
+                    k, moves = _least_winning_strategy(played_on, mono)
                     corrupted = dict(moves)
                     if moves:
                         pos = rng.choice(sorted(moves))
-                        full = _visible_graph(g, variant).full_mask
+                        full = played_on.full_mask
                         corrupted[pos] = rng.choice(
                             [m for m in normalized_moves(pos[0], k, full) if m != moves[pos]]
                             + [full, 1 << g.vertex_count]
@@ -509,10 +506,11 @@ class TestReplayMatchesTheDictPerPositionReference:
                     for table in (moves, corrupted):
                         new_log, ref_log = [], []
                         ok = replay_cop_strategy(
-                            g, variant, k, _LoggedMoves(table, new_log), require_monotone=mono
+                            played_on, Variant.DAGW, k, _LoggedMoves(table, new_log),
+                            require_monotone=mono,
                         )
                         ref = _reference_cop_replay(
-                            g, variant, k, _LoggedMoves(table, ref_log), mono
+                            played_on, k, _LoggedMoves(table, ref_log), mono
                         )
                         assert ok is (ref is None)
                         assert failures[-1] == ref

@@ -76,7 +76,7 @@ def assert_searches_agree(g):
         inert = variant is Variant.KW
         for k in range(g.vertex_count + 1):
             out = solve_invisible(g, GameConfig(variant, k))
-            ref = games._search_placements(g, k, inert, games.DEFAULT_STATE_BUDGET)
+            ref = games._search_placements(g, k, inert)
             assert out.winner is ref.winner, f"{variant.value} k={k}: {serialize_graph(g)}"
             if out.winner is Winner.COPS:
                 rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)
@@ -124,19 +124,19 @@ def assert_ent_witness_replays(g, k, out):
 
 def assert_tw_agrees(g):
     """solve decides tw, as kw on the symmetric closure, like the visible
-    treewidth game, monotone and not (Seymour & Thomas, JCTB 1993), at
-    every k up to the first win; the winning sweep replays on the closure
-    under kw rules within k cops; and the scan of measure, which starts at
-    the minor-min-width bound, never skips that win: the bound is at most
-    k - 1, the measure exactly k - 1."""
+    game played move by move on the closure, monotone and not (Seymour &
+    Thomas, JCTB 1993), at every k up to the first win; the winning sweep
+    replays on the closure under kw rules within k cops; and the scan of
+    measure, which starts at the minor-min-width bound, never skips that
+    win: the bound is at most k - 1, the measure exactly k - 1."""
+    closure = symmetric_closure(g)
     for k in range(g.vertex_count + 1):
         out = solve(g, Variant.TW, k)
-        ref = solve_visible(g, GameConfig(Variant.TW, k))
-        assert out.winner is ref.winner, f"k={k} monotone: {serialize_graph(g)}"
-        ref = games._play_visible(symmetric_closure(g), k, False, False, games.DEFAULT_STATE_BUDGET)
-        assert out.winner is ref.winner, f"k={k} non-monotone: {serialize_graph(g)}"
+        for mono in (True, False):
+            ref = games._play_visible(closure, k, mono, False)
+            assert out.winner is ref.winner, f"k={k} mono={mono}: {serialize_graph(g)}"
         if out.winner is Winner.COPS:
-            rep = simulate_sweep(symmetric_closure(g), out.witness, Variant.KW)
+            rep = simulate_sweep(closure, out.witness, Variant.KW)
             assert rep.cleared and rep.monotone, f"k={k}: {serialize_graph(g)}"
             assert all(len(p) <= k for p in out.witness), f"k={k}: {serialize_graph(g)}"
             assert games._tw_lower_bound(g) <= k - 1, f"k={k}: {serialize_graph(g)}"
@@ -150,7 +150,7 @@ def assert_dagw_agrees(g):
     the first win, and its winning strategy replays."""
     for k in range(g.vertex_count + 1):
         out = solve_visible(g, GameConfig(Variant.DAGW, k))
-        ref = games._play_visible(g, k, True, False, games.DEFAULT_STATE_BUDGET)
+        ref = games._play_visible(g, k, True, False)
         assert out.winner is ref.winner, f"k={k}: {serialize_graph(g)}"
         if out.winner is Winner.COPS:
             assert replay_cop_strategy(g, Variant.DAGW, k, out.witness.moves), (
@@ -161,9 +161,12 @@ def assert_dagw_agrees(g):
 
 class TestVisible:
     def test_tw_k22(self):
+        # tw is the visible game on the closure, played as dagw there
         g = gen_complete_bipartite(2, 2)
-        assert solve_visible(g, GameConfig(Variant.TW, 3)).winner is Winner.COPS
-        assert solve_visible(g, GameConfig(Variant.TW, 2)).winner is Winner.ROBBER
+        closure = symmetric_closure(g)
+        for k, winner in ((3, Winner.COPS), (2, Winner.ROBBER)):
+            assert solve(g, "tw", k).winner is winner
+            assert solve_visible(closure, GameConfig(Variant.DAGW, k)).winner is winner
 
     def test_dagw_single_vertex(self):
         g = Graph(["a"], [])
@@ -175,42 +178,54 @@ class TestVisible:
         assert solve_visible(g, GameConfig(Variant.DAGW, 2)).winner is Winner.COPS
 
     def test_tw_plays_on_symmetrization(self):
-        # one directed edge behaves like an undirected one under TW
+        # one directed edge behaves like an undirected one under TW: two
+        # cops win the closure's visible game, one does not
         g = Graph(["a", "b"], [(0, 1)])
-        assert solve_visible(g, GameConfig(Variant.TW, 2)).winner is Winner.COPS
+        closure = symmetric_closure(g)
+        for k, winner in ((2, Winner.COPS), (1, Winner.ROBBER)):
+            assert solve(g, "tw", k).winner is winner
+            assert solve_visible(closure, GameConfig(Variant.DAGW, k)).winner is winner
         # but under DAGW one cop already corners the robber
         assert solve_visible(g, GameConfig(Variant.DAGW, 1)).winner is Winner.COPS
 
     def test_variant_guard(self):
-        with pytest.raises(GraphError):
-            solve_visible(two_cycle(), GameConfig(Variant.KW, 1))
+        # solve_visible plays dagw on the graph it is given; tw reaches the
+        # closure only through solve
+        for variant in (Variant.TW, Variant.KW, Variant.DPW, Variant.ENT):
+            message = f"solve_visible expects variant dagw, got {variant.value}$"
+            for g in (two_cycle(), Graph(["a", "b"], [(0, 1)]), Graph([], [])):
+                with pytest.raises(GraphError, match=message):
+                    solve_visible(g, GameConfig(variant, 1 if g.vertex_count else 0))
 
     def test_empty_graph_cops_win(self):
         g = Graph([], [])
-        assert solve_visible(g, GameConfig(Variant.TW, 0)).winner is Winner.COPS
+        assert solve(g, "tw", 0).winner is Winner.COPS
+        out = solve_visible(symmetric_closure(g), GameConfig(Variant.DAGW, 0))
+        assert out.winner is Winner.COPS
 
     def test_cop_budget_guard(self):
-        with pytest.raises(GraphError):
-            solve_visible(two_cycle(), GameConfig(Variant.TW, 3))
+        g = symmetric_closure(two_cycle())
+        with pytest.raises(GraphError, match="cop count 3 exceeds vertex count 2"):
+            solve_visible(g, GameConfig(Variant.DAGW, 3))
 
     def test_witness_replays(self):
+        # each graph is played as given and, as tw, on its closure
         cases = [(g, True) for g in (gen_cycle(4), gen_complete_bipartite(2, 2), gen_switch_all(1))]
         cases += [(gen_cycle(4), False), (gen_switch_all(1), False)]
-        for variant in (Variant.TW, Variant.DAGW):
-            for g, mono in cases:
+        for g, mono in cases:
+            for played_on in (symmetric_closure(g), g):
                 k = 0
                 while True:
                     if mono:
-                        out = solve_visible(g, GameConfig(variant, k))
+                        out = solve_visible(played_on, GameConfig(Variant.DAGW, k))
                     else:
-                        played_on = games._visible_graph(g, variant)
-                        out = games._play_visible(
-                            played_on, k, False, False, games.DEFAULT_STATE_BUDGET
-                        )
+                        out = games._play_visible(played_on, k, False, False)
                     if out.winner is Winner.COPS:
                         break
                     k += 1
-                assert replay_cop_strategy(g, variant, k, out.witness.moves, require_monotone=mono)
+                assert replay_cop_strategy(
+                    played_on, Variant.DAGW, k, out.witness.moves, require_monotone=mono
+                )
 
     def test_replay_rejects_lifting_a_reachable_cop(self):
         # one cop on the two-cycle: place it on a, then lift it while the
@@ -247,18 +262,25 @@ class TestVisible:
         assert not replay_cop_strategy(g, Variant.DAGW, 2, {**moves, (0, 0): one})
 
     def test_replay_plays_the_variant_it_names(self):
-        # one cop wins dagw on a single edge, but tw there needs two; a str
-        # variant replays the game its Variant does
+        # one cop wins dagw on a single edge, but tw there, the game on the
+        # closure, needs two; a str variant replays the game its Variant does
         g = Graph(["a", "b"], [(0, 1)])
         moves = solve_visible(g, GameConfig(Variant.DAGW, 1)).witness.moves
-        for dagw, tw in ((Variant.DAGW, Variant.TW), ("dagw", "tw")):
+        for dagw in (Variant.DAGW, "dagw"):
             assert replay_cop_strategy(g, dagw, 1, moves)
-            assert not replay_cop_strategy(g, tw, 1, moves)
+            assert not replay_cop_strategy(symmetric_closure(g), dagw, 1, moves)
 
-    @pytest.mark.parametrize("variant", [Variant.KW, Variant.DPW, Variant.ENT, "kw"])
+    @pytest.mark.parametrize(
+        "variant",
+        [Variant.KW, Variant.DPW, Variant.ENT, Variant.TW, "kw", "dpw", "ent", "tw"],
+    )
     def test_replay_rejects_a_variant_without_a_visible_game(self, variant):
-        with pytest.raises(GraphError, match="expects variant tw or dagw"):
-            replay_cop_strategy(two_cycle(), variant, 2, {})
+        # the one visible game on the graph as given is dagw's; tw's is
+        # played on the closure
+        message = f"replay_cop_strategy expects variant dagw, got {Variant(variant).value}$"
+        for g in (two_cycle(), Graph(["a", "b"], [(0, 1)])):
+            with pytest.raises(GraphError, match=message):
+                replay_cop_strategy(g, variant, 2, {})
 
     def test_non_monotone_reference_never_needs_more_cops(self):
         # a monotone winning strategy wins the non-monotone game too, so the
@@ -266,22 +288,19 @@ class TestVisible:
         # no more cops than solve_visible
         for i in range(12):
             g = gen_random_digraph(4 + i % 3, 0.3 + 0.1 * (i % 3), 2100 + i)
-            for variant in (Variant.TW, Variant.DAGW):
+            for played_on in (symmetric_closure(g), g):
                 k = 0
-                while solve_visible(g, GameConfig(variant, k)).winner is not Winner.COPS:
+                while solve_visible(played_on, GameConfig("dagw", k)).winner is not Winner.COPS:
                     k += 1
-                played_on = games._visible_graph(g, variant)
-                out = games._play_visible(played_on, k, False, False, games.DEFAULT_STATE_BUDGET)
-                assert out.winner is Winner.COPS, f"{variant.value} k={k}: {serialize_graph(g)}"
+                out = games._play_visible(played_on, k, False, False)
+                assert out.winner is Winner.COPS, f"k={k}: {serialize_graph(played_on)}"
 
     def test_full_moves_same_winner_spot_check(self):
         g = gen_random_digraph(4, 0.5, 99)
-        for variant in (Variant.TW, Variant.DAGW):
+        for played_on in (symmetric_closure(g), g):
             for k in range(5):
-                full = games._play_visible(
-                    games._visible_graph(g, variant), k, True, True, games.DEFAULT_STATE_BUDGET
-                )
-                assert solve_visible(g, GameConfig(variant, k)).winner is full.winner
+                full = games._play_visible(played_on, k, True, True)
+                assert solve_visible(played_on, GameConfig(Variant.DAGW, k)).winner is full.winner
 
 
 class TestVisibleRobberStep:
@@ -614,8 +633,21 @@ class TestTreewidthAsKellyWidth:
         tw = measure(g, Variant.TW)
         closure = symmetric_closure(g)
         for k, winner in ((tw, Winner.ROBBER), (tw + 1, Winner.COPS)):
-            out = games._play_visible(closure, k, False, False, games.DEFAULT_STATE_BUDGET)
+            out = games._play_visible(closure, k, False, False)
             assert out.winner is winner, f"k={k}"
+
+    def test_least_closure_win_replays_on_all_small_digraphs(self):
+        # the visible game on the closure, played move by move, is first won
+        # at tw + 1 cops, and its strategy replays there as dagw
+        for n in range(1, 4):
+            for g in _all_digraphs(n):
+                closure = symmetric_closure(g)
+                k = 0
+                while (out := games._play_visible(closure, k, True, False)).winner is Winner.ROBBER:
+                    k += 1
+                where = serialize_graph(g)
+                assert k - 1 == measure(g, "tw"), where
+                assert replay_cop_strategy(closure, "dagw", k, out.witness.moves), where
 
     @pytest.mark.parametrize(
         "gen, value", [(gen_switch_all, 5), (gen_zadeh, 4)], ids=["switch_all_2", "zadeh_2"]
@@ -822,12 +854,11 @@ class TestLocalSolveMatchesTheEagerReference:
         """(game, mono, solve) of every game played on `_solve_cop_game`: the
         entanglement game, and the visible game, monotone or not, with
         normalized moves and, on at most 5 vertices, with full moves."""
-        budget = games.DEFAULT_STATE_BUDGET
         yield "ent", None, partial(solve_entanglement, g, k)
         for mono in (True, False):
-            yield "visible", mono, partial(games._play_visible, g, k, mono, False, budget)
+            yield "visible", mono, partial(games._play_visible, g, k, mono, False)
             if g.vertex_count <= 5:
-                yield "full", mono, partial(games._play_visible, g, k, mono, True, budget)
+                yield "full", mono, partial(games._play_visible, g, k, mono, True)
 
     def test_same_winner_and_the_wins_replay(self, monkeypatch):
         outcomes = set()
@@ -1017,3 +1048,21 @@ class TestDispatch:
             seen.clear()
             assert solve(gen_cycle(3), variant, 3).winner is Winner.COPS
             assert seen == [name]
+
+    def test_solve_visible_sees_only_dagw(self, monkeypatch):
+        # tw reaches the closure through solve_invisible, so the visible
+        # solver, and the benchmark's games.visible metrics, see dagw alone
+        configs = []
+        real = games.solve_visible
+
+        def recorded(graph, config, **kwargs):
+            configs.append(config)
+            return real(graph, config, **kwargs)
+
+        monkeypatch.setattr(games, "solve_visible", recorded)
+        for g in (gen_cycle(3), gen_random_digraph(5, 0.4, 7), gen_switch_all(1)):
+            for variant in Variant:
+                measure(g, variant)
+                for k in range(g.vertex_count + 1):
+                    solve(g, variant, k)
+        assert configs and {c.variant for c in configs} == {Variant.DAGW}

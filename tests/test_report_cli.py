@@ -18,6 +18,7 @@ import pytest
 import copwidth
 from copwidth import (
     CLAIMED_BOUNDS,
+    Graph,
     GraphError,
     MeasureEntry,
     MeasureReport,
@@ -390,6 +391,17 @@ class TestRunReportSizes:
     def test_family_without_a_bound_row_rejected(self):
         with pytest.raises(GraphError, match="no bound row for family 'cycle'"):
             run_report("cycle")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_all_digraphs_match_the_edge_list_enumeration(n):
+    # graph number m has edge (i, j) iff bit i*n + j of m is set
+    names = [f"v{i}" for i in range(n)]
+    expected = [
+        Graph(names, [(i, j) for i in range(n) for j in range(n) if m >> (i * n + j) & 1])
+        for m in range(1 << (n * n))
+    ]
+    assert list(report._all_digraphs(n)) == expected
 
 
 class TestSuiteFailures:
