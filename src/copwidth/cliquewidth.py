@@ -62,14 +62,32 @@ class Connect:
 CwExpr = _U[Port, Union, Recolour, Connect]
 
 
-def _children(node: CwExpr) -> tuple[CwExpr, ...]:
-    if isinstance(node, Port):
-        return ()
-    if isinstance(node, Union):
-        return (node.left, node.right)
-    if isinstance(node, (Recolour, Connect)):
-        return (node.child,)
-    raise GraphError(f"not a cliquewidth expression node: {node!r}")
+def _walk(expr: CwExpr) -> tuple[list[CwExpr], set[str]]:
+    """The nodes of the tree in preorder, left before right, and the colour
+    labels they mention, from one pass: the one place that knows which
+    fields of a node are its children and which are its colours."""
+    nodes: list[CwExpr] = []
+    colours: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Port):
+            colours.add(node.colour)
+        elif isinstance(node, Union):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Recolour):
+            colours.add(node.old)
+            colours.add(node.new)
+            stack.append(node.child)
+        elif isinstance(node, Connect):
+            colours.add(node.src)
+            colours.add(node.dst)
+            stack.append(node.child)
+        else:
+            raise GraphError(f"not a cliquewidth expression node: {node!r}")
+        nodes.append(node)
+    return nodes, colours
 
 
 def eval_expr(expr: CwExpr) -> Graph:
@@ -81,35 +99,29 @@ def eval_expr(expr: CwExpr) -> Graph:
     old = new is the identity.  A vertex name used twice is rejected by
     Graph ("duplicate vertex name").
 
-    The tree is evaluated bottom-up, in reverse preorder.  Each evaluated
-    subtree is one dict from colour to the bitmask of its vertices of that
-    colour, and the edges are one successor mask per vertex.  Union merges
-    the smaller dict into the larger, Recolour moves one mask, and Connect
-    ORs the dst mask into the successor mask of each src vertex, so no
-    operator rescans the vertices below it.
+    The nodes come from `_walk`, the one walk behind `colours_used` and
+    `verify_family_expr` too, and are evaluated bottom-up, in reverse
+    preorder.  Each evaluated subtree is one dict from colour to the bitmask
+    of its vertices of that colour, and the edges are one successor mask per
+    vertex.  Union merges the smaller dict into the larger, Recolour moves
+    one mask, and Connect ORs the dst mask into each src vertex's successor
+    mask, so no operator rescans the vertices below it.
     """
     return _evaluate(expr)[0]
 
 
 def _evaluate(expr: CwExpr) -> tuple[Graph, int]:
     """The graph of `eval_expr` and the count of `colours_used`, from one
-    walk of the tree."""
-    nodes: list[CwExpr] = []  # preorder, left before right
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(reversed(_children(node)))
+    `_walk` of the tree."""
+    nodes, colours = _walk(expr)
     names = [node.name for node in nodes if isinstance(node, Port)]
     succ = [0] * len(names)
     v = len(names)  # the ports are met last to first
     classes: list[dict[str, int]] = []  # the evaluated subtrees, leftmost on top
-    colours: set[str] = set()
     for node in reversed(nodes):
         if isinstance(node, Port):
             v -= 1
             classes.append({node.colour: 1 << v})
-            colours.add(node.colour)
         elif isinstance(node, Union):
             small = classes.pop()
             big = classes[-1]
@@ -119,15 +131,11 @@ def _evaluate(expr: CwExpr) -> tuple[Graph, int]:
             for colour, m in small.items():
                 big[colour] = big.get(colour, 0) | m
         elif isinstance(node, Recolour):
-            colours.add(node.old)
-            colours.add(node.new)
             top = classes[-1]
             m = top.pop(node.old, 0)
             if m:
                 top[node.new] = top.get(node.new, 0) | m
         else:  # Connect
-            colours.add(node.src)
-            colours.add(node.dst)
             top = classes[-1]
             dst = top.get(node.dst, 0)
             if dst:
@@ -137,21 +145,9 @@ def _evaluate(expr: CwExpr) -> tuple[Graph, int]:
 
 
 def colours_used(expr: CwExpr) -> int:
-    """Number of distinct colour labels appearing anywhere in the tree."""
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Port):
-            out.add(node.colour)
-        elif isinstance(node, Recolour):
-            out.add(node.old)
-            out.add(node.new)
-        elif isinstance(node, Connect):
-            out.add(node.src)
-            out.add(node.dst)
-        stack.extend(_children(node))
-    return len(out)
+    """Number of distinct colour labels appearing anywhere in the tree, as
+    `_walk` collects them for `eval_expr` too."""
+    return len(_walk(expr)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -149,12 +149,8 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     _positive(a, "a")
     _positive(b, "b")
     names = [f"l{i}" for i in range(1, a + 1)] + [f"r{i}" for i in range(1, b + 1)]
-    edges = []
-    for u in range(a):
-        for w in range(a, a + b):
-            edges.append((u, w))
-            edges.append((w, u))
-    return Graph(names, edges)
+    left, right = (1 << a) - 1, ((1 << b) - 1) << a
+    return Graph._from_masks(names, [right] * a + [left] * b)
 
 
 def lemma_bipartite_witness(k: int) -> tuple[int, frozenset[int], frozenset[int]]:
@@ -177,13 +173,13 @@ def lemma_bipartite_witness(k: int) -> tuple[int, frozenset[int], frozenset[int]
 def gen_cycle(n: int) -> Graph:
     """Directed cycle v0 -> v1 -> ... -> v0; n=1 gives a single self-loop."""
     _positive(n, "n")
-    return Graph([f"v{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_masks([f"v{i}" for i in range(n)], [1 << ((i + 1) % n) for i in range(n)])
 
 
 def gen_path(n: int) -> Graph:
     """Directed path on n vertices (n-1 edges)."""
     _positive(n, "n")
-    return Graph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    return Graph._from_masks([f"v{i}" for i in range(n)], [2 << i for i in range(n - 1)] + [0])
 
 
 _M64 = (1 << 64) - 1

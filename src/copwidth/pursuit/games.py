@@ -26,12 +26,12 @@ announced placement and the region the robber can land in, shallowest
 nodes first, with each robber node waiting on one successor not yet won,
 and stops once every start is won.  The placement games are played
 monotone only, as each width is the cops' least monotone win.  The
-reference engines, at the end, play the games move by move on the graph
-they are given: `_play_visible` the visible game on `_solve_cop_game`
-(with full moves or non-monotone play as references, and on the closure
-for TW), and `_search_placements` the invisible games over (placement,
-contaminated set) states.  They are what the contaminated-set search is
-tested against.  Positions are encoded as int bitmasks throughout.
+reference engine at the end, `_play_visible`, plays the visible game move
+by move on the graph it is given, on `_solve_cop_game` (with full moves or
+non-monotone play as references, and on the closure for TW).  It and the
+tests' search of the invisible games over (placement, contaminated set)
+states are what the contaminated-set search is tested against.  Positions
+are encoded as int bitmasks throughout.
 
 Each game rule has one home here:
 
@@ -42,8 +42,8 @@ Each game rule has one home here:
   solve_entanglement and by the chase replay in certificates.py;
 - `contaminate`: the one contamination update and monotonicity rule (R'
   must be a subset of R) of the four placement games: for the invisible
-  games' contaminated set, in the placement search and the sweep replay,
-  and for the visible robber's region Reach_{G-C}(v), in
+  games' contaminated set, in the sweep replay and the tests' placement
+  search, and for the visible robber's region Reach_{G-C}(v), in
   `_play_visible` and the strategy replay in certificates.py.  In the
   entanglement game the region is the robber's successors outside C';
 - `_guard` and `_parts`: what that rule means for the contaminated-set
@@ -856,38 +856,3 @@ def _play_visible(g: Graph, k: int, mono: bool, full_moves: bool) -> SolveOutcom
 
     return _solve_cop_game(n, regions, DEFAULT_STATE_BUDGET)
 
-
-def _search_placements(graph: Graph, k: int, inert: bool) -> SolveOutcome:
-    """The monotone invisible games as a one-player search over states
-    (placement C, contaminated set R) from (empty, all vertices) on a
-    nonempty graph: the reference semantics of `_search_contaminated`.
-
-    Each normalized cop move updates R by `contaminate`, moves that are not
-    monotone are pruned, and the cops win iff some placement sequence
-    empties R.  The states are the (C, R) pairs visited; the witness is the
-    placement sequence found.
-    """
-    full = graph.full_mask
-    start = (0, full)
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        c, r = state
-        # staying put leaves (C, R) unchanged, so only real moves are tried;
-        # each (C', R') is also the key of the next state
-        for nxt in contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict=True):
-            if nxt[1] == 0:  # R' is empty: the sequence clears the graph
-                seq = [frozenset(bits_of(nxt[0]))]
-                node = state
-                while parent[node] is not None:
-                    seq.append(frozenset(bits_of(node[0])))
-                    node = parent[node]
-                seq.reverse()
-                return SolveOutcome(Winner.COPS, tuple(seq), len(parent))
-            if nxt not in parent:
-                if len(parent) >= DEFAULT_STATE_BUDGET:
-                    raise BudgetExceededError(DEFAULT_STATE_BUDGET)
-                parent[nxt] = state
-                stack.append(nxt)
-    return SolveOutcome(Winner.ROBBER, None, len(parent))

@@ -22,7 +22,18 @@ from copwidth import (
     gen_zadeh,
     verify_family_expr,
 )
-from copwidth.cliquewidth import _children
+
+
+def children(node):
+    """The subexpressions of a node, left to right; the reference's own
+    reading of the four operators, apart from the walk it checks."""
+    if isinstance(node, Port):
+        return ()
+    if isinstance(node, Union):
+        return (node.left, node.right)
+    if isinstance(node, (Recolour, Connect)):
+        return (node.child,)
+    raise GraphError(f"not a cliquewidth expression node: {node!r}")
 
 
 def edge_names(g):
@@ -45,7 +56,7 @@ def scan_eval(expr):
                 cols.append(node.colour)
             elif not isinstance(node, Union):
                 stack.append((node, len(names)))
-            stack.extend((ch, -1) for ch in reversed(_children(node)))
+            stack.extend((ch, -1) for ch in reversed(children(node)))
         elif isinstance(node, Recolour):
             cols[start:] = [node.new if c == node.old else c for c in cols[start:]]
         else:
@@ -170,15 +181,23 @@ class TestEvalRules:
             assert fn(e) == 2
 
     @pytest.mark.parametrize(
-        "e",
-        [Connect("a", "b", "x"), Recolour("a", "b", ")"), Union(Port("a", "u"), " ")],
-        ids=["connect", "recolour", "union"],
+        "e, bad",
+        [
+            (Connect("a", "b", "x"), "x"),
+            (Recolour("a", "b", ")"), ")"),
+            (Union(Port("a", "u"), " "), " "),
+            (Union(Port("a", "u"), Recolour("a", "b", 5)), 5),
+        ],
+        ids=["connect", "recolour", "union", "nested"],
     )
-    def test_str_child_rejected_as_a_node(self, e):
-        # a str child is no node, even one that could pass for a name or colour
-        for fn in (eval_expr, colours_used):
-            with pytest.raises(GraphError, match="not a cliquewidth expression node"):
+    def test_str_child_rejected_as_a_node(self, e, bad):
+        # a str child is no node, even one that could pass for a name or
+        # colour, nor is an int below a valid prefix
+        message = f"not a cliquewidth expression node: {bad!r}"
+        for fn in (eval_expr, colours_used, lambda e: verify_family_expr("switch-all", 1, e)):
+            with pytest.raises(GraphError) as info:
                 fn(e)
+            assert str(info.value) == message
 
 
 class TestColourAccounting:

@@ -327,6 +327,17 @@ class TestSmallShapes:
         assert sorted(g.edges()) == [(0, 1), (1, 2)]
         assert is_acyclic(g)
 
+    def test_match_the_edge_list_build(self):
+        # the generators set successor masks; the edge lists say the same
+        for n in range(1, 7):
+            vs = [f"v{i}" for i in range(n)]
+            assert gen_cycle(n) == Graph(vs, [(i, (i + 1) % n) for i in range(n)]), n
+            assert gen_path(n) == Graph(vs, [(i, i + 1) for i in range(n - 1)]), n
+            for b in range(1, 7):
+                names = [f"l{i}" for i in range(1, n + 1)] + [f"r{i}" for i in range(1, b + 1)]
+                edges = [e for u in range(n) for w in range(n, n + b) for e in ((u, w), (w, u))]
+                assert gen_complete_bipartite(n, b) == Graph(names, edges), (n, b)
+
     @pytest.mark.parametrize(
         "gen", [gen_cycle, gen_path, gen_switch_all, gen_zadeh, gen_complete_bipartite]
     )

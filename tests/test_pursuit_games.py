@@ -9,10 +9,12 @@ import pytest
 
 import copwidth.pursuit.games as games
 from copwidth import (
+    DEFAULT_STATE_BUDGET,
     BudgetExceededError,
     GameConfig,
     Graph,
     GraphError,
+    SolveOutcome,
     SweepCertificate,
     Variant,
     Winner,
@@ -37,6 +39,7 @@ from copwidth.graphs import (
     bits_of, induced_subgraph, mask_of, reach_mask, serialize_graph, symmetric_closure
 )
 from copwidth.pursuit import certificates
+from copwidth.pursuit.games import contaminate, normalized_moves
 from copwidth.report_cli.report import _all_digraphs
 
 
@@ -68,6 +71,42 @@ def replaces_a_cop(witness):
     return False
 
 
+def search_placements(graph: Graph, k: int, inert: bool) -> SolveOutcome:
+    """The monotone invisible games as a one-player search over states
+    (placement C, contaminated set R) from (empty, all vertices) on a
+    nonempty graph: the reference semantics of `_search_contaminated`.
+
+    Each normalized cop move updates R by `contaminate`, moves that are not
+    monotone are pruned, and the cops win iff some placement sequence
+    empties R.  The states are the (C, R) pairs visited; the witness is the
+    placement sequence found.
+    """
+    full = graph.full_mask
+    start = (0, full)
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        c, r = state
+        # staying put leaves (C, R) unchanged, so only real moves are tried;
+        # each (C', R') is also the key of the next state
+        for nxt in contaminate(graph, inert, c, r, normalized_moves(c, k, full)[1:], strict=True):
+            if nxt[1] == 0:  # R' is empty: the sequence clears the graph
+                seq = [frozenset(bits_of(nxt[0]))]
+                node = state
+                while parent[node] is not None:
+                    seq.append(frozenset(bits_of(node[0])))
+                    node = parent[node]
+                seq.reverse()
+                return SolveOutcome(Winner.COPS, tuple(seq), len(parent))
+            if nxt not in parent:
+                if len(parent) >= DEFAULT_STATE_BUDGET:
+                    raise BudgetExceededError(DEFAULT_STATE_BUDGET)
+                parent[nxt] = state
+                stack.append(nxt)
+    return SolveOutcome(Winner.ROBBER, None, len(parent))
+
+
 def assert_searches_agree(g):
     """The contaminated-set search of the monotone invisible games decides
     like the (placement, contaminated set) search at every k up to the
@@ -76,7 +115,7 @@ def assert_searches_agree(g):
         inert = variant is Variant.KW
         for k in range(g.vertex_count + 1):
             out = solve_invisible(g, GameConfig(variant, k))
-            ref = games._search_placements(g, k, inert)
+            ref = search_placements(g, k, inert)
             assert out.winner is ref.winner, f"{variant.value} k={k}: {serialize_graph(g)}"
             if out.winner is Winner.COPS:
                 rep = verify_sweep(g, SweepCertificate(k, out.witness), variant)

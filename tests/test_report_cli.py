@@ -917,13 +917,17 @@ def test_package_all_concatenates_the_module_lists():
     assert len(copwidth.__all__) == 61
 
 
+def _code_files(dirs=("src", "perfbench")) -> list:
+    """The program's own code: the modules under src/ and perfbench/."""
+    root = Path(__file__).resolve().parents[1]
+    return [p for d in dirs for p in (root / d).rglob("*.py")]
+
+
 def _api_sources() -> list:
     """The code that calls the public API: src/, perfbench/ and the README's
     python example."""
-    root = Path(__file__).resolve().parents[1]
-    files = [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]
-    sources = [p.read_text(encoding="utf-8") for p in files]
-    readme = (root / "README.md").read_text(encoding="utf-8")
+    sources = [p.read_text(encoding="utf-8") for p in _code_files()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return sources + re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
 
 
@@ -973,6 +977,23 @@ def test_every_public_method_and_property_is_used():
     ]
     assert members
     assert [m for m in members if m.split(".")[1] not in used] == []
+
+
+def test_every_private_definition_is_used():
+    # A private top-level function or class, or a private method, that no
+    # code in src/ or perfbench/ uses outside its own definition is dead
+    # code, or a reference engine whose place is beside the tests it serves.
+    used = set().union(*(_names_used(p.read_text(encoding="utf-8")) for p in _code_files()))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = []
+    for path in _code_files(("src",)):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if isinstance(d, defs) and d.name.startswith("_") and not d.name.endswith("__"):
+                    private.append(f"{path.stem}.{d.name}")
+    assert private
+    assert [name for name in private if name.split(".")[1] not in used] == []
 
 
 def _passed_arguments(sources: list) -> dict:
