@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Union as _U
 
 from .families import FamilyId, gen_switch_all, gen_zadeh
-from .graphs import Graph, GraphError, _positive, bits_of
+from .graphs import Graph, GraphError, _named, _positive, bits_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -96,32 +96,44 @@ def eval_expr(expr: CwExpr) -> Graph:
     Vertices are numbered in the order their ports appear, left to right.
     Connect adds all missing edges from the src class to the dst class (all
     ordered pairs, including self-loops when src = dst); Recolour with
-    old = new is the identity.  A vertex name used twice is rejected by
-    Graph ("duplicate vertex name").
+    old = new is the identity.  A vertex name used twice is rejected as
+    Graph rejects it ("duplicate vertex name").
 
     The nodes come from `_walk`, the one walk behind `colours_used` and
     `verify_family_expr` too, and are evaluated bottom-up, in reverse
-    preorder.  Each evaluated subtree is one dict from colour to the bitmask
-    of its vertices of that colour, and the edges are one successor mask per
-    vertex.  Union merges the smaller dict into the larger, Recolour moves
-    one mask, and Connect ORs the dst mask into each src vertex's successor
-    mask, so no operator rescans the vertices below it.
+    preorder (`_evaluate`).  Each evaluated subtree is one dict from colour
+    to the bitmask of its vertices of that colour, and the edges are one
+    successor mask per vertex.  Union merges the smaller dict into the
+    larger, Recolour moves one mask, and Connect ORs the dst mask into each
+    src vertex's successor mask, so no operator rescans the vertices below
+    it.
     """
-    return _evaluate(expr)[0]
+    names, succ, _ = _evaluate(expr, {})
+    return Graph._from_masks(names, succ)
 
 
-def _evaluate(expr: CwExpr) -> tuple[Graph, int]:
-    """The graph of `eval_expr` and the count of `colours_used`, from one
-    `_walk` of the tree."""
+def _evaluate(expr: CwExpr, ids: dict[str, int]) -> tuple[tuple[str, ...], list[int], int]:
+    """The port names in port order, checked by `_named`, the successor
+    masks of the graph of `eval_expr` and the count of `colours_used`, from
+    one `_walk` of the tree.  A port's vertex is numbered ids[name], and
+    the names ids lacks are numbered on from len(ids) in port order, so
+    with ids the generator's the masks are in its numbering; with no ids
+    they are in port order."""
     nodes, colours = _walk(expr)
-    names = [node.name for node in nodes if isinstance(node, Port)]
-    succ = [0] * len(names)
-    v = len(names)  # the ports are met last to first
+    names, _ = _named(node.name for node in nodes if isinstance(node, Port))
+    fresh = len(ids)
+    bits = []
+    for nm in names:
+        u = ids.get(nm)
+        if u is None:
+            u = fresh
+            fresh += 1
+        bits.append(1 << u)
+    succ = [0] * fresh
     classes: list[dict[str, int]] = []  # the evaluated subtrees, leftmost on top
     for node in reversed(nodes):
         if isinstance(node, Port):
-            v -= 1
-            classes.append({node.colour: 1 << v})
+            classes.append({node.colour: bits.pop()})  # the ports are met last to first
         elif isinstance(node, Union):
             small = classes.pop()
             big = classes[-1]
@@ -141,7 +153,7 @@ def _evaluate(expr: CwExpr) -> tuple[Graph, int]:
             if dst:
                 for u in bits_of(top.get(node.src, 0)):
                     succ[u] |= dst
-    return Graph._from_masks(names, succ), len(colours)
+    return names, succ, len(colours)
 
 
 def colours_used(expr: CwExpr) -> int:
@@ -314,37 +326,37 @@ def verify_family_expr(
 ) -> CwVerifyReport:
     """Compare eval(builder(n)) against the generator, matching vertices by
     name; reports symmetric-difference edges and any unknown/missing names.
-    Pass expr to check a hand-supplied expression instead of the built one."""
+    Pass expr to check a hand-supplied expression instead of the built one.
+
+    The expression is evaluated straight into the generator's numbering
+    (`_evaluate`), so each vertex's successor mask, cut down to the names
+    both graphs have, is compared with the generator's by one `==`.  The
+    port names are checked as `eval_expr` checks them.
+    """
     family = FamilyId(family)
     if family not in _BUILDERS:
         raise GraphError(f"no expression builder for family {family.value!r}")
     builder, generator = _BUILDERS[family]
     if expr is None:
         expr = builder(n)
-    built, colour_count = _evaluate(expr)
     want = generator(n)
-    built_names = set(built.names)
-    want_names = set(want.names)
-    issues = []
-    for nm in sorted(built_names - want_names):
-        issues.append(f"unknown vertex name {nm!r} produced by the expression")
-    for nm in sorted(want_names - built_names):
-        issues.append(f"vertex {nm!r} missing from the expression")
-    # each built vertex's generator id and bit; None and 0 for an unknown name
-    ids = [want._ids.get(nm) for nm in built.names]
-    bit = [0 if u is None else 1 << u for u in ids]
-    common = sum(bit)
+    built_names, succ, colour_count = _evaluate(expr, want._ids)
+    built, wanted = set(built_names), set(want.names)
+    absent = wanted - built
+    issues = [
+        f"unknown vertex name {nm!r} produced by the expression" for nm in sorted(built - wanted)
+    ]
+    issues += [f"vertex {nm!r} missing from the expression" for nm in sorted(absent)]
+    # the generator vertices the expression has; its unknown ones lie above
+    common = want.full_mask & ~mask_of(want._ids[nm] for nm in absent)
     names = want.names
     missing, extra = [], []
-    for u, m in zip(ids, built.succ_masks):
-        if u is None:
-            continue
-        got = 0
-        for w in bits_of(m):
-            got |= bit[w]
+    for u in bits_of(common):
+        got = succ[u] & common
         need = want.succ_masks[u] & common
-        missing += [(names[u], names[w]) for w in bits_of(need & ~got)]
-        extra += [(names[u], names[w]) for w in bits_of(got & ~need)]
+        if got != need:
+            missing += [(names[u], names[w]) for w in bits_of(need & ~got)]
+            extra += [(names[u], names[w]) for w in bits_of(got & ~need)]
     return CwVerifyReport(
         equal=not missing and not extra and not issues,
         colour_count=colour_count,

@@ -3,18 +3,21 @@ verification for the entanglement game.
 
 A SweepCertificate is an open-loop placement sequence; verify_sweep replays
 it under either invisible-game semantics and reports whether it clears the
-graph and whether it ever recontaminates.  The switch-all sweep is declared
-as its clearing order, and the solvers' `_sweep_of` places the guards along
-it, so its cop count is measured.  The entanglement side provides a
-feedback-vertex chase strategy (the one that witnesses ent <= 3 for the
-switch-all family) and an exhaustive verifier that plays every robber reply
-against a given cop strategy; the visible-game strategy replay runs on the
-same depth-first search.  That search keeps one pair of robber-vertex masks
-per placement (the positions on the current play, and those finished), so a
-cop move is checked against all of the robber's replies by two mask
-operations.  The replays step with the solvers' own rules
-from games.py: the sweep and the visible-game strategy with the one
-contamination update and monotonicity rule, the chase with the
+graph and whether it ever recontaminates.  Under kw it steps restless while
+that step is monotone, which needs no search and gives the inert result
+(see `contaminate`), so the switch-all sweep replays in linear work under
+both.  The switch-all sweep is declared as its clearing order, and the
+solvers' `_sweep_of` places the guards along it, so its cop count is
+measured.  The entanglement side provides a feedback-vertex chase strategy
+(the one that witnesses ent <= 3 for the switch-all family) and an
+exhaustive verifier that plays every robber reply against a given cop
+strategy; the visible-game strategy replay runs on the same depth-first
+search.  That search keeps one pair of robber-vertex masks per placement
+(the positions on the current play, and those finished), so a cop move is
+checked against all of the robber's replies by two mask operations, and
+pushes one stack entry per position.  The replays step with the solvers'
+own rules from games.py: the sweep and the visible-game strategy with the
+one contamination update and monotonicity rule, the chase with the
 entanglement cop moves.
 
 Each family certificate is declared once, in `_CERTIFICATES`, with the
@@ -112,12 +115,19 @@ def simulate_sweep(
     """Replay an arbitrary placement sequence (no single-move restriction).
 
     Each step is the solvers' own contamination update; a step is monotone
-    iff it keeps the contaminated set a subset of the one before.
+    iff it keeps the contaminated set a subset of the one before.  While
+    the contaminated set R is closed in G - C, as it is at the start, a kw
+    step first takes the restless step, and when that one is monotone its
+    R' is the inert one too (see `contaminate`), found without a search.
+    The first kw step it does not settle is taken inert, and so are all
+    after it, so a sweep that stays restless-monotone replays in linear
+    work under both semantics.
     """
     semantics = Variant(semantics)
     if semantics not in (Variant.KW, Variant.DPW):
         raise GraphError(f"sweep semantics must be kw or dpw, got {semantics.value}")
     inert = semantics is Variant.KW
+    closed = True  # R is closed in G - C
     c = 0
     r = graph.full_mask
     first_bad: Optional[int] = None
@@ -129,7 +139,11 @@ def simulate_sweep(
             raise GraphError(
                 f"placement {step} must be an iterable of vertex ids, got {placement!r}"
             ) from None
-        [(c, rp)] = contaminate(graph, inert, c, r, (cp,), strict=False)
+        [(_, rp)] = contaminate(graph, inert and not closed, c, r, (cp,), strict=False)
+        if inert and closed and rp & ~r:
+            closed = False
+            [(_, rp)] = contaminate(graph, True, c, r, (cp,), strict=False)
+        c = cp
         if rp & ~r and first_bad is None:
             first_bad = step
         r = rp
@@ -269,47 +283,50 @@ def _replay_positional(
     (c, v) finished.  A child (c', w) repeats the play iff w is in
     R & grey[c'], and only the w in R & ~black[c'] are played on, so each
     position costs one lookup of its child placement whatever its
-    out-degree.  Children are played highest w first, and the strategy is
-    asked once per reachable position.  Returns None iff every play ends
-    with the robber out of moves, else (reason, position): an illegal move,
-    or the lowest position a play can revisit (an infinite play exists).
+    out-degree, and none when replies returns c itself.  Each position
+    takes one stack entry.  Children are played highest w first, and the
+    strategy is asked once per reachable position.  Returns None iff every
+    play ends with the robber out of moves, else (reason, position): an
+    illegal move, or the lowest position a play can revisit (an infinite
+    play exists).
     """
-    # placement -> [grey, black].  A stack entry (c, colour[c], R) holds the
-    # positions (c, w), w in R, still to play from; (c, colour[c], ~v) marks
-    # the end of (c, v)'s plays, where it turns from grey to black
+    # placement -> [grey, black].  A stack entry (c, colour[c], R, done)
+    # first turns the position of c whose bit is done, if any, from grey to
+    # black, as all its plays are finished; R holds the w of the positions
+    # (c, w) still to play from
     colour: dict[Hashable, list[int]] = {start: [0, 0]}
     for v0 in bits_of(robbers):
-        stack = [(start, colour[start], 1 << v0)]
+        stack = [(start, colour[start], 1 << v0, 0)]
         while stack:
-            c, pair, r = stack.pop()
-            if r < 0:
-                bit = 1 << ~r
-                pair[0] ^= bit
-                pair[1] |= bit
-                continue
+            c, pair, r, done = stack.pop()
+            if done:
+                pair[0] ^= done
+                pair[1] |= done
             # never grey here: one on the current play is caught when pushed,
-            # and an older entry lies below its marker, so it pops black
+            # and an older entry lies below the one that finishes it, so it
+            # pops black
             r &= ~pair[1]
             if not r:
                 continue
             v = r.bit_length() - 1
             bit = 1 << v
-            if r ^ bit:
-                stack.append((c, pair, r ^ bit))
             pair[0] |= bit
-            stack.append((c, pair, ~v))
+            stack.append((c, pair, r ^ bit, bit))
             reply = replies(c, v)
             if isinstance(reply, str):
                 return reply, (c, v)
             cp, moves = reply
-            child = colour.get(cp)
-            if child is None:
-                child = colour[cp] = [0, 0]
+            if cp is c:
+                child = pair
+            else:
+                child = colour.get(cp)
+                if child is None:
+                    child = colour[cp] = [0, 0]
             repeats = moves & child[0]
             if repeats:
                 return _REPEATS, (cp, (repeats & -repeats).bit_length() - 1)
             if moves:
-                stack.append((cp, child, moves))
+                stack.append((cp, child, moves, 0))
     return None
 
 
@@ -328,16 +345,19 @@ def verify_ent_strategy(
     _check_cops(k)
     succ = graph.succ_masks
     vertices = frozenset(range(graph.vertex_count))
-    cop_masks: dict[frozenset[int], int] = {}  # each placement's, built once
+    start: frozenset[int] = frozenset()
+    cop_masks: dict[frozenset[int], int] = {start: 0}  # each placement's, built once
 
     def replies(c: frozenset[int], v: int) -> tuple[frozenset[int], int] | str:
         move = strategy(c, v)
+        if move is c:  # the chase's usual reply: c is legal and its mask known
+            return c, succ[v] & ~cop_masks[c]
         try:
             cp = frozenset(move)
         except TypeError:  # not iterable, or holding an unhashable item
             return f"illegal cop move {sorted(c)} -> {move!r} against robber at {v}"
-        # test the stay first: it is the chase's usual reply.  Play on from
-        # c itself, whose vertices are ints; an equal cp may hold 0.0 for 0
+        # test the stay first.  Play on from c itself, whose vertices are
+        # ints; an equal cp may hold 0.0 for 0
         if cp == c:
             cp = c
         elif not (
@@ -352,7 +372,7 @@ def verify_ent_strategy(
             m = cop_masks[cp] = mask_of(cp)
         return cp, succ[v] & ~m
 
-    failure = _replay_positional(frozenset(), graph.full_mask, replies)
+    failure = _replay_positional(start, graph.full_mask, replies)
     if failure is None:
         return EntVerifyReport(ok=True)
     reason, (c, v) = failure

@@ -350,6 +350,14 @@ def contaminate(
     is Reach_{G-(C&C')}(R), he lands in R', and the move is monotone iff
     he cannot reach a vacated vertex.  Ending at an empty R' (a capture)
     drops only moves of a cop node already won.
+
+    The inert step from a state with R closed in G - C searches from
+    R & C', a part of R, so it reaches at most Reach_{G-(C&C')}(R).  When
+    H is empty that is R, and the inert R' is the restless one, R \\ C',
+    closed in G - C'.  So a kw sweep can take the restless step while it
+    is monotone, with no search (`simulate_sweep`).  When H is not empty
+    the inert R' need not hold H, whose vertices have in-neighbours in R,
+    so it need not be closed in G - C', and the shortcut ends there.
     """
     reach = reach_mask
     pred = graph.pred_masks

@@ -11,6 +11,7 @@ from copwidth import (
     Graph,
     GraphError,
     SweepCertificate,
+    SweepReport,
     Variant,
     Winner,
     entanglement_is_one,
@@ -30,7 +31,8 @@ from copwidth import (
 from copwidth.graphs import (
     _components, _is_acyclic, _is_id, bits_of, is_acyclic, mask_of, reach_mask, symmetric_closure
 )
-from copwidth.pursuit import certificates
+from copwidth.report_cli.report import _all_digraphs
+from copwidth.pursuit import certificates, games
 from copwidth.pursuit.games import (
     _play_visible,
     contaminate,
@@ -139,6 +141,105 @@ class TestSweepVerification:
         rep = simulate_sweep(g, [{1}, set()], "dpw")
         assert not rep.monotone
         assert rep.step_of_first_violation == 1
+
+
+def _reference_sweep(graph, placements, semantics, require_monotone=True):
+    """The per-step loop simulate_sweep replaced, kept as its reference:
+    every step is `contaminate` under the semantics' own rule."""
+    inert = Variant(semantics) is Variant.KW
+    c, r = 0, graph.full_mask
+    first_bad = None
+    for step, placement in enumerate(placements):
+        [(c, rp)] = contaminate(graph, inert, c, r, (mask_of(placement),), strict=False)
+        if rp & ~r and first_bad is None:
+            first_bad = step
+        r = rp
+    monotone = first_bad is None
+    return SweepReport(
+        steps=len(placements),
+        cleared=r == 0,
+        monotone=monotone,
+        step_of_first_violation=first_bad,
+        ok=r == 0 and (monotone or not require_monotone),
+    )
+
+
+def _random_placements(rng, n, length):
+    """A placement sequence of single cops added and lifted, with now and
+    then a jump to an arbitrary placement."""
+    c = set()
+    out = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.15:
+            c = {v for v in range(n) if rng.random() < 0.4}
+        elif c and roll < 0.5:
+            c.discard(rng.choice(sorted(c)))
+        elif n:
+            c.add(rng.randrange(n))
+        out.append(frozenset(c))
+    return out
+
+
+class TestSweepMatchesThePerStepReference:
+    """simulate_sweep, which steps kw restless while R is closed and the
+    restless step is monotone, reports what the plain per-step loop does."""
+
+    def test_small_and_seeded_graphs(self, monkeypatch):
+        inert_calls = []
+        real = certificates.contaminate
+
+        def logged(graph, inert, *args, **kwargs):
+            inert_calls.append(inert)
+            return real(graph, inert, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "contaminate", logged)
+        graphs = [g for n in range(4) for g in _all_digraphs(n)] + [
+            gen_random_digraph(n, p, seed)
+            for n in range(4, 8) for p in (0.2, 0.35, 0.5) for seed in range(3)
+        ]
+        shortcuts = fallbacks = 0
+        kinds = set()
+        for i, g in enumerate(graphs):
+            rng = random.Random(i)
+            for _ in range(3):
+                placements = _random_placements(rng, g.vertex_count, 2 * g.vertex_count + 2)
+                for sem in ("kw", "dpw"):
+                    for mono in (True, False):
+                        inert_calls.clear()
+                        rep = simulate_sweep(g, placements, sem, require_monotone=mono)
+                        assert rep == _reference_sweep(g, placements, sem, mono)
+                        kinds.add((sem, rep.cleared, rep.monotone))
+                        if sem == "kw":
+                            # one restless call per step until the first
+                            # non-monotone one, which the inert step retakes
+                            fell_back = True in inert_calls
+                            shortcuts += inert_calls.count(False) - fell_back
+                            fallbacks += fell_back
+                        else:
+                            assert True not in inert_calls
+        assert shortcuts and fallbacks
+        assert kinds == {(sem, a, b) for sem in ("kw", "dpw") for a in (0, 1) for b in (0, 1)}
+
+
+@pytest.mark.parametrize("semantics", ["kw", "dpw"])
+def test_switch_all_sweep_replays_without_a_search(semantics, monkeypatch):
+    calls = []
+    real = games.reach_mask
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(games, "reach_mask", counted)
+    # the wrapper sees the replay's searches: lifting the guard on b is a
+    # restless step that searches from b, under kw too before it retakes it
+    simulate_sweep(Graph(["a", "b"], [(0, 1)]), [{1}, set()], semantics)
+    assert len(calls) == 1
+    calls.clear()
+    for n in (1, 8, 32):
+        assert verify_sweep(gen_switch_all(n), dpw_sweep_certificate_switch_all(n), semantics)
+    assert calls == []
 
 
 class TestFamilySweep:
@@ -524,7 +625,7 @@ class TestReplayMatchesTheDictPerPositionReference:
         }
 
 
-@pytest.mark.parametrize("n, asked", [(1, 67), (2, 197), (4, 621), (8, 2165)])
+@pytest.mark.parametrize("n, asked", [(1, 67), (2, 197), (4, 621), (8, 2165), (32, 30917)])
 def test_switch_all_chase_asks_each_reachable_position_once(n, asked):
     # the sum over n = 1..32 is the benchmark's certificates.ent_chase.positions
     log = []

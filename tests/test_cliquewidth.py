@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from copwidth import (
     Connect,
+    CwVerifyReport,
     FamilyId,
     Graph,
     GraphError,
@@ -310,6 +312,40 @@ class TestBuilders:
         assert not rep
         assert rep.name_issues == ("unknown vertex name 'zz' produced by the expression",)
         assert rep.missing_edges == () and rep.extra_edges == ()
+
+    def test_unknown_and_missing_vertices_beside_an_extra_edge(self):
+        # zz has edges from and to known vertices, x is missing, r -> t2 is
+        # extra: only the edge between known names is a difference
+        without_x = build_switch_all_expr(1).child.child.child.child.left
+        e = Connect("q", "hub-r", Connect("q", "q", Union(without_x, Port("q", "zz"))))
+        e = Connect("hub-r", "chain-head", Connect("hub-s", "q", e))
+        rep = verify_family_expr("switch-all", 1, expr=e)
+        assert rep == CwVerifyReport(
+            equal=False,
+            colour_count=11,
+            missing_edges=(),
+            extra_edges=(("r", "t2"),),
+            name_issues=(
+                "unknown vertex name 'zz' produced by the expression",
+                "vertex 'x' missing from the expression",
+            ),
+        )
+        assert (rep.missing_edges, rep.extra_edges) == name_pair_difference(e, gen_switch_all(1))
+
+    @pytest.mark.parametrize("extra, message", [
+        (Port("a", "r"), "duplicate vertex name 'r'"),
+        (Union(Port("a", "zz"), Port("b", "zz")), "duplicate vertex name 'zz'"),
+        (Port("a", ""), "vertex 14 has an empty or non-string name"),
+        (Port("a", 3), "vertex 14 has an empty or non-string name"),
+        (Port("a", ["x"]), "vertex 14 has an empty or non-string name"),
+    ], ids=["duplicate-known", "duplicate-unknown", "empty", "int", "unhashable"])
+    def test_bad_port_names_rejected_as_eval_expr_rejects_them(self, extra, message):
+        # switch-all(1) has 14 vertices, so the added port is vertex 14
+        e = Union(build_switch_all_expr(1), extra)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            eval_expr(e)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            verify_family_expr("switch-all", 1, expr=e)
 
     def test_unknown_family_rejected(self):
         with pytest.raises((GraphError, ValueError)):
