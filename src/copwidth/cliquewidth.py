@@ -33,26 +33,26 @@ from .families import FamilyId, gen_switch_all, gen_zadeh
 from .graphs import Graph, GraphError, _named, _positive, bits_of, mask_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     colour: str
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union:
     left: "CwExpr"
     right: "CwExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Recolour:
     old: str
     new: str
     child: "CwExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connect:
     src: str
     dst: str

@@ -14,11 +14,13 @@ exhaustive verifier that plays every robber reply against a given cop
 strategy; the visible-game strategy replay runs on the same depth-first
 search.  That search keeps one pair of robber-vertex masks per placement
 (the positions on the current play, and those finished), so a cop move is
-checked against all of the robber's replies by two mask operations, and
-pushes one stack entry per position.  The replays step with the solvers'
-own rules from games.py: the sweep and the visible-game strategy with the
-one contamination update and monotonicity rule, the chase with the
-entanglement cop moves.
+checked against all of the robber's replies by two mask operations.  It
+descends into a position's replies in place, with one stack entry for
+each position that has replies and none for one that has not, and an
+illegal move ends it by an exception, not by a test of every reply.  The
+replays step with the solvers' own rules from games.py: the sweep and the
+visible-game strategy with the one contamination update and monotonicity
+rule, the chase with the entanglement cop moves.
 
 Each family certificate is declared once, in `_CERTIFICATES`, with the
 (family, measure) bound it backs and its cop count; the report and
@@ -238,8 +240,11 @@ def feedback_chase_strategy(
         for comp in _components(graph, graph.full_mask & ~graph._mask(anchor_set))
         if _cyclic(graph, comp)
     }
+    moved = anchor_set | feedback  # the robber vertices the cops may move on
 
     def strategy(placement: frozenset[int], robber: int) -> frozenset[int]:
+        if robber not in moved:
+            return placement
         if robber in anchor_set and robber not in placement:
             return placement | {robber}
         if robber in feedback:
@@ -268,8 +273,13 @@ def ent_strategy_switch_all(n: int) -> Callable[[frozenset[int], int], frozenset
 _REPEATS = "the robber can force an infinite play (position repeats)"
 
 
+class _IllegalMove(Exception):
+    """Raised by a replay's replies(c, v) with the reason the cop move at
+    (c, v) is illegal."""
+
+
 def _replay_positional(
-    start: Hashable, robbers: int, replies: Callable[[Hashable, int], tuple[Hashable, int] | str]
+    start: Hashable, robbers: int, replies: Callable[[Hashable, int], tuple[Hashable, int]]
 ) -> Optional[tuple[str, tuple[Hashable, int]]]:
     """Play a positional cop strategy against every robber reply.
 
@@ -277,56 +287,64 @@ def _replay_positional(
     search runs depth-first from (start, v) for every v in the mask robbers.
     replies(c, v) applies the cop move at (c, v) and returns (c', R): the
     announced placement and the mask of vertices the robber can move to, or
-    a string saying why the cop move is illegal.  The positions are kept as
-    one pair of robber masks per placement: grey[c] holds the vertices v
-    with (c, v) on the current play, black[c] those with every play from
-    (c, v) finished.  A child (c', w) repeats the play iff w is in
-    R & grey[c'], and only the w in R & ~black[c'] are played on, so each
-    position costs one lookup of its child placement whatever its
-    out-degree, and none when replies returns c itself.  Each position
-    takes one stack entry.  Children are played highest w first, and the
-    strategy is asked once per reachable position.  Returns None iff every
-    play ends with the robber out of moves, else (reason, position): an
-    illegal move, or the lowest position a play can revisit (an infinite
-    play exists).
+    raises _IllegalMove with the reason the cop move is illegal.  The
+    positions are kept as one pair of robber masks per placement: grey[c]
+    holds the vertices v with (c, v) on the current play, black[c] those
+    with every play from (c, v) finished.  A child (c', w) repeats the play
+    iff w is in R & grey[c'], and only the w in R & ~black[c'] are played
+    on, so each position costs one lookup of its child placement whatever
+    its out-degree, and none when replies returns c itself.
+
+    The loop holds the placement c being played, its pair and the mask R of
+    the w of the positions (c, w) still to play from.  A position whose R
+    is empty turns black at once.  Otherwise it turns grey, one stack entry
+    keeps the rest of c's R and the position's bit, and the loop descends
+    into (c', R) in place; when that R runs out, popping the entry turns the
+    position black and goes on with the rest.  Children are played highest
+    w first, and the strategy is asked once per reachable position.
+    Returns None iff every play ends with the robber out of moves, else
+    (reason, position): an illegal move, or the lowest position a play can
+    revisit (an infinite play exists).
     """
-    # placement -> [grey, black].  A stack entry (c, colour[c], R, done)
-    # first turns the position of c whose bit is done, if any, from grey to
-    # black, as all its plays are finished; R holds the w of the positions
-    # (c, w) still to play from
+    # placement -> [grey, black]
     colour: dict[Hashable, list[int]] = {start: [0, 0]}
-    for v0 in bits_of(robbers):
-        stack = [(start, colour[start], 1 << v0, 0)]
-        while stack:
-            c, pair, r, done = stack.pop()
-            if done:
-                pair[0] ^= done
-                pair[1] |= done
-            # never grey here: one on the current play is caught when pushed,
-            # and an older entry lies below the one that finishes it, so it
-            # pops black
-            r &= ~pair[1]
-            if not r:
-                continue
-            v = r.bit_length() - 1
-            bit = 1 << v
-            pair[0] |= bit
-            stack.append((c, pair, r ^ bit, bit))
-            reply = replies(c, v)
-            if isinstance(reply, str):
-                return reply, (c, v)
-            cp, moves = reply
-            if cp is c:
-                child = pair
-            else:
-                child = colour.get(cp)
-                if child is None:
-                    child = colour[cp] = [0, 0]
-            repeats = moves & child[0]
-            if repeats:
-                return _REPEATS, (cp, (repeats & -repeats).bit_length() - 1)
-            if moves:
-                stack.append((cp, child, moves, 0))
+    stack: list[tuple[Hashable, list[int], int, int]] = []
+    try:
+        for v0 in bits_of(robbers):
+            c, pair, r = start, colour[start], 1 << v0
+            while True:
+                # never grey here: one on the current play is caught before
+                # the descent, and an older entry lies below the one that
+                # finishes it, so it pops black
+                r &= ~pair[1]
+                if not r:
+                    if not stack:
+                        break
+                    c, pair, r, done = stack.pop()
+                    pair[0] ^= done
+                    pair[1] |= done
+                    continue
+                v = r.bit_length() - 1
+                bit = 1 << v
+                r ^= bit
+                cp, moves = replies(c, v)
+                if not moves:
+                    pair[1] |= bit
+                    continue
+                pair[0] |= bit
+                if cp is c:
+                    child = pair
+                else:
+                    child = colour.get(cp)
+                    if child is None:
+                        child = colour[cp] = [0, 0]
+                repeats = moves & child[0]
+                if repeats:
+                    return _REPEATS, (cp, (repeats & -repeats).bit_length() - 1)
+                stack.append((c, pair, r, bit))
+                c, pair, r = cp, child, moves
+    except _IllegalMove as illegal:
+        return illegal.args[0], (c, v)
     return None
 
 
@@ -340,7 +358,14 @@ def verify_ent_strategy(
     True iff every play is finite and ends with the robber out of moves.  An
     illegal cop move or a position the play can revisit (an infinite play
     exists) yields a failure report carrying the offending position.  The
-    strategy is asked once per reachable position.
+    strategy is asked once per reachable position, by `_replay_positional`.
+
+    Every placement played on has its mask in `cop_masks`, the start's
+    seeded, so a move that is the placement c itself is answered at once.
+    Any other move is checked as a set of vertex ids first; then its mask,
+    the one `cop_masks` holds when the placement was met before, must be
+    one of `ent_moves` from c's mask.  An illegal move raises
+    `_IllegalMove` with the report's reason.
     """
     _check_cops(k)
     succ = graph.succ_masks
@@ -348,29 +373,30 @@ def verify_ent_strategy(
     start: frozenset[int] = frozenset()
     cop_masks: dict[frozenset[int], int] = {start: 0}  # each placement's, built once
 
-    def replies(c: frozenset[int], v: int) -> tuple[frozenset[int], int] | str:
+    def replies(c: frozenset[int], v: int) -> tuple[frozenset[int], int]:
         move = strategy(c, v)
         if move is c:  # the chase's usual reply: c is legal and its mask known
             return c, succ[v] & ~cop_masks[c]
         try:
             cp = frozenset(move)
         except TypeError:  # not iterable, or holding an unhashable item
-            return f"illegal cop move {sorted(c)} -> {move!r} against robber at {v}"
+            raise _IllegalMove(
+                f"illegal cop move {sorted(c)} -> {move!r} against robber at {v}"
+            ) from None
         # test the stay first.  Play on from c itself, whose vertices are
         # ints; an equal cp may hold 0.0 for 0
         if cp == c:
-            cp = c
-        elif not (
-            cp <= vertices
-            and all(_is_id(w) for w in cp)
-            and mask_of(cp) in ent_moves(mask_of(c), v, k)
-        ):
-            shown = sorted(cp, key=None if cp <= vertices else str)
-            return f"illegal cop move {sorted(c)} -> {shown} against robber at {v}"
-        m = cop_masks.get(cp)
-        if m is None:
-            m = cop_masks[cp] = mask_of(cp)
-        return cp, succ[v] & ~m
+            return c, succ[v] & ~cop_masks[c]
+        if cp <= vertices and all(_is_id(w) for w in cp):
+            # a placement met before, here or as an equal c, has its mask
+            m = cop_masks.get(cp)
+            if m is None:
+                m = mask_of(cp)
+            if m in ent_moves(cop_masks[c], v, k):
+                cop_masks[cp] = m
+                return cp, succ[v] & ~m
+        shown = sorted(cp, key=None if cp <= vertices else str)
+        raise _IllegalMove(f"illegal cop move {sorted(c)} -> {shown} against robber at {v}")
 
     failure = _replay_positional(start, graph.full_mask, replies)
     if failure is None:
@@ -434,13 +460,13 @@ def replay_cop_strategy(
     _check_cops(cops)
     full = graph.full_mask
 
-    def replies(c: int, v: int) -> tuple[int, int] | str:
+    def replies(c: int, v: int) -> tuple[int, int]:
         cp = strategy_moves.get((c, v))
         if not _is_id(cp) or cp not in normalized_moves(c, cops, full):
-            return "undefined or illegal cop move"
+            raise _IllegalMove("undefined or illegal cop move")
         moves = contaminate(graph, False, c, reach_mask(graph, c, 1 << v), (cp,), require_monotone)
         if not moves:
-            return "the robber reaches a vacated vertex"
+            raise _IllegalMove("the robber reaches a vacated vertex")
         return moves[0]
 
     return _replay_positional(0, full, replies) is None

@@ -202,47 +202,57 @@ def _solve_cop_game(
     Every rule lists distinct placements C', and the w of a robber node are
     distinct bits, so each node's successors are distinct and are not
     deduplicated here.  The states are the nodes built; building more than
-    `budget` raises BudgetExceededError.
+    `budget` raises BudgetExceededError, the n starts included.
+
+    The starts are the nodes 0..n-1.  Every other node is built in the one
+    place that meets it: a robber node among the announcements of the cop
+    node being taken, a cop node in the wait of a robber node.  Each side
+    has its own id dict.  A new node's slots are appended where it is met,
+    its waiting list already holding the node that built it.  A cop node's
+    pending slot is -1, which tells the sides apart.
     """
-    # node ids by side, tables[is_cop]: a pair can be both a (C', R) and a (C, v)
-    tables: tuple[dict, dict] = ({}, {})
-    keys: list[tuple[int, int]] = []
-    is_cop: list[bool] = []
-    preds: list[list[int]] = []  # the nodes waiting on a node
-    pending: list[int] = []  # a robber node's w not yet won, as a mask
-    depth: list[int] = []  # cop moves from the starts
-    won: list[bool] = []
+    if n > budget:
+        raise BudgetExceededError(budget)
+    # node ids by side: a pair can be both a (C', R) and a (C, v)
+    keys: list[tuple[int, int]] = [(0, v) for v in range(n)]
+    cop_ids = {key: v for v, key in enumerate(keys)}
+    robber_ids: dict[tuple[int, int], int] = {}
+    preds: list[list[int]] = [[] for _ in keys]  # the nodes waiting on a node
+    # a robber node's w not yet won, as a mask; -1 marks a cop node
+    pending: list[int] = [-1] * n
+    depth: list[int] = [0] * n  # cop moves from the starts
+    won: list[bool] = [False] * n
     moves: dict[tuple[int, int], int] = {}
-    queue: list[list[int]] = []  # the nodes not yet taken, by depth
+    queue: list[list[int]] = [list(range(n))]  # the nodes not yet taken, by depth
     top = 0  # the shallowest depth whose queue may be nonempty
     starts = 0  # the starts won
 
-    def intern(key: tuple[int, int], cop: bool, d: int) -> int:
+    def wait(r: int, rest: int) -> bool:
+        """Make robber node r, with rest its w not yet known to be won, wait
+        on the lowest of them not yet won; whether none is left."""
         nonlocal top
-        nid = tables[cop].get(key)
-        if nid is None:
-            nid = len(keys)
-            if nid >= budget:
-                raise BudgetExceededError(budget)
-            tables[cop][key] = nid
-            keys.append(key)
-            is_cop.append(cop)
-            preds.append([])
-            pending.append(0 if cop else key[1])
-            depth.append(d)
-            won.append(False)
-            while len(queue) <= d:
-                queue.append([])
-            queue[d].append(nid)
-            if d < top:
-                top = d
-        return nid
-
-    def wait(r: int) -> bool:
-        """Make robber node r wait on its lowest w not yet won; whether none is left."""
-        c, rest = keys[r][0], pending[r]
+        c = keys[r][0]
         while rest:
-            sid = intern((c, (rest & -rest).bit_length() - 1), True, depth[r] + 1)
+            key = (c, (rest & -rest).bit_length() - 1)
+            sid = cop_ids.get(key)
+            if sid is None:  # a new cop node, not won: r waits on it
+                sid = len(keys)
+                if sid >= budget:
+                    raise BudgetExceededError(budget)
+                cop_ids[key] = sid
+                keys.append(key)
+                preds.append([r])
+                pending.append(-1)
+                d = depth[r] + 1
+                depth.append(d)
+                won.append(False)
+                if d == len(queue):
+                    queue.append([sid])
+                else:
+                    queue[d].append(sid)
+                    if d < top:
+                        top = d
+                break
             if not won[sid]:
                 preds[sid].append(r)
                 break
@@ -250,37 +260,53 @@ def _solve_cop_game(
         pending[r] = rest
         return not rest
 
-    for v in range(n):
-        intern((0, v), True, 0)
     while starts < n:
-        while top < len(queue) and not queue[top]:
+        level = queue[top]
+        if not level:
             top += 1
-        if top == len(queue):
-            break
-        nid = queue[top].pop()
-        c, x = keys[nid]
-        if not is_cop[nid]:
-            won[nid] = wait(nid)
+            if top == len(queue):
+                break
+            continue
+        nid = level.pop()
+        rest = pending[nid]
+        if rest >= 0:
+            if not wait(nid, rest):
+                continue
+            won[nid] = True
         else:
+            c, x = keys[nid]
             for rk in regions(c, x):
-                sid = intern(rk, False, top)
-                if won[sid]:
+                sid = robber_ids.get(rk)
+                if sid is None:  # a new robber node, not won: nid waits on it
+                    sid = len(keys)
+                    if sid >= budget:
+                        raise BudgetExceededError(budget)
+                    robber_ids[rk] = sid
+                    keys.append(rk)
+                    preds.append([nid])
+                    pending.append(rk[1])
+                    depth.append(top)
+                    won.append(False)
+                    level.append(sid)
+                elif won[sid]:
                     moves[c, x] = rk[0]
                     won[nid] = True
                     break
-                preds[sid].append(nid)
-        ready = [nid] if won[nid] else []
+                else:
+                    preds[sid].append(nid)
+            else:
+                continue
+        ready = [nid]
         for i in ready:  # grows as the win propagates
             starts += i < n
             for p in preds[i]:
                 if won[p]:
                     continue
-                if is_cop[p]:
+                rest = pending[p]
+                if rest < 0:
                     moves[keys[p]] = keys[i][0]
-                else:
-                    pending[p] &= pending[p] - 1
-                    if not wait(p):
-                        continue
+                elif not wait(p, rest & (rest - 1)):
+                    continue
                 won[p] = True
                 ready.append(p)
     if starts < n:

@@ -580,6 +580,11 @@ class TestReplayMatchesTheDictPerPositionReference:
                     oks.add(self.assert_ent_matches(g, strategy, k).ok)
         assert oks == {True, False}
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_switch_all_chase(self, n):
+        # the benchmark's own strategy, past n = 1, where its placements change
+        assert self.assert_ent_matches(gen_switch_all(n), ent_strategy_switch_all(n), 3).ok
+
     def test_cop_strategies_and_corrupted_ones(self, monkeypatch):
         failures = []
         real = certificates._replay_positional

@@ -863,6 +863,88 @@ def eager_solve_cop_game(n, regions, budget):
     return games.SolveOutcome(Winner.COPS, games.CopStrategy(moves), len(keys))
 
 
+def interned_solve_cop_game(n, regions, budget):
+    """`games._solve_cop_game` as it was with one `intern` for the nodes of
+    both sides and a per-node `is_cop` list, kept as the oracle of the
+    solve that builds its nodes inline: both must build, queue and win the
+    same nodes in the same order."""
+    tables = ({}, {})
+    keys, is_cop, preds, pending, depth, won = [], [], [], [], [], []
+    moves = {}
+    queue = []
+    top = 0
+    starts = 0
+
+    def intern(key, cop, d):
+        nonlocal top
+        nid = tables[cop].get(key)
+        if nid is None:
+            nid = len(keys)
+            if nid >= budget:
+                raise BudgetExceededError(budget)
+            tables[cop][key] = nid
+            keys.append(key)
+            is_cop.append(cop)
+            preds.append([])
+            pending.append(0 if cop else key[1])
+            depth.append(d)
+            won.append(False)
+            while len(queue) <= d:
+                queue.append([])
+            queue[d].append(nid)
+            if d < top:
+                top = d
+        return nid
+
+    def wait(r):
+        c, rest = keys[r][0], pending[r]
+        while rest:
+            sid = intern((c, (rest & -rest).bit_length() - 1), True, depth[r] + 1)
+            if not won[sid]:
+                preds[sid].append(r)
+                break
+            rest &= rest - 1
+        pending[r] = rest
+        return not rest
+
+    for v in range(n):
+        intern((0, v), True, 0)
+    while starts < n:
+        while top < len(queue) and not queue[top]:
+            top += 1
+        if top == len(queue):
+            break
+        nid = queue[top].pop()
+        c, x = keys[nid]
+        if not is_cop[nid]:
+            won[nid] = wait(nid)
+        else:
+            for rk in regions(c, x):
+                sid = intern(rk, False, top)
+                if won[sid]:
+                    moves[c, x] = rk[0]
+                    won[nid] = True
+                    break
+                preds[sid].append(nid)
+        ready = [nid] if won[nid] else []
+        for i in ready:
+            starts += i < n
+            for p in preds[i]:
+                if won[p]:
+                    continue
+                if is_cop[p]:
+                    moves[keys[p]] = keys[i][0]
+                else:
+                    pending[p] &= pending[p] - 1
+                    if not wait(p):
+                        continue
+                won[p] = True
+                ready.append(p)
+    if starts < n:
+        return games.SolveOutcome(Winner.ROBBER, None, len(keys))
+    return games.SolveOutcome(Winner.COPS, games.CopStrategy(moves), len(keys))
+
+
 def assert_full_move_witness_replays(g, k, out, mono):
     """A full-move visible-game witness wins: every move is a placement of
     at most k cops, and every play ends in capture."""
@@ -870,19 +952,35 @@ def assert_full_move_witness_replays(g, k, out, mono):
     def replies(c, v):
         cp = out.witness.moves.get((c, v))
         if cp is None or cp.bit_count() > k or cp & ~g.full_mask:
-            return "undefined or illegal cop move"
+            raise certificates._IllegalMove("undefined or illegal cop move")
         step = games.contaminate(g, False, c, reach_mask(g, c, 1 << v), (cp,), mono)
-        return step[0] if step else "the robber reaches a vacated vertex"
+        if not step:
+            raise certificates._IllegalMove("the robber reaches a vacated vertex")
+        return step[0]
 
     assert certificates._replay_positional(0, g.full_mask, replies) is None, (
         f"k={k} mono={mono}: {serialize_graph(g)}"
     )
 
 
+def assert_solves_like_the_interned_reference(play, where, monkeypatch):
+    """play() on `_solve_cop_game` and on `interned_solve_cop_game` gives the
+    same winner and states, and the same witness moves in the same order."""
+    out = play()
+    with monkeypatch.context() as m:
+        m.setattr(games, "_solve_cop_game", interned_solve_cop_game)
+        ref = play()
+    assert out == ref, where
+    if ref.witness is not None:
+        assert list(out.witness.moves.items()) == list(ref.witness.moves.items()), where
+    return out
+
+
 class TestLocalSolveMatchesTheEagerReference:
     """`_solve_cop_game`, whose robber nodes wait on one successor not yet
-    won, decides every game it is given like the eager solve it replaced,
-    and each of its cops' wins replays."""
+    won, decides every game it is given like the eager solve it replaced;
+    it builds, queues and wins the nodes of `interned_solve_cop_game` in
+    the same order; and each of its cops' wins replays."""
 
     GRAPHS = [g for n in range(1, 4) for g in _all_digraphs(n)] + [
         gen_random_digraph(4 + i % 4, (0.25, 0.4, 0.55)[i % 3], 4200 + i) for i in range(12)
@@ -892,23 +990,22 @@ class TestLocalSolveMatchesTheEagerReference:
     def games_of(g, k):
         """(game, mono, solve) of every game played on `_solve_cop_game`: the
         entanglement game, and the visible game, monotone or not, with
-        normalized moves and, on at most 5 vertices, with full moves."""
+        normalized moves and with full moves."""
         yield "ent", None, partial(solve_entanglement, g, k)
         for mono in (True, False):
             yield "visible", mono, partial(games._play_visible, g, k, mono, False)
-            if g.vertex_count <= 5:
-                yield "full", mono, partial(games._play_visible, g, k, mono, True)
+            yield "full", mono, partial(games._play_visible, g, k, mono, True)
 
     def test_same_winner_and_the_wins_replay(self, monkeypatch):
         outcomes = set()
         for g in self.GRAPHS:
             for k in range(g.vertex_count + 1):
                 for game, mono, play in self.games_of(g, k):
-                    out = play()
+                    where = f"{game} mono={mono} k={k}: {serialize_graph(g)}"
+                    out = assert_solves_like_the_interned_reference(play, where, monkeypatch)
                     with monkeypatch.context() as m:
                         m.setattr(games, "_solve_cop_game", eager_solve_cop_game)
                         ref = play()
-                    where = f"{game} mono={mono} k={k}: {serialize_graph(g)}"
                     assert out.winner is ref.winner, where
                     outcomes.add((game, mono, out.winner))
                     if out.winner is not Winner.COPS:
@@ -922,6 +1019,44 @@ class TestLocalSolveMatchesTheEagerReference:
                         assert_full_move_witness_replays(g, k, out, mono)
         # every game is won by each side somewhere
         assert len(outcomes) == 2 * 5
+
+
+class TestSolveMatchesTheInternedReference:
+    """On the family graphs too, `_solve_cop_game` builds, queues and wins
+    the nodes of `interned_solve_cop_game` in the same order."""
+
+    @pytest.mark.parametrize(
+        "gen, n, ks",
+        [
+            (gen_switch_all, 1, None),
+            (gen_zadeh, 1, None),
+            (gen_zadeh, 2, None),
+            # k = 0..6, three cops past the least win: all 25 k build 1.2M nodes
+            (gen_switch_all, 2, range(7)),
+        ],
+        ids=["switch_all1", "zadeh1", "zadeh2", "switch_all2"],
+    )
+    def test_entanglement_on_the_families(self, gen, n, ks, monkeypatch):
+        g = gen(n)
+        for k in ks or range(g.vertex_count + 1):
+            assert_solves_like_the_interned_reference(
+                partial(solve_entanglement, g, k), f"{gen.__name__}({n}) k={k}", monkeypatch
+            )
+
+    @pytest.mark.parametrize("gen", [gen_switch_all, gen_zadeh], ids=["switch_all1", "zadeh1"])
+    def test_visible_game_on_the_families(self, gen, monkeypatch):
+        # normalized moves up to one cop past the least monotone win: full
+        # moves range over 2^14 placements or more, and the visible game at
+        # n = 2 builds millions of nodes
+        g = gen(1)
+        last = measure(g, Variant.DAGW) + 1
+        for k in range(last + 1):
+            for mono in (True, False):
+                assert_solves_like_the_interned_reference(
+                    partial(games._play_visible, g, k, mono, False),
+                    f"{gen.__name__}(1) mono={mono} k={k}",
+                    monkeypatch,
+                )
 
 
 class TestMeasure:
@@ -1041,6 +1176,51 @@ class TestBudget:
             for variant in Variant:
                 with pytest.raises(GraphError, match=message):
                     measure(g, variant, budget=budget)
+
+    def test_cop_game_raises_exactly_past_its_states(self, monkeypatch):
+        # every budget from 1 to states + 1, those below the vertex count,
+        # which the starts alone exceed, included: a solve raises with that
+        # budget iff the unbudgeted solve builds more nodes than it
+        cases = [(gen_switch_all(1), range(2)), (gen_cycle(4), range(4))] + [
+            (gen_random_digraph(n, p, seed), range(4))
+            for n, p, seed in ((5, 0.3, 6100), (5, 0.5, 6101), (6, 0.4, 6102))
+        ]
+        for g, ks in cases:
+            for k in ks:
+
+                def visible(budget, mono):
+                    # _play_visible solves within the module's default budget
+                    monkeypatch.setattr(games, "DEFAULT_STATE_BUDGET", budget)
+                    return games._play_visible(g, k, mono, False)
+
+                plays = {
+                    "ent": lambda budget: solve_entanglement(g, k, budget=budget),
+                    "visible mono=True": partial(visible, mono=True),
+                    "visible mono=False": partial(visible, mono=False),
+                }
+                for game, play in plays.items():
+                    states = play(DEFAULT_STATE_BUDGET).states
+                    for budget in range(1, states + 2):
+                        where = f"{game} k={k} budget={budget}: {serialize_graph(g)}"
+                        if states > budget:
+                            with pytest.raises(BudgetExceededError) as info:
+                                play(budget)
+                            assert info.value.budget == budget, where
+                        else:
+                            assert play(budget).states == states, where
+
+    def test_cop_game_starts_alone_exceed_the_budget_before_any_move(self):
+        # the n starts are built first: a budget below n raises before the
+        # first cop node lists its moves
+        def regions(c, x):
+            raise AssertionError("a move was listed past the budget")
+
+        for budget in (1, 3):
+            with pytest.raises(BudgetExceededError) as info:
+                games._solve_cop_game(4, regions, budget)
+            assert info.value.budget == budget
+        with pytest.raises(AssertionError, match="past the budget"):
+            games._solve_cop_game(4, regions, 4)
 
     def test_invisible_exhaustion_carries_the_budget(self):
         with pytest.raises(BudgetExceededError) as info:
