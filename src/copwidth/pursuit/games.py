@@ -20,7 +20,10 @@ and what is left of R splits into parts, subgames that must all be won:
 
 The search solves each strongly connected component as its own subgame.
 Its witness is a placement sequence, or for DAGW a positional cop
-strategy.  Entanglement is solved on the fly by `_solve_cop_game`, which
+strategy, built from the search memo the first time a winning
+`SolveOutcome`'s `.witness` is read; until then the outcome holds that
+memo instead of the witness, so a cop-count scan builds none.
+Entanglement is solved on the fly by `_solve_cop_game`, which
 builds the game graph of cop nodes (C, v) and robber nodes (C', R), the
 announced placement and the region the robber can land in, shallowest
 nodes first, with each robber node waiting on one successor not yet won,
@@ -142,9 +145,29 @@ class CopStrategy:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """One solve's winner, the cops' witness (None if the robber wins) and
+    the states built.  A win of `_search_contaminated` is `_deferred`: it
+    holds the search memo instead of the witness, and builds the witness
+    on the first read of `.witness`, so a cop-count scan builds none.
+    Equality, hashing and repr read the witness like any field."""
+
     winner: Winner
     witness: object | None
     states: int
+
+    @classmethod
+    def _deferred(cls, winner: Winner, build: Callable[[], object], states: int) -> SolveOutcome:
+        out = cls.__new__(cls)
+        out.__dict__.update(winner=winner, states=states, _build=build)
+        return out
+
+    def __getattr__(self, name: str) -> object:
+        # met only by a field not yet set: a deferred outcome's witness
+        if name != "witness" or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__["witness"] = witness = self.__dict__["_build"]()
+        del self.__dict__["_build"]
+        return witness
 
 
 def _check_cops(cops: int, graph: Graph | None = None) -> None:
@@ -607,7 +630,9 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     then each part of R \\ {u} in turn.  `_sweep_of` turns the order into
     placements with the guards of the whole graph, which equal the subgame
     guards, so each placement holds at most k cops.  The DAGW witness is
-    `_strategy_of`'s.
+    `_strategy_of`'s.  A win returns a `_deferred` outcome, whose builder,
+    `_clearing_sweep` or `_strategy_of`, is bound to this solve's graph,
+    set-up and memo, not to the last-graph caches a later solve replaces.
     """
     scopes, succ, pred, nbr, tables = _scc_masks(graph)
     inert = variant is Variant.KW
@@ -647,14 +672,30 @@ def _search_contaminated(graph: Graph, k: int, variant: Variant, budget: int) ->
     if not u:
         return SolveOutcome(Winner.ROBBER, None, len(won))
     if variant is Variant.DAGW:
-        return SolveOutcome(Winner.COPS, _strategy_of(graph, scopes, succ, tables, won), len(won))
+        build = functools.partial(_strategy_of, graph, scopes, succ, tables, won)
+    else:
+        build = functools.partial(_clearing_sweep, graph, inert, adj, back, scopes, won)
+    return SolveOutcome._deferred(Winner.COPS, build, len(won))
+
+
+def _clearing_sweep(
+    graph: Graph,
+    inert: bool,
+    adj: tuple[int, ...] | None,
+    back: tuple[int, ...] | None,
+    scopes: tuple[int, ...],
+    won: dict[int, int],
+) -> tuple[frozenset[int], ...]:
+    """The KW or DPW witness of a won `_search_contaminated`, from its memo
+    `won` and the SCCs and `_parts` rule it searched with: the clearing
+    order, placed by `_sweep_of`."""
     order = []
-    todo_sets = list(scopes[::-1])
-    while todo_sets:
-        r = todo_sets.pop()
+    todo = list(scopes[::-1])
+    while todo:
+        r = todo.pop()
         order.append(won[r])
-        todo_sets += _parts(adj, back, r ^ won[r])
-    return SolveOutcome(Winner.COPS, _sweep_of(graph, inert, order), len(won))
+        todo += _parts(adj, back, r ^ won[r])
+    return _sweep_of(graph, inert, order)
 
 
 def _sweep_of(graph: Graph, inert: bool, order: list[int]) -> tuple[frozenset[int], ...]:
@@ -824,7 +865,8 @@ def measure_detailed(
     scan, which solves k = 0, 1, ... until the cops win; for TW from one cop
     more than the closure's minor-min-width (`_tw_lower_bound`, Bodlaender &
     Koster 2011), as no fewer win.  Its solves share the per-graph set-up
-    that `solve` caches for the last graph."""
+    that `solve` caches for the last graph.  It reads no witness, so its
+    winning solve builds none (`SolveOutcome`)."""
     variant = Variant(variant)
     _positive(budget, "budget")
     if graph.vertex_count == 0:

@@ -1,5 +1,6 @@
 """Game solvers: frozen small-instance oracles, witnesses, and consistency."""
 
+import dataclasses
 import random
 import re
 from functools import partial
@@ -48,11 +49,11 @@ def two_cycle():
 
 
 def first_win(g, variant):
-    """The least k at which the cops win the monotone invisible game, and
-    that solve's outcome."""
+    """The least k at which `solve` gives the cops the game, and that
+    solve's outcome, its witness not yet read."""
     k = 0
     while True:
-        out = solve_invisible(g, GameConfig(variant, k))
+        out = solve(g, variant, k)
         if out.winner is Winner.COPS:
             return k, out
         k += 1
@@ -1285,3 +1286,78 @@ class TestDispatch:
                 for k in range(g.vertex_count + 1):
                     solve(g, variant, k)
         assert configs and {c.variant for c in configs} == {Variant.DAGW}
+
+
+# -- the witness of a contaminated-set search, built on first read ------------
+
+DEFERRED = (Variant.TW, Variant.DAGW, Variant.KW, Variant.DPW)
+
+
+def assert_witness_replays(g, variant, k, witness):
+    """A dagw strategy replays on g, and a tw, kw or dpw sweep (tw on the
+    symmetric closure, under kw rules) clears monotone within k cops."""
+    where = f"{variant.value} k={k}: {serialize_graph(g)}"
+    if variant is Variant.DAGW:
+        assert replay_cop_strategy(g, Variant.DAGW, k, witness.moves), where
+        return
+    played_on, rules = (symmetric_closure(g), Variant.KW) if variant is Variant.TW else (g, variant)
+    rep = simulate_sweep(played_on, witness, rules)
+    assert rep.cleared and rep.monotone, where
+    assert all(len(p) <= k for p in witness), where
+
+
+class TestDeferredWitness:
+    def test_witness_survives_solves_of_another_graph(self):
+        # solves of another graph replace the last-graph caches (closure,
+        # SCC masks and tables) before the witness is first read
+        graphs = [g for n in range(1, 4) for g in _all_digraphs(n)]
+        graphs += [gen_random_digraph(4 + i % 4, 0.2 + 0.15 * (i % 3), 3100 + i) for i in range(20)]
+        for i, g in enumerate(graphs):
+            other = graphs[i - 1]
+            for variant in DEFERRED:
+                k, out = first_win(g, variant)
+                for v in DEFERRED:
+                    solve(other, v, other.vertex_count)
+                witness = out.witness
+                assert witness == solve(g, variant, k).witness, f"{variant.value}: {serialize_graph(g)}"
+                assert_witness_replays(g, variant, k, witness)
+
+    def test_witness_is_built_once_on_first_read(self, monkeypatch):
+        built = []
+        for name in ("_strategy_of", "_sweep_of"):
+
+            def counted(*args, _name=name, _build=getattr(games, name)):
+                built.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(games, name, counted)
+        g = gen_switch_all(1)
+        for variant in DEFERRED:
+            built.clear()
+            _, out = first_win(g, variant)
+            assert built == []
+            witness = out.witness
+            assert out.witness is witness
+            assert built == ["_strategy_of" if variant is Variant.DAGW else "_sweep_of"]
+
+    def test_outcomes_read_and_compare_as_fields(self):
+        lost = SolveOutcome(Winner.ROBBER, None, 0)
+        assert (lost.winner, lost.witness, lost.states) == (Winner.ROBBER, None, 0)
+        assert lost == SolveOutcome(Winner.ROBBER, None, 0)
+        assert hash(lost) == hash(SolveOutcome(Winner.ROBBER, None, 0))
+        empty = SolveOutcome(Winner.COPS, (), 0)
+        assert (empty.winner, empty.witness, empty.states) == (Winner.COPS, (), 0)
+        assert empty != lost
+        assert repr(empty) == "SolveOutcome(winner=<Winner.COPS: 'cops'>, witness=(), states=0)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            empty.witness = None
+        # a deferred outcome equals the eager one that holds its witness
+        g = gen_switch_all(1)
+        for variant in DEFERRED:
+            k, out = first_win(g, variant)
+            eager = SolveOutcome(Winner.COPS, solve(g, variant, k).witness, out.states)
+            assert out == eager and eager == out, variant.value
+            assert out != SolveOutcome(Winner.COPS, None, out.states), variant.value
+            assert repr(out) == repr(eager), variant.value
+            if variant is not Variant.DAGW:  # a CopStrategy holds a dict
+                assert hash(out) == hash(eager), variant.value

@@ -75,6 +75,13 @@ def zadeh_report():
     return run_report("zadeh", n_exact=1, n_cert=2)
 
 
+@pytest.mark.parametrize("family", ["switch-all", "zadeh"])
+def test_report_builds_no_solver_witness(family, witness_builds):
+    # the exact cells read each scan's value and states, never a witness
+    assert_matches_golden(run_report(family, n_exact=1, n_cert=2), f"report-{family}.json")
+    assert witness_builds == []
+
+
 class TestSwitchAllReport:
     def test_all_verified(self, switch_all_report):
         assert switch_all_report.all_verified

@@ -36,8 +36,17 @@ def state_counts() -> str:
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
-def test_state_counts_match_golden():
+def test_state_counts_match_golden(witness_builds):
+    # a scan reads winners and states only, so it builds no witness
     assert state_counts() == GOLDEN.read_text(encoding="utf-8")
+    assert witness_builds == []
+
+
+def test_switch_all_2_scans_build_no_witness(witness_builds):
+    # the values and states of the ROADMAP's baseline table
+    want = {"tw": (5, 163), "dpw": (2, 1_697), "dagw": (3, 499), "kw": (3, 5_620), "ent": (2, 2_933)}
+    assert {v.value: measure_detailed(gen_switch_all(2), v) for v in Variant} == want
+    assert witness_builds == []
 
 
 @pytest.mark.parametrize(
